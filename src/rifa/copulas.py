@@ -41,6 +41,9 @@ _FRANK_INDEP_EPS = 1e-8
 # error rather than rounding noise
 SLICE_TOL = 1e-12
 
+# Clayton's textbook form is used while its powers stay below this
+_CLAYTON_POW_MAX = 1e300
+
 _BISECT_TOL = 1e-10
 _BISECT_MAX_ITERS = 80
 
@@ -82,6 +85,27 @@ class CopulaSpec:
         return False
 
 
+def _clayton_positive(alpha: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Clayton C(u, v) for u, v in (0, 1].
+
+    The textbook form (u^-alpha + v^-alpha - 1)^(-1/alpha) overflows once a
+    power passes the float range.  Where one would pass _CLAYTON_POW_MAX,
+    C = w * (1 + (w/z)^alpha - w^alpha)^(-1/alpha) with w = min(u, v) and
+    z = max(u, v) is used instead: its bases lie in (0, 1] and its bracket
+    in [1, 2], and C -> w as w -> 0.  Elsewhere the textbook form stays,
+    because Clayton optimizer paths, and so printed argmax digits, follow
+    its last bits.
+    """
+    w = np.minimum(u, v)
+    z = np.maximum(u, v)
+    tiny = w <= _CLAYTON_POW_MAX ** (-1.0 / alpha)
+    uc = np.where(tiny, 0.5, u)
+    vc = np.where(tiny, 0.5, v)
+    textbook = (uc**-alpha + vc**-alpha - 1.0) ** (-1.0 / alpha)
+    factored = w * (1.0 + (w / z) ** alpha - w**alpha) ** (-1.0 / alpha)
+    return np.where(tiny, factored, textbook)
+
+
 def _eval_array(spec: CopulaSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorised C(u, v); inputs assumed already validated to [0, 1]."""
     u = np.asarray(u, dtype=float)
@@ -89,12 +113,10 @@ def _eval_array(spec: CopulaSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if spec.is_independence:
         return u * v
     if spec.family == "clayton":
-        alpha = spec.param
         zero = (u <= 0.0) | (v <= 0.0)
         uc = np.where(zero, 0.5, u)
         vc = np.where(zero, 0.5, v)
-        out = (uc**-alpha + vc**-alpha - 1.0) ** (-1.0 / alpha)
-        return np.where(zero, 0.0, out)
+        return np.where(zero, 0.0, _clayton_positive(spec.param, uc, vc))
     if spec.family == "gumbel":
         beta = spec.param
         zero = (u <= 0.0) | (v <= 0.0)

@@ -29,8 +29,6 @@ both (hybrid), per the optimizer configuration.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -125,179 +123,113 @@ class EvaluationReport:
                 )
 
 
-class _PathEvaluator:
-    """Fast conditional-value evaluation on one fixed path.
+# (point, path) pairs per kernel block: up to 1024 paths (T <= 10) each
+# (points, paths, T+1) temporary takes 8*(T+1) kB; beyond that a block is
+# one point and the temporaries grow with the path count.  Larger blocks
+# measured slower on the classical screen
+_BLOCK_PAIRS = 1 << 10
 
-    Price prefix sums make the surrender hazard an O(1) quadratic in a
-    per date, so a value costs O(T) exponentials; the grid variant
-    evaluates whole (a, d) point batches with numpy.
+
+class _Kernel:
+    """Conditional values G(path, theta) for blocks of (a, d) points.
+
+    Built once per path sequence and death-parameter pair (b, c): payouts,
+    risk-neutral weights and price prefix sums are stored with one row per
+    path, and the death leg is computed here, once.  The prefix sums make
+    the surrender hazard an O(1) quadratic in a per date, so a value costs
+    O(T) exponentials.
     """
 
-    __slots__ = ("T", "spec", "surr_on", "v_pay", "v_surv", "cum1", "cum2", "tt")
-
-    def __init__(
-        self,
-        path: Path,
-        spec: CopulaSpec,
-        benefit: BenefitSpec,
-        market: MarketParams,
-    ):
-        self.T = market.T
-        self.spec = spec
-        self.surr_on = benefit.surrender
-        survival_pay, surrender_pays = discounted_payoffs(benefit, market, path)
-        self.v_surv = survival_pay
-        self.v_pay = surrender_pays  # interior dates only; [0] and [T] are 0
-        prices = np.asarray(path.prices)
-        self.cum1 = np.concatenate(([0.0], np.cumsum(prices[:-1])))
-        self.cum2 = np.concatenate(([0.0], np.cumsum(prices[:-1] ** 2)))
-        self.tt = np.arange(self.T + 1, dtype=float)
-
-    def death_survival(self, b: float, c: float) -> np.ndarray:
-        """P(death > t) for t = 0..T."""
-        loads = b * np.exp(c * np.arange(self.T, dtype=float))
-        return np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
-
-    def surrender_survival(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """P(surrender > t) block, one row per (a, d) point."""
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        d = np.atleast_1d(np.asarray(d, dtype=float))
-        load = self.tt * a[:, None] ** 2 - 2.0 * a[:, None] * self.cum1 + self.cum2
-        return np.exp(-load / d[:, None])
-
-    def values(
-        self, a: np.ndarray, d: np.ndarray, b: float, c: float
-    ) -> np.ndarray:
-        """Conditional values at paired (a, d) points with (b, c) fixed."""
-        f1 = self.death_survival(b, c)
-        if not self.surr_on:
-            n = np.atleast_1d(np.asarray(a, dtype=float)).shape[0]
-            return np.full(n, self.v_surv * f1[self.T])
-        f2 = self.surrender_survival(a, d)
-        return _combine(self.spec, f1, f2, self.v_pay, self.v_surv)
-
-    def value(self, theta: Theta) -> float:
-        return float(self.values(theta.a, theta.d, theta.b, theta.c)[0])
-
-    def objective_ad(self, b: float, c: float) -> Callable[[float, float], float]:
-        """Scalar (a, d) objective with the death leg frozen."""
-
-        def f(a: float, d: float) -> float:
-            return float(self.values(a, d, b, c)[0])
-
-        return f
-
-
-def _combine(
-    spec: CopulaSpec,
-    f1: np.ndarray,
-    f2: np.ndarray,
-    v_pay: np.ndarray,
-    v_surv,
-) -> np.ndarray:
-    """Assemble conditional values from survival blocks.
-
-    f1: death survival, (T+1,).  f2: surrender survival, (n, T+1).
-    v_pay: interior surrender payouts, (T+1,) or (n, T+1).
-    v_surv: maturity payout, scalar or (n,).
-    """
-    T = f1.shape[0] - 1
-    if spec.is_independence:
-        survival = f1[T] * f2[:, T]
-        slices = f2[:, 0 : T - 1] - f2[:, 1:T] if T >= 2 else None
-        if slices is not None and float(slices.min(initial=0.0)) < -SLICE_TOL:
-            raise NumericalError("negative surrender slice mass beyond tolerance")
-        interior = (
-            (slices * (np.atleast_2d(v_pay)[:, 1:T] * f1[1:T])).sum(axis=1)
-            if T >= 2
-            else 0.0
-        )
-        return v_surv * survival + interior
-    survival = _survival_array(spec, np.asarray(f1[T]), f2[:, T])
-    if T >= 2:
-        upper = _survival_array(spec, f1[None, 1:T], f2[:, 0 : T - 1])
-        lower = _survival_array(spec, f1[None, 1:T], f2[:, 1:T])
-        slices = upper - lower
-        if float(slices.min(initial=0.0)) < -SLICE_TOL:
-            raise NumericalError("negative surrender slice mass beyond tolerance")
-        interior = (np.clip(slices, 0.0, None) * np.atleast_2d(v_pay)[:, 1:T]).sum(
-            axis=1
-        )
-    else:
-        interior = 0.0
-    return v_surv * survival + interior
-
-
-class _LatticeEvaluator:
-    """Conditional values stacked across all paths, for outer optimization."""
-
-    __slots__ = ("T", "spec", "surr_on", "q", "v_pay", "v_surv", "cum1", "cum2", "tt", "paths")
+    __slots__ = (
+        "T", "spec", "surr_on", "f1", "q", "v_surv", "v_pay", "cum1", "cum2", "tt"
+    )
 
     def __init__(
         self,
         paths: Sequence[Path],
+        b: float,
+        c: float,
         spec: CopulaSpec,
         benefit: BenefitSpec,
         market: MarketParams,
     ):
-        self.T = market.T
+        T = self.T = market.T
         self.spec = spec
         self.surr_on = benefit.surrender
-        self.paths = paths
         self.q = np.array([p.q_weight for p in paths])
-        v_surv = []
-        v_pay = []
-        cum1 = []
-        cum2 = []
-        for p in paths:
-            sp, ip = discounted_payoffs(benefit, market, p)
-            v_surv.append(sp)
-            v_pay.append(ip)
-            prices = np.asarray(p.prices)
-            cum1.append(np.concatenate(([0.0], np.cumsum(prices[:-1]))))
-            cum2.append(np.concatenate(([0.0], np.cumsum(prices[:-1] ** 2))))
-        self.v_surv = np.array(v_surv)
-        self.v_pay = np.array(v_pay)
-        self.cum1 = np.array(cum1)
-        self.cum2 = np.array(cum2)
-        self.tt = np.arange(self.T + 1, dtype=float)
+        # death survival P(death > t), t = 0..T
+        loads = b * np.exp(c * np.arange(T, dtype=float))
+        f1 = self.f1 = np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
+        payoffs = [discounted_payoffs(benefit, market, p) for p in paths]
+        self.v_surv = np.array([sp for sp, _ in payoffs])
+        # surrender payouts at interior dates 1..T-1; under independence
+        # they enter only through their product with death survival
+        self.v_pay = np.array([ip for _, ip in payoffs])[:, 1:T]
+        if spec.is_independence:
+            self.v_pay = self.v_pay * f1[1:T]
+        prices = np.array([p.prices for p in paths])[:, :-1]
+        zero = np.zeros((len(paths), 1))
+        self.cum1 = np.concatenate((zero, np.cumsum(prices, axis=1)), axis=1)
+        self.cum2 = np.concatenate((zero, np.cumsum(prices**2, axis=1)), axis=1)
+        self.tt = np.arange(T + 1, dtype=float)
 
-    def _death_survival(self, b: float, c: float) -> np.ndarray:
-        loads = b * np.exp(c * np.arange(self.T, dtype=float))
-        return np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
-
-    def path_values(self, theta: Theta) -> np.ndarray:
-        """Conditional value of every path at one parameter point."""
-        f1 = self._death_survival(theta.b, theta.c)
+    def values(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """G at paired (a, d) points: shape (points, paths)."""
+        T, f1 = self.T, self.f1
         if not self.surr_on:
-            return self.v_surv * f1[self.T]
-        load = self.tt * theta.a**2 - 2.0 * theta.a * self.cum1 + self.cum2
-        f2 = np.exp(-load / theta.d)
-        return _combine(self.spec, f1, f2, self.v_pay, self.v_surv)
+            return np.broadcast_to(self.v_surv * f1[T], (a.shape[0], self.q.shape[0]))
+        a = a[:, None, None]
+        # float_power squares through libm pow, as the Python-float classical
+        # route did; the array route used to square as a*a, so robust
+        # per-path values may move in the last ulp.  The classical band's
+        # Nelder-Mead path depends on that last bit
+        load = self.tt * np.float_power(a, 2.0) - 2.0 * a * self.cum1 + self.cum2
+        f2 = np.exp(load / -d[:, None, None])
+        if self.spec.is_independence:
+            survival = f1[T] * f2[..., T]
+            slices = f2[..., 0 : T - 1] - f2[..., 1:T]
+        else:
+            # joint survival P(death > t, surrender > t) for t = 1..T
+            joint = _survival_array(self.spec, f1[1:], f2[..., 1:])
+            upper = _survival_array(self.spec, f1[1:T], f2[..., 0 : T - 1])
+            survival = joint[..., T - 1]
+            slices = upper - joint[..., : T - 1]
+        if float(slices.min(initial=0.0)) < -SLICE_TOL:
+            raise NumericalError("negative surrender slice mass beyond tolerance")
+        if not self.spec.is_independence:
+            slices = np.clip(slices, 0.0, None)
+        return self.v_surv * survival + (slices * self.v_pay).sum(axis=-1)
 
-    def classical(self, theta: Theta) -> float:
-        """Single-model price: exact ordered reduction over paths."""
-        return math.fsum((self.q * self.path_values(theta)).tolist())
 
-    def classical_batch(
-        self, a: np.ndarray, d: np.ndarray, b: float, c: float
-    ) -> np.ndarray:
-        """Single-model prices at paired (a, d) points, (b, c) fixed."""
-        a = np.asarray(a, dtype=float)
-        d = np.asarray(d, dtype=float)
-        f1 = self._death_survival(b, c)
-        out = np.zeros(a.shape[0])
-        if not self.surr_on:
-            out[:] = float(np.dot(self.q, self.v_surv)) * f1[self.T]
-            return out
-        # path loop keeps the accumulation order fixed and memory flat
-        for i in range(self.q.shape[0]):
-            load = self.tt * a[:, None] ** 2 - 2.0 * a[:, None] * self.cum1[i] + self.cum2[i]
-            f2 = np.exp(-load / d[:, None])
-            out += self.q[i] * _combine(
-                self.spec, f1, f2, self.v_pay[i], self.v_surv[i]
+_Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _objective(kernel: _Kernel, price: bool) -> _Objective:
+    """Vectorised (a, d) objective on a kernel.
+
+    price=False gives G itself on a one-path kernel; price=True gives the
+    single-model price, an exact q-weighted sum over the kernel's paths in
+    path order.  Points go through the kernel in blocks of at most
+    _BLOCK_PAIRS (point, path) pairs, so memory stays flat.
+    """
+    q = kernel.q
+    step = max(1, _BLOCK_PAIRS // q.shape[0])
+
+    def f(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        out = np.empty(a.shape[0])
+        for i in range(0, a.shape[0], step):
+            g = kernel.values(a[i : i + step], d[i : i + step])
+            out[i : i + step] = (
+                [math.fsum((q * row).tolist()) for row in g] if price else g[:, 0]
             )
         return out
+
+    return f
+
+
+def _at(f: _Objective, a: float, d: float) -> float:
+    """Scalar value of a vectorised objective."""
+    return float(f(np.array([a], dtype=float), np.array([d], dtype=float))[0])
 
 
 def _latin_starts(k: int, ndim: int) -> list[tuple[float, ...]]:
@@ -310,8 +242,7 @@ def _latin_starts(k: int, ndim: int) -> list[tuple[float, ...]]:
 
 
 def _optimize_ad(
-    scalar_f: Callable[[float, float], float],
-    batch_f: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+    f: _Objective,
     a_iv: tuple[float, float],
     d_iv: tuple[float, float],
     cfg: OptimizerConfig,
@@ -320,10 +251,10 @@ def _optimize_ad(
 ) -> tuple[float, tuple[float, float]]:
     """Optimize a smooth objective over the (a, d) rectangle.
 
-    Candidate points come from multistart Nelder-Mead, the dense grid,
-    the rectangle corners and midpoint, and any caller-supplied extras;
-    the winner is re-evaluated through `scalar_f` so the reported value
-    is canonical regardless of which route produced the point.
+    `f` maps paired arrays of a and d to objective values.  Candidate
+    points come from multistart Nelder-Mead, the dense grid, the
+    rectangle corners and midpoint, and any caller-supplied extras; the
+    first best candidate wins.
     """
     sign = -1.0 if maximize else 1.0
     a_lo, a_hi = a_iv
@@ -353,14 +284,10 @@ def _optimize_ad(
         d_grid = np.linspace(d_lo, d_hi, n) if d_hi > d_lo else np.array([d_lo])
         aa, dd = np.meshgrid(a_grid, d_grid, indexing="ij")
         aa, dd = aa.ravel(), dd.ravel()
-        vals = (
-            batch_f(aa, dd)
-            if batch_f is not None
-            else np.array([scalar_f(x, y) for x, y in zip(aa, dd)])
-        )
-        best = int(np.argmin(sign * vals))
+        best = int(np.argmin(sign * f(aa, dd)))
         candidates.append((float(aa[best]), float(dd[best])))
 
+    converged = None
     if free and cfg.method in ("nelder_mead", "hybrid"):
         # space-filling screen: its best point seeds one extra polish run,
         # so multistart locality cannot miss a basin the screen can see
@@ -370,16 +297,11 @@ def _optimize_ad(
         mesh = np.meshgrid(*axes, indexing="ij") if len(free) == 2 else axes
         zz = np.stack([m.ravel() for m in mesh], axis=1)
         pts = np.array([to_point(z) for z in zz])
-        vals = (
-            batch_f(pts[:, 0], pts[:, 1])
-            if batch_f is not None
-            else np.array([scalar_f(x, y) for x, y in pts])
-        )
-        starts.append(tuple(zz[int(np.argmin(sign * vals))]))
+        starts.append(tuple(zz[int(np.argmin(sign * f(pts[:, 0], pts[:, 1])))]))
         converged = 0
         for z0 in starts:
             res = minimize(
-                lambda z: sign * scalar_f(*to_point(z)),
+                lambda z: sign * _at(f, *to_point(z)),
                 np.asarray(z0),
                 method="Nelder-Mead",
                 bounds=[(0.0, 1.0)] * len(free),
@@ -391,27 +313,20 @@ def _optimize_ad(
             )
             candidates.append(to_point(res.x))
             converged += bool(res.success)
-        if converged == 0:
-            best_val = None
-            for a, d in candidates:
-                val = scalar_f(a, d)
-                if best_val is None or sign * val < sign * best_val:
-                    best_val = val
-            raise NumericalError(
-                f"Nelder-Mead failed to converge within {cfg.max_iters} iterations "
-                f"on all {len(starts)} starts",
-                best_value=best_val,
-            )
 
-    best_point = candidates[0]
-    best_val = scalar_f(*best_point)
-    for point in candidates[1:]:
-        val = scalar_f(*point)
-        if sign * val < sign * best_val:
-            best_val, best_point = val, point
+    pts = np.array(candidates, dtype=float)
+    vals = f(pts[:, 0], pts[:, 1])
+    best = min(range(len(candidates)), key=lambda i: sign * vals[i])
+    best_val = float(vals[best])
+    if converged == 0:
+        raise NumericalError(
+            f"Nelder-Mead failed to converge within {cfg.max_iters} iterations "
+            f"on all {len(starts)} starts",
+            best_value=best_val,
+        )
     if not math.isfinite(best_val):
         raise NumericalError(f"objective returned non-finite value {best_val}")
-    return best_val, best_point
+    return best_val, candidates[best]
 
 
 def conditional_value(
@@ -422,7 +337,8 @@ def conditional_value(
     market: MarketParams,
 ) -> float:
     """Discounted conditional contract value G(path, theta)."""
-    return _PathEvaluator(path, spec, benefit, market).value(theta)
+    kernel = _Kernel([path], theta.b, theta.c, spec, benefit, market)
+    return _at(_objective(kernel, price=False), theta.a, theta.d)
 
 
 def pathwise_esssup(
@@ -439,16 +355,9 @@ def pathwise_esssup(
     (b, c) are pinned to their lower bounds by the monotone certificate;
     the remaining (a, d) rectangle is searched per the configuration.
     """
-    ev = _PathEvaluator(path, spec, benefit, market)
     b, c = box.b[0], box.c[0]
-    scalar_f = ev.objective_ad(b, c)
-
-    def batch_f(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return ev.values(a, d, b, c)
-
     value, (a_star, d_star) = _optimize_ad(
-        scalar_f,
-        batch_f,
+        _objective(_Kernel([path], b, c, spec, benefit, market), price=False),
         box.a,
         box.d,
         cfg,
@@ -456,18 +365,6 @@ def pathwise_esssup(
         extra_points=[(t.a, t.d) for t in extra_thetas],
     )
     return value, Theta(a_star, b, c, d_star)
-
-
-def _worker_count() -> int:
-    """Worker cap from RIFA_THREADS; 0 means auto, unset/garbage means 1."""
-    raw = os.environ.get("RIFA_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
 
 
 def robust_price(
@@ -481,22 +378,14 @@ def robust_price(
     """Worst-case price: q-weighted per-path suprema, robust side only.
 
     Path results are combined by an exact sum in ascending path-index
-    order, so the value does not depend on the worker count.
+    order.
     """
-    paths = enumerate_paths(market)
-
-    def solve(path: Path) -> PathOptimum:
+    optima = []
+    for path in enumerate_paths(market):
         value, theta = pathwise_esssup(
             path, box, spec, benefit, market, cfg, extra_thetas
         )
-        return PathOptimum(path.index, path.q_weight, value, theta)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            optima = list(pool.map(solve, paths))
-    else:
-        optima = [solve(p) for p in paths]
+        optima.append(PathOptimum(path.index, path.q_weight, value, theta))
     total = math.fsum(opt.q_weight * opt.value for opt in optima)
     return EvaluationReport(robust_price=total, per_path=tuple(optima))
 
@@ -508,8 +397,8 @@ def classical_price(
     market: MarketParams,
 ) -> float:
     """Price under one fixed hazard model: E_Q of the conditional value."""
-    ev = _LatticeEvaluator(enumerate_paths(market), spec, benefit, market)
-    return ev.classical(theta)
+    kernel = _Kernel(enumerate_paths(market), theta.b, theta.c, spec, benefit, market)
+    return _at(_objective(kernel, price=True), theta.a, theta.d)
 
 
 def _optimize_classical(
@@ -520,18 +409,11 @@ def _optimize_classical(
     cfg: OptimizerConfig,
     maximize: bool,
 ) -> tuple[float, Theta]:
-    ev = _LatticeEvaluator(enumerate_paths(market), spec, benefit, market)
     # monotone certificate: worst case pins (b, c) low, best case high
     b, c = (box.b[0], box.c[0]) if maximize else (box.b[1], box.c[1])
-
-    def scalar_f(a: float, d: float) -> float:
-        return ev.classical(Theta(a, b, c, d))
-
-    def batch_f(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return ev.classical_batch(a, d, b, c)
-
+    kernel = _Kernel(enumerate_paths(market), b, c, spec, benefit, market)
     value, (a_star, d_star) = _optimize_ad(
-        scalar_f, batch_f, box.a, box.d, cfg, maximize=maximize
+        _objective(kernel, price=True), box.a, box.d, cfg, maximize=maximize
     )
     return value, Theta(a_star, b, c, d_star)
 

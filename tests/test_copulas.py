@@ -1,6 +1,7 @@
 """Copula families: axioms, survival transform, closed forms, samplers."""
 
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -95,6 +96,30 @@ def test_clayton_closed_form_value():
         assert copula_eval(spec, u, v) == pytest.approx(
             u * v / (u + v - u * v), rel=1e-13
         )
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 4.0, 10.0])
+def test_clayton_matches_textbook_form(alpha):
+    """(u^-a + v^-a - 1)^(-1/a) to 1e-12 relative wherever it stays finite."""
+    spec = CopulaSpec("clayton", alpha)
+    levels = np.concatenate(
+        (np.geomspace(1e-12, 1.0, 25), np.linspace(0.05, 0.95, 19))
+    )
+    for u in levels:
+        for v in levels:
+            textbook = (u**-alpha + v**-alpha - 1.0) ** (-1.0 / alpha)
+            assert copula_eval(spec, u, v) == pytest.approx(textbook, rel=1e-12)
+
+
+def test_clayton_tiny_argument_is_finite_limit():
+    # u^-4 overflows at u = 5e-324; C(u, v) -> u as u -> 0
+    spec = CopulaSpec("clayton", 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = copula_eval(spec, 5e-324, 0.5)
+        assert copula_eval(spec, 0.5, 5e-324) == value
+    assert math.isfinite(value)
+    assert value == 5e-324
 
 
 def test_frank_symmetric_and_sign():

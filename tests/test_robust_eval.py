@@ -11,9 +11,13 @@ from rifa.errors import ConfigurationError
 from rifa.hazards import ParamBox, Theta
 from rifa.lattice import MarketParams, binomial_call, enumerate_paths
 from rifa.robust_eval import (
+    _BLOCK_PAIRS,
     EvaluationReport,
     OptimizerConfig,
     PathOptimum,
+    _Kernel,
+    _at,
+    _objective,
     classical_price,
     conditional_value,
     evaluate,
@@ -68,6 +72,28 @@ def test_conditional_value_matches_definitional_oracle(
             fast = conditional_value(path, theta, spec, benefit_paper, market_small)
             slow = _definitional_value(path, theta, spec, benefit_paper, market_small)
             assert fast == pytest.approx(slow, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_one_period_market(spec, benefit_paper):
+    """T=1 has no interior surrender dates: G is the maturity leg alone."""
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=1)
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    paths = enumerate_paths(market)
+    for path in paths:
+        for theta in THETAS:
+            fast = conditional_value(path, theta, spec, benefit_paper, market)
+            slow = _definitional_value(path, theta, spec, benefit_paper, market)
+            assert fast == pytest.approx(slow, abs=1e-12)
+    theta = THETAS[0]
+    expect = math.fsum(
+        p.q_weight * conditional_value(p, theta, spec, benefit_paper, market)
+        for p in paths
+    )
+    assert classical_price(theta, spec, benefit_paper, market) == expect
+    report = robust_price(box, spec, benefit_paper, market, OptimizerConfig())
+    assert len(report.per_path) == len(paths)
+    assert report.robust_price >= expect
 
 
 def test_conditional_value_without_surrender(market_small, independence):
@@ -181,14 +207,17 @@ def test_hybrid_dominates_grid(market_small, benefit_paper, independence):
 
 
 def test_classical_price_is_path_expectation(market_small, benefit_paper):
-    spec = CopulaSpec("clayton", 2.0)
-    theta = THETAS[0]
-    direct = classical_price(theta, spec, benefit_paper, market_small)
-    brute = math.fsum(
-        p.q_weight * conditional_value(p, theta, spec, benefit_paper, market_small)
-        for p in enumerate_paths(market_small)
-    )
-    assert direct == pytest.approx(brute, abs=1e-12)
+    """The single-model price is the exact q-weighted sum, bit for bit."""
+    paths = enumerate_paths(market_small)
+    for spec in COPULAS:
+        for theta in THETAS:
+            direct = classical_price(theta, spec, benefit_paper, market_small)
+            brute = math.fsum(
+                p.q_weight
+                * conditional_value(p, theta, spec, benefit_paper, market_small)
+                for p in paths
+            )
+            assert direct == brute
 
 
 def test_singleton_box_collapses_everything(market_small, benefit_paper, independence):
@@ -276,6 +305,37 @@ def test_robust_price_thread_count_invariance(
         report = robust_price(box, independence, benefit_paper, market_small, cfg)
         results.append((repr(report.robust_price), repr(report.per_path)))
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
+    """A block of points gives bit for bit the values of length-1 calls."""
+    paths = enumerate_paths(market_small)
+    kernel = _Kernel(paths, 0.02, 0.01, spec, benefit_paper, market_small)
+    rng = np.random.default_rng(7)
+    # enough points to span several blocks of the price objective
+    n = 2 * _BLOCK_PAIRS // len(paths) + 3
+    a = np.concatenate(([t.a for t in THETAS], rng.uniform(50.0, 340.0, n)))
+    d = np.concatenate(([t.d for t in THETAS], rng.uniform(1e4, 1e5, n)))
+    block = kernel.values(a, d)
+    for i in range(a.shape[0]):
+        single = kernel.values(a[i : i + 1], d[i : i + 1])
+        assert np.array_equal(block[i], single[0])
+    price = _objective(kernel, price=True)
+    assert price(a, d).tolist() == [_at(price, x, y) for x, y in zip(a, d)]
+
+
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_robust_price_per_path_is_pathwise_esssup(spec, market_small, benefit_paper):
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    cfg = OptimizerConfig(multistarts=2)
+    report = robust_price(box, spec, benefit_paper, market_small, cfg)
+    for path, opt in zip(enumerate_paths(market_small), report.per_path):
+        value, theta = pathwise_esssup(
+            path, box, spec, benefit_paper, market_small, cfg
+        )
+        assert opt.value == value
+        assert opt.theta == theta
 
 
 def test_optimizer_config_validation():
