@@ -89,17 +89,12 @@ class Verdict:
     def __post_init__(self):
         if self.status not in VERDICT_STATUSES:
             raise ContractError(f"unknown verdict status {self.status!r}")
-        cond_i = self.margin_i >= -COMPARISON_BAND
-        cond_ii = self.margin_ii > COMPARISON_BAND
-        expected = (
-            "NRIFA_by_i" if cond_i else "NRIFA_by_ii" if cond_ii else "RIFA_exists"
-        )
-        if self.status != expected:
+        if self.status != _status(self.margin_i, self.margin_ii):
             raise ContractError(
                 f"status {self.status} inconsistent with margins "
                 f"({self.margin_i}, {self.margin_ii})"
             )
-        if (self.theta_prime is None) == (not cond_i):
+        if (self.theta_prime is None) != (self.status == "NRIFA_by_i"):
             raise ContractError("theta_prime must witness exactly the failure of (i)")
 
     @property
@@ -211,6 +206,29 @@ class VerificationReport:
     passed: bool
 
 
+def _status(margin_i: float, margin_ii: float) -> str:
+    """Verdict status: condition (i) first, then condition (ii)."""
+    cond_i = margin_i >= -COMPARISON_BAND
+    cond_ii = margin_ii > COMPARISON_BAND
+    return "NRIFA_by_i" if cond_i else "NRIFA_by_ii" if cond_ii else "RIFA_exists"
+
+
+def _check_request(
+    premium: float, report: EvaluationReport, box: ParamBox, market: MarketParams
+) -> None:
+    """Reject a premium, or a report computed for another box or lattice."""
+    if not (math.isfinite(premium) and premium >= 0.0):
+        raise ContractError(f"premium must be finite and >= 0, got {premium}")
+    if len(report.per_path) != 1 << market.T:
+        raise ContractError(
+            f"report covers {len(report.per_path)} paths, "
+            f"the market has {1 << market.T}"
+        )
+    for opt in report.per_path:
+        if not box.contains(opt.theta):
+            raise ContractError("report was computed for a different parameter box")
+
+
 def _check_schedule(n_schedule: Sequence[int]) -> tuple[int, ...]:
     sched = tuple(n_schedule)
     if not sched:
@@ -241,17 +259,11 @@ def nrifa_check(
     against the robust price (strict).  Either one yields NRIFA; when
     both fail the premium admits an explicit arbitrage.
     """
-    if not (math.isfinite(premium) and premium >= 0.0):
-        raise ContractError(f"premium must be finite and >= 0, got {premium}")
-    for opt in report.per_path:
-        if not box.contains(opt.theta):
-            raise ContractError("report was computed for a different parameter box")
+    _check_request(premium, report, box, market)
     inf_val, theta_min = inf_classical(box, spec, benefit, market, cfg)
     margin_i = inf_val - premium
     margin_ii = report.robust_price - premium
-    cond_i = margin_i >= -COMPARISON_BAND
-    cond_ii = margin_ii > COMPARISON_BAND
-    status = "NRIFA_by_i" if cond_i else "NRIFA_by_ii" if cond_ii else "RIFA_exists"
+    status = _status(margin_i, margin_ii)
     return Verdict(
         status=status,
         premium=premium,
@@ -259,7 +271,7 @@ def nrifa_check(
         inf_classical=inf_val,
         margin_i=margin_i,
         margin_ii=margin_ii,
-        theta_prime=None if cond_i else theta_min,
+        theta_prime=None if status == "NRIFA_by_i" else theta_min,
         boundary_case=(status == "RIFA_exists" and abs(margin_ii) <= COMPARISON_BAND),
     )
 
@@ -279,11 +291,7 @@ def construct_arbitrage(
     over a growing client pool then leaves the constant cushion
     premium - cost plus a vanishing sampling error.
     """
-    if not (math.isfinite(premium) and premium >= 0.0):
-        raise ContractError(f"premium must be finite and >= 0, got {premium}")
-    for opt in report.per_path:
-        if not box.contains(opt.theta):
-            raise ContractError("report was computed for a different parameter box")
+    _check_request(premium, report, box, market)
     if premium < report.robust_price - COMPARISON_BAND:
         raise ContractError(
             f"premium {premium} is below the robust price "
@@ -312,12 +320,14 @@ def _client_payouts(
     tau_surrender: np.ndarray,
     survival_pay: float,
     surrender_pays: np.ndarray,
-    horizon: int,
 ) -> np.ndarray:
-    x = np.where((tau_death > horizon) & (tau_surrender > horizon), survival_pay, 0.0)
-    for t in range(1, horizon):
-        x = np.where((tau_surrender == t) & (tau_death > t), surrender_pays[t], x)
-    return x
+    # A client alive at min(tau_surrender, T) is paid the leg indexed by
+    # tau_surrender: surrender_pays[t] for t <= T (zero at t = T, where the
+    # surrender leg pays nothing) and survival_pay at T+1, which means the
+    # client held the contract past the horizon.  Anyone else gets 0.
+    T = len(surrender_pays) - 1
+    pays = np.append(surrender_pays, survival_pay)[tau_surrender]
+    return np.where(tau_death > np.minimum(tau_surrender, T), pays, 0.0)
 
 
 def simulate_portfolio(
@@ -348,11 +358,11 @@ def simulate_portfolio(
     q = np.array([p.q_weight for p in paths])
     T = market.T
     n_max = sched[-1]
+    death_cdf = np.array([gompertz_cdf(theta, t) for t in range(T + 1)])
     samples: list[PortfolioSample] = []
     for k in range(trials):
         rng = np.random.default_rng([seed, k])
         path = paths[int(rng.choice(len(paths), p=q))]
-        death_cdf = np.array([gompertz_cdf(theta, t) for t in range(T + 1)])
         surr_cdf = np.array(
             [surrender_cdf(path, theta, t, benefit.surrender) for t in range(T + 1)]
         )
@@ -360,7 +370,7 @@ def simulate_portfolio(
         tau1 = _exit_times(death_cdf, u)
         tau2 = _exit_times(surr_cdf, v)
         survival_pay, surrender_pays = discounted_payoffs(benefit, market, path)
-        x = _client_payouts(tau1, tau2, survival_pay, surrender_pays, T)
+        x = _client_payouts(tau1, tau2, survival_pay, surrender_pays)
         cum = np.cumsum(x)
         values = tuple(premium - cum[n - 1] / n for n in sched)
         samples.append(

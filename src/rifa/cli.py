@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -206,42 +206,14 @@ def parse_config(path: str) -> RunConfig:
 
 def canonical_json(config: RunConfig) -> str:
     """Serialize a RunConfig so that re-parsing reproduces it exactly."""
-    doc = {
-        "market": {
-            "s0": config.market.s0,
-            "u": config.market.u,
-            "v": config.market.v,
-            "r": config.market.r,
-            "T": config.market.T,
-        },
-        "benefit": {
-            "K": config.benefit.K,
-            "r_G": config.benefit.r_G,
-            "l": config.benefit.l,
-            "surrender": config.benefit.surrender,
-        },
-        "theta_box": {
-            "a": list(config.theta_box.a),
-            "b": list(config.theta_box.b),
-            "c": list(config.theta_box.c),
-            "d": list(config.theta_box.d),
-        },
-        "copula": {
-            "family": config.copula.family,
-            "param": config.copula.param,
-        },
-        "optimizer": {
-            "method": config.optimizer.method,
-            "multistarts": config.optimizer.multistarts,
-            "tolerance": config.optimizer.tolerance,
-            "max_iters": config.optimizer.max_iters,
-            "grid_points": config.optimizer.grid_points_per_dim,
-        },
-    }
+    sections = ("market", "benefit", "theta_box", "copula", "optimizer")
+    doc = {name: asdict(getattr(config, name)) for name in sections}
+    doc["optimizer"]["grid_points"] = doc["optimizer"].pop("grid_points_per_dim")
     if config.premium is not None:
         doc["premium"] = config.premium
     if config.seed is not None:
         doc["seed"] = config.seed
+    # json writes the theta_box interval tuples as lists
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -281,24 +253,10 @@ def _cmd_price(args) -> tuple[str, int]:
 
 
 def _swept_configs(config: RunConfig, axis: str, value: float):
-    """Collapse a box axis to the sweep point, or rebuild the benefit."""
-    box, benefit = config.theta_box, config.benefit
+    """Collapse a box axis to the sweep point, or replace a benefit term."""
     if axis in ("a", "b", "c", "d"):
-        intervals = {
-            "a": box.a,
-            "b": box.b,
-            "c": box.c,
-            "d": box.d,
-            axis: (value, value),
-        }
-        box = ParamBox(**intervals)
-    elif axis == "l":
-        benefit = BenefitSpec(benefit.K, benefit.r_G, value, benefit.surrender)
-    elif axis == "K":
-        benefit = BenefitSpec(value, benefit.r_G, benefit.l, benefit.surrender)
-    else:
-        benefit = BenefitSpec(benefit.K, value, benefit.l, benefit.surrender)
-    return box, benefit
+        return replace(config.theta_box, **{axis: (value, value)}), config.benefit
+    return config.theta_box, replace(config.benefit, **{axis: value})
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
@@ -375,13 +333,8 @@ def _cmd_simulate(args) -> tuple[str, int]:
         raise ConfigurationError(f"--n-max must be >= 1, got {args.n_max}")
     if args.trials < 1:
         raise ConfigurationError(f"--trials must be >= 1, got {args.trials}")
-    box = config.theta_box
-    theta = Theta(
-        a=0.5 * (box.a[0] + box.a[1]),
-        b=0.5 * (box.b[0] + box.b[1]),
-        c=0.5 * (box.c[0] + box.c[1]),
-        d=0.5 * (box.d[0] + box.d[1]),
-    )
+    box = asdict(config.theta_box)
+    theta = Theta(**{name: 0.5 * (lo + hi) for name, (lo, hi) in box.items()})
     samples = simulate_portfolio(
         theta,
         config.copula,

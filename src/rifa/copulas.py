@@ -85,16 +85,16 @@ class CopulaSpec:
         return False
 
 
-def _clayton_positive(alpha: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Clayton C(u, v) for u, v in (0, 1].
+def _clayton(alpha: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Clayton C(u, v) for u, v in [0, 1].
 
     The textbook form (u^-alpha + v^-alpha - 1)^(-1/alpha) overflows once a
     power passes the float range.  Where one would pass _CLAYTON_POW_MAX,
-    C = w * (1 + (w/z)^alpha - w^alpha)^(-1/alpha) with w = min(u, v) and
-    z = max(u, v) is used instead: its bases lie in (0, 1] and its bracket
-    in [1, 2], and C -> w as w -> 0.  Elsewhere the textbook form stays,
-    because Clayton optimizer paths, and so printed argmax digits, follow
-    its last bits.
+    zero arguments included, C = w * (1 + (w/z)^alpha - w^alpha)^(-1/alpha)
+    with w = min(u, v) and z = max(u, v) is used instead: its bases lie in
+    [0, 1] and its bracket in [1, 2], and C -> w as w -> 0, exactly 0 at
+    w = 0.  Elsewhere the textbook form stays, because Clayton optimizer
+    paths, and so printed argmax digits, follow its last bits.
     """
     w = np.minimum(u, v)
     z = np.maximum(u, v)
@@ -102,7 +102,8 @@ def _clayton_positive(alpha: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     uc = np.where(tiny, 0.5, u)
     vc = np.where(tiny, 0.5, v)
     textbook = (uc**-alpha + vc**-alpha - 1.0) ** (-1.0 / alpha)
-    factored = w * (1.0 + (w / z) ** alpha - w**alpha) ** (-1.0 / alpha)
+    ratio = w / np.where(z > 0.0, z, 1.0)  # w = z = 0 gives ratio 0, not 0/0
+    factored = w * (1.0 + ratio**alpha - w**alpha) ** (-1.0 / alpha)
     return np.where(tiny, factored, textbook)
 
 
@@ -113,10 +114,7 @@ def _eval_array(spec: CopulaSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if spec.is_independence:
         return u * v
     if spec.family == "clayton":
-        zero = (u <= 0.0) | (v <= 0.0)
-        uc = np.where(zero, 0.5, u)
-        vc = np.where(zero, 0.5, v)
-        return np.where(zero, 0.0, _clayton_positive(spec.param, uc, vc))
+        return _clayton(spec.param, u, v)
     if spec.family == "gumbel":
         beta = spec.param
         zero = (u <= 0.0) | (v <= 0.0)

@@ -40,14 +40,14 @@ class Theta:
     d: float
 
     def __post_init__(self):
-        if self.a < 0.0:
-            raise ConfigurationError(f"a must be nonnegative, got {self.a}")
-        if self.b <= 0.0:
-            raise ConfigurationError(f"b must be positive, got {self.b}")
-        if self.c <= 0.0:
-            raise ConfigurationError(f"c must be positive, got {self.c}")
-        if self.d <= 0.0:
-            raise ConfigurationError(f"d must be positive, got {self.d}")
+        if not 0.0 <= self.a < math.inf:
+            raise ConfigurationError(f"a must be nonnegative and finite, got {self.a}")
+        if not 0.0 < self.b < math.inf:
+            raise ConfigurationError(f"b must be positive and finite, got {self.b}")
+        if not 0.0 < self.c < math.inf:
+            raise ConfigurationError(f"c must be positive and finite, got {self.c}")
+        if not 0.0 < self.d < math.inf:
+            raise ConfigurationError(f"d must be positive and finite, got {self.d}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -56,11 +56,11 @@ class MarketParams:
     T: int
 
     def __post_init__(self):
-        if self.s0 <= 0.0:
-            raise ConfigurationError(f"s0 must be positive, got {self.s0}")
+        if not 0.0 < self.s0 < math.inf:
+            raise ConfigurationError(f"s0 must be positive and finite, got {self.s0}")
         if not isinstance(self.T, int) or self.T < 1:
             raise ConfigurationError(f"T must be an integer >= 1, got {self.T!r}")
-        if not (-1.0 < self.v < self.r < self.u):
+        if not (-1.0 < self.v < self.r < self.u < math.inf):
             raise ConfigurationError(
                 f"returns must satisfy -1 < v < r < u, got v={self.v}, r={self.r}, u={self.u}"
             )

@@ -74,8 +74,8 @@ class OptimizerConfig:
             )
         if self.multistarts < 1:
             raise ConfigurationError("multistarts must be >= 1")
-        if not (self.tolerance > 0.0):
-            raise ConfigurationError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ConfigurationError("tolerance must be positive and finite")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
         if self.grid_points_per_dim < 2:

@@ -1,6 +1,7 @@
 """Arbitrage decisions, explicit constructions, and pool simulation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rifa.arbitrage_lab import (
     ArbitragePair,
     InsuranceStrategy,
     Verdict,
+    _client_payouts,
     construct_arbitrage,
     lln_rms,
     nrifa_check,
@@ -121,6 +123,10 @@ def test_nrifa_check_input_validation(
             market_small_mod,
             CFG,
         )
+    # a report computed on another lattice is rejected
+    shorter = replace(market_small_mod, T=market_small_mod.T - 1)
+    with pytest.raises(ContractError):
+        _check(90.0, report, shorter, benefit_paper_mod, independence_mod)
 
 
 def test_verdict_dataclass_consistency():
@@ -335,6 +341,26 @@ def test_portfolio_values_recomputable_from_exit_times(
             assert s.portfolio_values[j] == pytest.approx(
                 premium - float(np.mean(x[:n])), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("surrender", [True, False])
+def test_client_payouts_follow_per_client_rule(market_small_mod, surrender):
+    """One lookup per client equals the contract rule on every exit pair."""
+    T = market_small_mod.T
+    benefit = BenefitSpec(K=100.0, r_G=0.02, l=0.3, surrender=surrender)
+    path = enumerate_paths(market_small_mod)[5]
+    survival_pay, surrender_pays = discounted_payoffs(benefit, market_small_mod, path)
+    pairs = [(t1, t2) for t1 in range(1, T + 2) for t2 in range(1, T + 2)]
+    tau_death, tau_surrender = np.array(pairs, dtype=np.int16).T
+    got = _client_payouts(tau_death, tau_surrender, survival_pay, surrender_pays)
+    for x, (t1, t2) in zip(got, pairs):
+        if t1 > T and t2 > T:
+            expected = survival_pay
+        elif 1 <= t2 < T and t1 > t2:
+            expected = surrender_pays[t2]
+        else:
+            expected = 0.0
+        assert x == expected, (t1, t2)
 
 
 def test_exit_time_marginals_match_cdfs(

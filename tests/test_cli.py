@@ -8,6 +8,8 @@ import pytest
 from rifa.cli import SWEEP_AXES, canonical_json, main, parse_config
 from rifa.errors import ConfigurationError
 
+from conftest import PAPER_CFG
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -95,12 +97,13 @@ def test_parse_config_invalid_json(tmp_path):
 
 
 def test_cli_reports_config_errors_as_exit_2(write_config, base_config_doc, capsys):
-    base_config_doc["market"]["u"] = -0.5  # down exceeds up
-    path = write_config(base_config_doc)
-    code, out, err = run_cli(["price", "--config", path], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    # down exceeds up; Python's json reads and writes NaN and Infinity
+    for key, value in (("u", -0.5), ("s0", math.nan), ("s0", math.inf)):
+        doc = {**base_config_doc, "market": {**base_config_doc["market"], key: value}}
+        code, out, err = run_cli(["price", "--config", write_config(doc)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_cli_reports_resource_errors_as_exit_3(write_config, base_config_doc, capsys):
@@ -121,6 +124,122 @@ def test_price_echo_config(write_config, base_config_doc, capsys):
     doc = json.loads(out)
     assert list(doc) == ["market", "benefit", "theta_box", "copula",
                          "optimizer", "premium", "seed"]
+
+
+ECHO_PAPER_CFG = """\
+{
+  "market": {
+    "s0": 100.0,
+    "u": 0.1,
+    "v": -0.1,
+    "r": 0.05,
+    "T": 8
+  },
+  "benefit": {
+    "K": 100.0,
+    "r_G": 0.01,
+    "l": 0.1,
+    "surrender": true
+  },
+  "theta_box": {
+    "a": [
+      50.0,
+      340.0
+    ],
+    "b": [
+      0.02,
+      0.03
+    ],
+    "c": [
+      0.01,
+      0.05
+    ],
+    "d": [
+      10000.0,
+      100000.0
+    ]
+  },
+  "copula": {
+    "family": "independence",
+    "param": null
+  },
+  "optimizer": {
+    "method": "nelder_mead",
+    "multistarts": 5,
+    "tolerance": 1e-08,
+    "max_iters": 500,
+    "grid_points": 64
+  },
+  "premium": 90.0,
+  "seed": 1
+}
+"""
+
+ECHO_MINIMAL = """\
+{
+  "market": {
+    "s0": 100.0,
+    "u": 0.1,
+    "v": -0.1,
+    "r": 0.05,
+    "T": 4
+  },
+  "benefit": {
+    "K": 100.0,
+    "r_G": 0.02,
+    "l": 0.3,
+    "surrender": false
+  },
+  "theta_box": {
+    "a": [
+      50.0,
+      340.0
+    ],
+    "b": [
+      0.02,
+      0.03
+    ],
+    "c": [
+      0.01,
+      0.05
+    ],
+    "d": [
+      10000.0,
+      100000.0
+    ]
+  },
+  "copula": {
+    "family": "clayton",
+    "param": 2.0
+  },
+  "optimizer": {
+    "method": "nelder_mead",
+    "multistarts": 5,
+    "tolerance": 1e-08,
+    "max_iters": 500,
+    "grid_points": 64
+  }
+}
+"""
+
+
+def test_price_echo_config_is_pinned(write_config, capsys):
+    """The echo is a stable format: compare it with literal text."""
+    paper = str(PAPER_CFG)
+    assert run_cli(["price", "--config", paper, "--echo-config"], capsys) == (
+        0, ECHO_PAPER_CFG, ""
+    )
+    # integers widen to floats; no optimizer, premium or seed in the file
+    minimal = write_config({
+        "market": {"s0": 100, "u": 0.1, "v": -0.1, "r": 0.05, "T": 4},
+        "benefit": {"K": 100, "r_G": 0.02, "l": 0.3, "surrender": False},
+        "theta_box": {"a": [50, 340], "b": [0.02, 0.03], "c": [0.01, 0.05],
+                      "d": [1e4, 1e5]},
+        "copula": {"family": "clayton", "param": 2},
+    })
+    assert run_cli(["price", "--config", minimal, "--echo-config"], capsys) == (
+        0, ECHO_MINIMAL, ""
+    )
 
 
 def test_price_output_shape(write_config, base_config_doc, capsys, single_thread):

@@ -118,6 +118,10 @@ def test_clayton_tiny_argument_is_finite_limit():
         warnings.simplefilter("error")
         value = copula_eval(spec, 5e-324, 0.5)
         assert copula_eval(spec, 0.5, 5e-324) == value
+        # a zero argument is the w -> 0 end of the same limit
+        assert copula_eval(spec, 0.0, 0.5) == 0.0
+        assert copula_eval(spec, 0.5, 0.0) == 0.0
+        assert copula_eval(spec, 0.0, 0.0) == 0.0
     assert math.isfinite(value)
     assert value == 5e-324
 

@@ -28,6 +28,11 @@ def test_theta_validation():
         Theta(a=100.0, b=0.02, c=0.0, d=1e4)
     with pytest.raises(ConfigurationError):
         Theta(a=100.0, b=0.02, c=0.01, d=0.0)
+    good = {"a": 100.0, "b": 0.02, "c": 0.01, "d": 1e4}
+    for field in good:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                Theta(**{**good, field: bad})
 
 
 def test_param_box_validation(box_paper):

@@ -39,6 +39,11 @@ def test_market_validation_rejects_bad_orderings():
         MarketParams(s0=100.0, u=0.1, v=-1.5, r=0.05, T=2)  # v must exceed -1
     with pytest.raises(ConfigurationError):
         MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            MarketParams(s0=bad, u=0.1, v=-0.1, r=0.05, T=2)
+        with pytest.raises(ConfigurationError):
+            MarketParams(s0=100.0, u=bad, v=-0.1, r=0.05, T=2)
 
 
 def test_enumerate_paths_index_encoding(market_small):

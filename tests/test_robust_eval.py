@@ -343,8 +343,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(method="newton")
     with pytest.raises(ConfigurationError):
         OptimizerConfig(multistarts=0)
-    with pytest.raises(ConfigurationError):
-        OptimizerConfig(tolerance=0.0)
+    for tolerance in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            OptimizerConfig(tolerance=tolerance)
     with pytest.raises(ConfigurationError):
         OptimizerConfig(max_iters=0)
     with pytest.raises(ConfigurationError):
