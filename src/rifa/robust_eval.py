@@ -23,7 +23,9 @@ G is nonincreasing in (b, c) for every family, and the supremum pins
 them at the lower box corner (the infimum at the upper corner), leaving
 a 2-dimensional search over (a, d).  That search runs deterministic
 multistart Nelder-Mead on box-normalised coordinates, a dense grid, or
-both (hybrid), per the optimizer configuration.
+both (hybrid), per the optimizer configuration.  The Nelder-Mead runs of
+every path and start advance in lockstep, one batched simplex step per
+iteration, each following scipy's bounded Nelder-Mead exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from rifa.benefits import BenefitSpec, discounted_payoffs
 from rifa.copulas import CopulaSpec, _survival_array, SLICE_TOL
@@ -48,6 +49,9 @@ _XATOL = 1e-8
 # resolution of the pre-multistart screening batch (coarser than any
 # validation grid, so cross-checks against grid oracles stay meaningful)
 _SCREEN_POINTS_PER_DIM = 17
+# scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,15 +127,13 @@ class EvaluationReport:
                 )
 
 
-# (point, path) pairs per kernel block: up to 1024 paths (T <= 10) each
-# (points, paths, T+1) temporary takes 8*(T+1) kB; beyond that a block is
-# one point and the temporaries grow with the path count.  Larger blocks
-# measured slower on the classical screen
+# (point, path) pairs per kernel block: each (pairs, T+1) temporary takes
+# 8*(T+1) kB.  Larger blocks measured slower on the classical screen
 _BLOCK_PAIRS = 1 << 10
 
 
 class _Kernel:
-    """Conditional values G(path, theta) for blocks of (a, d) points.
+    """Conditional values G(path, theta) for paired (path, a, d) points.
 
     Built once per path sequence and death-parameter pair (b, c): payouts,
     risk-neutral weights and price prefix sums are stored with one row per
@@ -173,18 +175,29 @@ class _Kernel:
         self.cum2 = np.concatenate((zero, np.cumsum(prices**2, axis=1)), axis=1)
         self.tt = np.arange(T + 1, dtype=float)
 
-    def values(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """G at paired (a, d) points: shape (points, paths)."""
+    def values(
+        self, rows: np.ndarray | slice, a: np.ndarray, d: np.ndarray
+    ) -> np.ndarray:
+        """G at paired points: entry i is G on path rows[i] at (a[i], d[i]).
+
+        rows (path indices, or a slice of the paths), a and d broadcast
+        together: paired 1-D arrays give one value per point, and every
+        path against a and d of shape (points, 1) gives every path at
+        every point.  Every operation is elementwise per pair, so a value
+        does not depend on the other pairs of the call.
+        """
         T, f1 = self.T, self.f1
+        v_surv = self.v_surv[rows]
         if not self.surr_on:
-            return np.broadcast_to(self.v_surv * f1[T], (a.shape[0], self.q.shape[0]))
-        a = a[:, None, None]
-        # float_power squares through libm pow, as the Python-float classical
-        # route did; the array route used to square as a*a, so robust
-        # per-path values may move in the last ulp.  The classical band's
-        # Nelder-Mead path depends on that last bit
-        load = self.tt * np.float_power(a, 2.0) - 2.0 * a * self.cum1 + self.cum2
-        f2 = np.exp(load / -d[:, None, None])
+            shape = np.broadcast_shapes(v_surv.shape, a.shape, d.shape)
+            return np.broadcast_to(v_surv * f1[T], shape)
+        a = a[..., None]
+        # float_power squares through libm pow, as Python floats do; the
+        # classical band's Nelder-Mead path depends on that last bit
+        load = (
+            self.tt * np.float_power(a, 2.0) - 2.0 * a * self.cum1[rows] + self.cum2[rows]
+        )
+        f2 = np.exp(load / -d[..., None])
         if self.spec.is_independence:
             survival = f1[T] * f2[..., T]
             slices = f2[..., 0 : T - 1] - f2[..., 1:T]
@@ -198,38 +211,161 @@ class _Kernel:
             raise NumericalError("negative surrender slice mass beyond tolerance")
         if not self.spec.is_independence:
             slices = np.clip(slices, 0.0, None)
-        return self.v_surv * survival + (slices * self.v_pay).sum(axis=-1)
+        return v_surv * survival + (slices * self.v_pay[rows]).sum(axis=-1)
 
 
-_Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
+_Objective = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def _objective(kernel: _Kernel, price: bool) -> _Objective:
-    """Vectorised (a, d) objective on a kernel.
+    """Vectorised objective f(rows, a, d) on a kernel.
 
-    price=False gives G itself on a one-path kernel; price=True gives the
-    single-model price, an exact q-weighted sum over the kernel's paths in
-    path order.  Points go through the kernel in blocks of at most
-    _BLOCK_PAIRS (point, path) pairs, so memory stays flat.
+    price=False gives G on path rows[i] at (a[i], d[i]).  price=True gives
+    the single-model price at (a[i], d[i]), an exact q-weighted sum over
+    all the kernel's paths in path order; the price is one problem, so
+    rows is not read.  The kernel sees blocks of at most _BLOCK_PAIRS
+    (point, path) pairs, so memory stays flat.
     """
     q = kernel.q
-    step = max(1, _BLOCK_PAIRS // q.shape[0])
+    step = max(1, _BLOCK_PAIRS // q.shape[0]) if price else _BLOCK_PAIRS
 
-    def f(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def f(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         out = np.empty(a.shape[0])
         for i in range(0, a.shape[0], step):
-            g = kernel.values(a[i : i + step], d[i : i + step])
-            out[i : i + step] = (
-                [math.fsum((q * row).tolist()) for row in g] if price else g[:, 0]
-            )
+            s = slice(i, i + step)
+            if price:
+                g = kernel.values(slice(None), a[s, None], d[s, None])
+                out[s] = [math.fsum((q * row).tolist()) for row in g]
+            else:
+                out[s] = kernel.values(rows[s], a[s], d[s])
         return out
 
     return f
 
 
 def _at(f: _Objective, a: float, d: float) -> float:
-    """Scalar value of a vectorised objective."""
-    return float(f(np.array([a], dtype=float), np.array([d], dtype=float))[0])
+    """Scalar value of a vectorised objective on its first problem."""
+    one = np.zeros(1, dtype=np.intp)
+    return float(f(one, np.array([a], dtype=float), np.array([d], dtype=float))[0])
+
+
+@dataclass(frozen=True, slots=True)
+class NelderMeadResult:
+    """Outcome of one lockstep Nelder-Mead batch.
+
+    x:         best vertex of each problem, shape (problems, N)
+    fun:       objective at x, one value per problem
+    converged: per problem, whether the tolerances were met in time
+    nfev:      objective evaluations over the whole batch
+    """
+
+    x: np.ndarray
+    fun: np.ndarray
+    converged: np.ndarray
+    nfev: int
+
+    @property
+    def success(self) -> bool:
+        """True when every problem converged."""
+        return bool(self.converged.all())
+
+
+def _sort_vertices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each problem's vertices in ascending objective order."""
+    ind = np.argsort(fsim, axis=1)
+    return np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
+
+
+def minimize(
+    fun: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    maxiter: int,
+    xatol: float,
+    fatol: float,
+) -> NelderMeadResult:
+    """Nelder-Mead over the unit cube on many problems in lockstep.
+
+    `fun(rows, z)` returns the objective of problem rows[i] at z[i]; x0
+    holds one start per problem, shape (problems, N).  Each problem runs
+    scipy 1.17's bounded Nelder-Mead (`scipy.optimize.minimize` with
+    method="Nelder-Mead", bounds [0, 1]^N and these maxiter, xatol and
+    fatol) operation for operation: the same simplex, coefficients,
+    clipping, stopping test and vertex sort, so its result does not
+    depend on the rest of the batch.  An iteration makes one call for
+    every reflection, one for every expansion or contraction and, only
+    when some problem shrinks, one for the shrunken vertices.
+    """
+    x0 = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    m, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    for k in range(n):
+        y = x0[:, k]
+        sim[:, k + 1, k] = np.where(y != 0, (1 + _NONZDELT) * y, _ZDELT)
+    # a step past the upper bound is reflected inside before clipping
+    sim = np.clip(np.where(sim > 1.0, 2.0 - sim, sim), 0.0, 1.0)
+    every = np.arange(m)
+    fsim = fun(np.repeat(every, n + 1), sim.reshape(-1, n)).reshape(m, n + 1)
+    nfev = m * (n + 1)
+    # scipy sorts the initial simplex twice, which differs from once only
+    # where argsort reorders ties
+    sim, fsim = _sort_vertices(*_sort_vertices(sim, fsim))
+
+    converged = np.zeros(m, dtype=bool)
+    live = every
+    iterations = 1
+    while iterations < maxiter and live.size:
+        s, fs = sim[live], fsim[live]
+        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
+        )
+        converged[live[done]] = True
+        live, s, fs = live[~done], s[~done], fs[~done]
+        if not live.size:
+            break
+
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = np.clip((1 + _RHO) * xbar - _RHO * worst, 0.0, 1.0)
+        fxr = fun(live, xr)
+        expand = fxr < fs[:, 0]
+        keep_r = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~keep_r & (fxr < fs[:, -1])
+        inside = ~expand & ~keep_r & ~outside
+        # the three trial kinds never overlap, so one call serves them all
+        xt = np.where(
+            expand[:, None],
+            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+            np.where(
+                outside[:, None],
+                (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                (1 - _PSI) * xbar + _PSI * worst,
+            ),
+        )
+        xt = np.clip(xt, 0.0, 1.0)
+        trial = ~keep_r
+        ft = fxr.copy()
+        ft[trial] = fun(live[trial], xt[trial])
+        take_t = (
+            (expand & (ft < fxr)) | (outside & (ft <= fxr)) | (inside & (ft < fs[:, -1]))
+        )
+        take_r = keep_r | (expand & ~take_t)
+        shrink = trial & ~expand & ~take_t
+        s[take_r, -1], fs[take_r, -1] = xr[take_r], fxr[take_r]
+        s[take_t, -1], fs[take_t, -1] = xt[take_t], ft[take_t]
+        nfev += live.size + int(trial.sum())
+        if shrink.any():
+            best = s[shrink, :1]
+            pts = np.clip(best + _SIGMA * (s[shrink, 1:] - best), 0.0, 1.0)
+            s[shrink, 1:] = pts
+            rows = np.repeat(live[shrink], n)
+            fs[shrink, 1:] = fun(rows, pts.reshape(-1, n)).reshape(-1, n)
+            nfev += rows.size
+        sim[live], fsim[live] = _sort_vertices(s, fs)
+        iterations += 1
+
+    return NelderMeadResult(
+        x=sim[:, 0], fun=fsim.min(axis=1), converged=converged, nfev=nfev
+    )
 
 
 def _latin_starts(k: int, ndim: int) -> list[tuple[float, ...]]:
@@ -241,34 +377,54 @@ def _latin_starts(k: int, ndim: int) -> list[tuple[float, ...]]:
     return [(fractions[i], fractions[perm[i]]) for i in range(k)]
 
 
+def _first_best(
+    f: _Objective, groups: int, a: np.ndarray, d: np.ndarray, sign: float
+) -> np.ndarray:
+    """Per group, the index of the first best of the paired (a, d) points."""
+    n = a.shape[0]
+    chunk = max(1, _BLOCK_PAIRS // n)
+    best = np.empty(groups, dtype=np.intp)
+    for g in range(0, groups, chunk):
+        rows = np.arange(g, min(g + chunk, groups))
+        vals = f(np.repeat(rows, n), np.tile(a, rows.size), np.tile(d, rows.size))
+        best[rows] = np.argmin(sign * vals.reshape(rows.size, n), axis=1)
+    return best
+
+
 def _optimize_ad(
     f: _Objective,
+    groups: int,
     a_iv: tuple[float, float],
     d_iv: tuple[float, float],
     cfg: OptimizerConfig,
     maximize: bool,
     extra_points: Sequence[tuple[float, float]] = (),
-) -> tuple[float, tuple[float, float]]:
-    """Optimize a smooth objective over the (a, d) rectangle.
+) -> list[tuple[float, float, float]]:
+    """Optimize a smooth objective over the (a, d) rectangle, per group.
 
-    `f` maps paired arrays of a and d to objective values.  Candidate
-    points come from multistart Nelder-Mead, the dense grid, the
-    rectangle corners and midpoint, and any caller-supplied extras; the
-    first best candidate wins.
+    `f(rows, a, d)` gives the objective of problem group rows[i] at
+    (a[i], d[i]); a group is one path of the robust search, or the
+    single-model price.  Each group's candidates are the rectangle
+    corners and midpoint, the caller's extras, the best point of the
+    dense grid (grid, hybrid) and the Nelder-Mead results (nelder_mead,
+    hybrid) from the Latin starts and the group's best point of a coarse
+    screen.  The searches of every group run in one lockstep `minimize`.
+    Returns, per group, the first best candidate as Python floats
+    (value, a, d).
     """
     sign = -1.0 if maximize else 1.0
     a_lo, a_hi = a_iv
     d_lo, d_hi = d_iv
-    free = [i for i, (lo, hi) in enumerate((a_iv, d_iv)) if hi > lo]
+    lo = np.array([a_lo, d_lo])
+    width = np.array([a_hi - a_lo, d_hi - d_lo])
+    free = [i for i, (low, high) in enumerate((a_iv, d_iv)) if high > low]
 
-    def to_point(z: Sequence[float]) -> tuple[float, float]:
-        vals = [a_lo, d_lo]
-        for j, i in enumerate(free):
-            lo, hi = (a_iv, d_iv)[i]
-            vals[i] = lo + min(max(z[j], 0.0), 1.0) * (hi - lo)
-        return vals[0], vals[1]
+    def to_point(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pts = np.tile(lo, (z.shape[0], 1))
+        pts[:, free] = lo[free] + np.clip(z, 0.0, 1.0) * width[free]
+        return pts[:, 0], pts[:, 1]
 
-    candidates: list[tuple[float, float]] = [
+    fixed = [
         (a_lo, d_lo),
         (a_lo, d_hi),
         (a_hi, d_lo),
@@ -276,7 +432,8 @@ def _optimize_ad(
         (0.5 * (a_lo + a_hi), 0.5 * (d_lo + d_hi)),
     ]
     for a, d in extra_points:
-        candidates.append((min(max(a, a_lo), a_hi), min(max(d, d_lo), d_hi)))
+        fixed.append((min(max(a, a_lo), a_hi), min(max(d, d_lo), d_hi)))
+    candidates = [np.broadcast_to(np.array(fixed, dtype=float), (groups, len(fixed), 2))]
 
     if free and cfg.method in ("grid", "hybrid"):
         n = cfg.grid_points_per_dim
@@ -284,49 +441,53 @@ def _optimize_ad(
         d_grid = np.linspace(d_lo, d_hi, n) if d_hi > d_lo else np.array([d_lo])
         aa, dd = np.meshgrid(a_grid, d_grid, indexing="ij")
         aa, dd = aa.ravel(), dd.ravel()
-        best = int(np.argmin(sign * f(aa, dd)))
-        candidates.append((float(aa[best]), float(dd[best])))
+        best = _first_best(f, groups, aa, dd, sign)
+        candidates.append(np.stack((aa[best], dd[best]), axis=1)[:, None, :])
 
-    converged = None
+    failed = np.zeros(groups, dtype=bool)
     if free and cfg.method in ("nelder_mead", "hybrid"):
         # space-filling screen: its best point seeds one extra polish run,
         # so multistart locality cannot miss a basin the screen can see
-        starts = _latin_starts(cfg.multistarts, len(free))
+        starts = np.array(_latin_starts(cfg.multistarts, len(free)))
         n_screen = _SCREEN_POINTS_PER_DIM if len(free) == 2 else _SCREEN_POINTS_PER_DIM**2
         axes = [np.linspace(0.0, 1.0, n_screen)] * len(free)
         mesh = np.meshgrid(*axes, indexing="ij") if len(free) == 2 else axes
         zz = np.stack([m.ravel() for m in mesh], axis=1)
-        pts = np.array([to_point(z) for z in zz])
-        starts.append(tuple(zz[int(np.argmin(sign * f(pts[:, 0], pts[:, 1])))]))
-        converged = 0
-        for z0 in starts:
-            res = minimize(
-                lambda z: sign * _at(f, *to_point(z)),
-                np.asarray(z0),
-                method="Nelder-Mead",
-                bounds=[(0.0, 1.0)] * len(free),
-                options={
-                    "maxiter": cfg.max_iters,
-                    "fatol": cfg.tolerance,
-                    "xatol": _XATOL,
-                },
-            )
-            candidates.append(to_point(res.x))
-            converged += bool(res.success)
-
-    pts = np.array(candidates, dtype=float)
-    vals = f(pts[:, 0], pts[:, 1])
-    best = min(range(len(candidates)), key=lambda i: sign * vals[i])
-    best_val = float(vals[best])
-    if converged == 0:
-        raise NumericalError(
-            f"Nelder-Mead failed to converge within {cfg.max_iters} iterations "
-            f"on all {len(starts)} starts",
-            best_value=best_val,
+        screened = zz[_first_best(f, groups, *to_point(zz), sign)]
+        x0 = np.concatenate(
+            (np.broadcast_to(starts, (groups, *starts.shape)), screened[:, None, :]),
+            axis=1,
         )
-    if not math.isfinite(best_val):
-        raise NumericalError(f"objective returned non-finite value {best_val}")
-    return best_val, candidates[best]
+        per_group = x0.shape[1]
+        res = minimize(
+            lambda rows, z: sign * f(rows // per_group, *to_point(z)),
+            x0.reshape(-1, len(free)),
+            cfg.max_iters,
+            _XATOL,
+            cfg.tolerance,
+        )
+        candidates.append(np.stack(to_point(res.x), axis=1).reshape(groups, per_group, 2))
+        failed = ~res.converged.reshape(groups, per_group).any(axis=1)
+
+    cand = np.concatenate(candidates, axis=1)
+    count = cand.shape[1]
+    vals = f(
+        np.repeat(np.arange(groups), count), cand[..., 0].ravel(), cand[..., 1].ravel()
+    ).reshape(groups, count)
+    best = np.argmin(sign * vals, axis=1)
+    best_val = vals[np.arange(groups), best]
+    bad = np.flatnonzero(failed | ~np.isfinite(best_val))
+    if bad.size:
+        g = bad[0]
+        if failed[g]:
+            raise NumericalError(
+                f"Nelder-Mead failed to converge within {cfg.max_iters} iterations "
+                f"on all {per_group} starts",
+                best_value=float(best_val[g]),
+            )
+        raise NumericalError(f"objective returned non-finite value {float(best_val[g])}")
+    point = cand[np.arange(groups), best]
+    return list(zip(best_val.tolist(), point[:, 0].tolist(), point[:, 1].tolist()))
 
 
 def conditional_value(
@@ -341,6 +502,34 @@ def conditional_value(
     return _at(_objective(kernel, price=False), theta.a, theta.d)
 
 
+def _pathwise_optima(
+    paths: Sequence[Path],
+    box: ParamBox,
+    spec: CopulaSpec,
+    benefit: BenefitSpec,
+    market: MarketParams,
+    cfg: OptimizerConfig,
+    extra_thetas: Sequence[Theta],
+) -> list[tuple[float, Theta]]:
+    """Supremum of the conditional value over the box on each path.
+
+    (b, c) are pinned to their lower bounds by the monotone certificate;
+    the remaining (a, d) rectangle of every path is searched in one
+    `_optimize_ad` call.
+    """
+    b, c = box.b[0], box.c[0]
+    optima = _optimize_ad(
+        _objective(_Kernel(paths, b, c, spec, benefit, market), price=False),
+        len(paths),
+        box.a,
+        box.d,
+        cfg,
+        maximize=True,
+        extra_points=[(t.a, t.d) for t in extra_thetas],
+    )
+    return [(value, Theta(a, b, c, d)) for value, a, d in optima]
+
+
 def pathwise_esssup(
     path: Path,
     box: ParamBox,
@@ -350,21 +539,9 @@ def pathwise_esssup(
     cfg: OptimizerConfig,
     extra_thetas: Sequence[Theta] = (),
 ) -> tuple[float, Theta]:
-    """Per-path supremum of the conditional value over the box.
-
-    (b, c) are pinned to their lower bounds by the monotone certificate;
-    the remaining (a, d) rectangle is searched per the configuration.
-    """
-    b, c = box.b[0], box.c[0]
-    value, (a_star, d_star) = _optimize_ad(
-        _objective(_Kernel([path], b, c, spec, benefit, market), price=False),
-        box.a,
-        box.d,
-        cfg,
-        maximize=True,
-        extra_points=[(t.a, t.d) for t in extra_thetas],
-    )
-    return value, Theta(a_star, b, c, d_star)
+    """Per-path supremum of the conditional value over the box."""
+    [optimum] = _pathwise_optima([path], box, spec, benefit, market, cfg, extra_thetas)
+    return optimum
 
 
 def robust_price(
@@ -377,15 +554,17 @@ def robust_price(
 ) -> EvaluationReport:
     """Worst-case price: q-weighted per-path suprema, robust side only.
 
-    Path results are combined by an exact sum in ascending path-index
-    order.
+    Every path is searched at once; path results are combined by an
+    exact sum in ascending path-index order.
     """
-    optima = []
-    for path in enumerate_paths(market):
-        value, theta = pathwise_esssup(
-            path, box, spec, benefit, market, cfg, extra_thetas
+    paths = enumerate_paths(market)
+    optima = [
+        PathOptimum(path.index, path.q_weight, value, theta)
+        for path, (value, theta) in zip(
+            paths,
+            _pathwise_optima(paths, box, spec, benefit, market, cfg, extra_thetas),
         )
-        optima.append(PathOptimum(path.index, path.q_weight, value, theta))
+    ]
     total = math.fsum(opt.q_weight * opt.value for opt in optima)
     return EvaluationReport(robust_price=total, per_path=tuple(optima))
 
@@ -412,8 +591,8 @@ def _optimize_classical(
     # monotone certificate: worst case pins (b, c) low, best case high
     b, c = (box.b[0], box.c[0]) if maximize else (box.b[1], box.c[1])
     kernel = _Kernel(enumerate_paths(market), b, c, spec, benefit, market)
-    value, (a_star, d_star) = _optimize_ad(
-        _objective(kernel, price=True), box.a, box.d, cfg, maximize=maximize
+    [(value, a_star, d_star)] = _optimize_ad(
+        _objective(kernel, price=True), 1, box.a, box.d, cfg, maximize=maximize
     )
     return value, Theta(a_star, b, c, d_star)
 

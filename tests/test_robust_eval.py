@@ -1,13 +1,16 @@
 """Robust valuation: path values, box optima, domination, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from rifa.arbitrage_lab import nrifa_check
 from rifa.benefits import BenefitSpec, discounted_payoffs
 from rifa.copulas import CopulaSpec, joint_survival, surrender_slice_prob
-from rifa.errors import ConfigurationError
+from rifa.errors import ConfigurationError, NumericalError
 from rifa.hazards import ParamBox, Theta
 from rifa.lattice import MarketParams, binomial_call, enumerate_paths
 from rifa.robust_eval import (
@@ -22,6 +25,7 @@ from rifa.robust_eval import (
     conditional_value,
     evaluate,
     inf_classical,
+    minimize,
     pathwise_esssup,
     robust_price,
     sup_classical,
@@ -293,18 +297,15 @@ def test_inf_below_sup(market_small, benefit_paper, independence):
     assert inf_v <= mid_v + 1e-9 <= sup_v + 2e-9
 
 
-def test_robust_price_thread_count_invariance(
-    market_small, benefit_paper, independence, monkeypatch
-):
-    """Byte-identical reports for 1, 2, and auto worker counts."""
+def test_robust_price_is_repeatable(market_small, benefit_paper, independence):
+    """Two runs give byte-identical reports."""
     box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
     cfg = OptimizerConfig(multistarts=3)
-    results = []
-    for setting in ("1", "2", "0"):
-        monkeypatch.setenv("RIFA_THREADS", setting)
-        report = robust_price(box, independence, benefit_paper, market_small, cfg)
-        results.append((repr(report.robust_price), repr(report.per_path)))
-    assert results[0] == results[1] == results[2]
+    first, second = (
+        repr(robust_price(box, independence, benefit_paper, market_small, cfg))
+        for _ in range(2)
+    )
+    assert first == second
 
 
 @pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
@@ -317,12 +318,21 @@ def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
     n = 2 * _BLOCK_PAIRS // len(paths) + 3
     a = np.concatenate(([t.a for t in THETAS], rng.uniform(50.0, 340.0, n)))
     d = np.concatenate(([t.d for t in THETAS], rng.uniform(1e4, 1e5, n)))
-    block = kernel.values(a, d)
+    rows = rng.integers(len(paths), size=a.shape[0])
+    block = kernel.values(rows, a, d)
     for i in range(a.shape[0]):
-        single = kernel.values(a[i : i + 1], d[i : i + 1])
+        single = kernel.values(rows[i : i + 1], a[i : i + 1], d[i : i + 1])
         assert np.array_equal(block[i], single[0])
+    # every path at every point, broadcast and paired: more pairs than
+    # one kernel block
+    every = np.tile(np.arange(len(paths)), a.shape[0])
+    aa, dd = np.repeat(a, len(paths)), np.repeat(d, len(paths))
+    assert every.shape[0] > _BLOCK_PAIRS
+    paired = kernel.values(every, aa, dd).tolist()
+    assert kernel.values(slice(None), a[:, None], d[:, None]).ravel().tolist() == paired
+    assert _objective(kernel, price=False)(every, aa, dd).tolist() == paired
     price = _objective(kernel, price=True)
-    assert price(a, d).tolist() == [_at(price, x, y) for x, y in zip(a, d)]
+    assert price(rows, a, d).tolist() == [_at(price, x, y) for x, y in zip(a, d)]
 
 
 @pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
@@ -368,3 +378,136 @@ def test_copula_changes_the_price(market_small, benefit_paper):
         for spec in COPULAS
     }
     assert max(prices.values()) - min(prices.values()) > 1e-4
+
+
+_NM_LO = np.array([50.0, 1e4])
+_NM_WIDTH = np.array([290.0, 9e4])
+# z = 0 takes scipy's zero-coordinate step, z = 1 its reflection inside
+_NM_STARTS = [(0.0, 0.0), (1.0, 1.0), (0.1, 0.7), (0.9, 0.3), (0.5, 0.5)]
+
+
+def _negated_value(kernel, row, free):
+    """-G on one path of the kernel, in box-normalised coordinates z."""
+
+    def g(z):
+        pt = _NM_LO.copy()
+        pt[free] = _NM_LO[free] + z * _NM_WIDTH[free]
+        return -float(kernel.values(np.array([row]), pt[:1], pt[1:])[0])
+
+    return g
+
+
+@pytest.mark.parametrize("maxiter", [500, 6])
+@pytest.mark.parametrize("free", [[0, 1], [0], [1]], ids=["a-d", "a", "d"])
+def test_lockstep_nelder_mead_matches_scipy(free, maxiter, market_small, benefit_paper):
+    """Every problem of a batch ends exactly where scipy's Nelder-Mead does.
+
+    Problems come from the four families on several paths, in 2-D and on
+    boxes with d or a fixed.  Without surrender G is flat in (a, d), so
+    every contraction fails and the simplex shrinks.
+    """
+    paths = enumerate_paths(market_small)
+    problems, starts = [], []
+    for spec in COPULAS:
+        for surrender in (True, False):
+            benefit = dataclasses.replace(benefit_paper, surrender=surrender)
+            kernel = _Kernel(paths, 0.02, 0.01, spec, benefit, market_small)
+            for row, z0 in enumerate(_NM_STARTS):
+                problems.append(_negated_value(kernel, 3 * row, free))
+                starts.append(z0[: len(free)])
+    x0 = np.array(starts)
+    calls = []
+
+    def fun(rows, z):
+        calls.append(rows)
+        return np.array([problems[r](zi) for r, zi in zip(rows, z)])
+
+    options = {"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-8}
+    res = minimize(fun, x0, **options)
+    expect = [
+        optimize.minimize(
+            g, z0, method="Nelder-Mead", bounds=[(0.0, 1.0)] * len(free), options=options
+        )
+        for g, z0 in zip(problems, x0)
+    ]
+    assert res.x.tolist() == [e.x.tolist() for e in expect]
+    assert res.fun.tolist() == [e.fun for e in expect]
+    assert res.converged.tolist() == [e.success for e in expect]
+    assert res.success == all(e.success for e in expect)
+    assert res.nfev == sum(e.nfev for e in expect)
+    for i, e in enumerate(expect):
+        alone = minimize(lambda rows, z: fun(rows + i, z), x0[i : i + 1], **options)
+        assert alone.x.tolist() == [e.x.tolist()]
+        assert alone.nfev == e.nfev
+    if len(free) == 2:
+        # after the first call, a repeated problem is a shrink's N vertices
+        assert any(np.unique(rows).size < rows.size for rows in calls[1:])
+
+
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_theta_fields_are_python_floats(spec, market_small, benefit_paper):
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    cfg = OptimizerConfig(multistarts=2)
+    report = evaluate(box, spec, benefit_paper, market_small, cfg)
+    verdict = nrifa_check(
+        report.robust_price + 1.0, report, box, spec, benefit_paper, market_small, cfg
+    )
+    assert verdict.theta_prime is not None
+    thetas = [p.theta for p in report.per_path]
+    thetas += [report.argmax_outer, verdict.theta_prime]
+    for theta in thetas:
+        assert [type(getattr(theta, f)) for f in "abcd"] == [float] * 4
+
+
+def test_nonconvergence_raises_with_best_value(market_small, benefit_paper, independence):
+    """max_iters=1 runs no Nelder-Mead iteration, so no start converges."""
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    cfg = OptimizerConfig(max_iters=1)
+    with pytest.raises(NumericalError, match="failed to converge within 1 iter") as info:
+        evaluate(box, independence, benefit_paper, market_small, cfg)
+    corners = [
+        classical_price(theta, independence, benefit_paper, market_small)
+        for theta in (Theta(a, 0.02, 0.01, d) for a in box.a for d in box.d)
+    ]
+    assert info.value.best_value >= max(corners)
+    # the robust search reports the best value of the first path
+    with pytest.raises(NumericalError) as robust:
+        robust_price(box, independence, benefit_paper, market_small, cfg)
+    path = enumerate_paths(market_small)[0]
+    with pytest.raises(NumericalError) as single:
+        pathwise_esssup(path, box, independence, benefit_paper, market_small, cfg)
+    assert robust.value.best_value == single.value.best_value
+    assert math.isfinite(single.value.best_value)
+
+
+def test_degenerate_rectangle_runs_no_search(market_small, benefit_paper, independence):
+    box = ParamBox(a=(120.0, 120.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(5e4, 5e4))
+    # any Nelder-Mead run would fail to converge at this cap
+    cfg = OptimizerConfig(max_iters=1)
+    report = evaluate(box, independence, benefit_paper, market_small, cfg)
+    corner = Theta(120.0, 0.02, 0.01, 5e4)
+    assert report.argmax_outer == corner
+    assert report.sup_classical == classical_price(
+        corner, independence, benefit_paper, market_small
+    )
+    for path, opt in zip(enumerate_paths(market_small), report.per_path):
+        assert opt.theta == corner
+        assert opt.value == conditional_value(
+            path, corner, independence, benefit_paper, market_small
+        )
+
+
+@pytest.mark.parametrize("method", ["nelder_mead", "hybrid", "grid"])
+def test_one_period_market_evaluates(method, benefit_paper):
+    """T=1 has no interior surrender date: every kernel slice is empty."""
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=1)
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    cfg = OptimizerConfig(method=method, multistarts=2, grid_points_per_dim=8)
+    for spec in COPULAS:
+        report = evaluate(box, spec, benefit_paper, market, cfg)
+        for path, opt in zip(enumerate_paths(market), report.per_path):
+            value, theta = pathwise_esssup(
+                path, box, spec, benefit_paper, market, cfg, (report.argmax_outer,)
+            )
+            assert (opt.value, opt.theta) == (value, theta)
+        assert report.delta >= 0.0
