@@ -49,7 +49,6 @@ from rifa.hazards import (
 from rifa.lattice import (
     Claim,
     MarketParams,
-    Move,
     Path,
     binomial_call,
     enumerate_paths,
@@ -91,7 +90,6 @@ __all__ = [
     "HazardPath",
     "InsuranceStrategy",
     "MarketParams",
-    "Move",
     "NumericalError",
     "OptimizerConfig",
     "ParamBox",

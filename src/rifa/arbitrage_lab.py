@@ -25,21 +25,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .benefits import BenefitSpec, discounted_payoffs
+from .benefits import BenefitSpec, payoff_table
 from .copulas import CopulaSpec, sample_pairs
 from .errors import ConfigurationError, ContractError, VerificationError
 from .hazards import ParamBox, Theta, gompertz_cdf, surrender_cdf
 from .lattice import (
     Claim,
     MarketParams,
-    enumerate_paths,
+    Path,
+    path_arrays,
     strategy_gain,
     superhedge,
 )
 from .robust_eval import (
     EvaluationReport,
     OptimizerConfig,
-    conditional_value,
+    conditional_values,
     inf_classical,
 )
 
@@ -354,35 +355,36 @@ def simulate_portfolio(
         raise ContractError(f"trials must be a positive integer, got {trials}")
     if not (isinstance(seed, int) and seed >= 0):
         raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
-    paths = enumerate_paths(market)
-    q = np.array([p.q_weight for p in paths])
+    prices, q = path_arrays(market)
+    survival, surrender = payoff_table(benefit, market, prices)
+    g = conditional_values(prices, q, theta, spec, benefit, market)
     T = market.T
     n_max = sched[-1]
     death_cdf = np.array([gompertz_cdf(theta, t) for t in range(T + 1)])
     samples: list[PortfolioSample] = []
     for k in range(trials):
         rng = np.random.default_rng([seed, k])
-        path = paths[int(rng.choice(len(paths), p=q))]
+        i = int(rng.choice(q.shape[0], p=q))
+        path = Path.from_row(prices, q, i)
         surr_cdf = np.array(
             [surrender_cdf(path, theta, t, benefit.surrender) for t in range(T + 1)]
         )
         u, v = sample_pairs(spec, n_max, rng)
         tau1 = _exit_times(death_cdf, u)
         tau2 = _exit_times(surr_cdf, v)
-        survival_pay, surrender_pays = discounted_payoffs(benefit, market, path)
-        x = _client_payouts(tau1, tau2, survival_pay, surrender_pays)
+        x = _client_payouts(tau1, tau2, survival[i], surrender[i])
         cum = np.cumsum(x)
         values = tuple(premium - cum[n - 1] / n for n in sched)
         samples.append(
             PortfolioSample(
                 trial=k,
-                path_index=path.index,
+                path_index=i,
                 tau_death=tau1,
                 tau_surrender=tau2,
                 n_schedule=sched,
                 portfolio_values=values,
                 premium=premium,
-                conditional_value=conditional_value(path, theta, spec, benefit, market),
+                conditional_value=float(g[i]),
                 payout_std=float(np.std(x)),
             )
         )
@@ -432,7 +434,7 @@ def verify_arbitrage(
         raise ContractError("pair must come from construct_arbitrage")
     if not thetas:
         raise ContractError("need at least one model to sample")
-    paths = enumerate_paths(market)
+    prices, q = path_arrays(market)
     holdings = list(pair.holdings)
     means: list[float] = []
     min_payoff = math.inf
@@ -450,8 +452,8 @@ def verify_arbitrage(
         )
         payoffs = []
         for s in samples:
-            gain = strategy_gain(market, holdings, paths[s.path_index])
-            payoff = s.portfolio_values[-1] + gain
+            path = Path.from_row(prices, q, s.path_index)
+            payoff = s.portfolio_values[-1] + strategy_gain(market, holdings, path)
             payoffs.append(payoff)
             min_payoff = min(min_payoff, payoff)
             budget = 5.0 * s.payout_std / math.sqrt(n_clients)

@@ -75,3 +75,21 @@ def discounted_payoffs(
                 (1.0 - spec.l) * guarantee_value(spec, market, path, t) * disc**t
             )
     return survival_pay, surrender_pays
+
+
+def payoff_table(
+    spec: BenefitSpec, market: MarketParams, prices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``discounted_payoffs`` of every path row S_0 .. S_T of a price array.
+
+    Returns ``(survival, surrender)`` of shapes (paths,) and (paths, T+1).
+    """
+    T = market.T
+    # Python pow per date, as the scalar route computes each factor
+    floor = np.array([spec.K * (1.0 + spec.r_G) ** t for t in range(T + 1)])
+    discount = np.array([market.discount**t for t in range(T + 1)])
+    value = np.maximum(prices, floor)
+    surrender = np.zeros_like(value)
+    if spec.surrender:
+        surrender[:, 1:T] = (1.0 - spec.l) * value[:, 1:T] * discount[1:T]
+    return value[:, T] * discount[T], surrender

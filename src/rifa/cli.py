@@ -18,7 +18,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -78,37 +79,54 @@ class RunConfig:
             )
 
 
-def _section(doc: dict, name: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()):
+# config keys named differently from their dataclass fields
+_CONFIG_KEYS = {"grid_points_per_dim": "grid_points"}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _value(label: str, kind, v):
+    """A config value checked against, and converted to, its field's type."""
+    if v is None and kind in (float | None, int | None):
+        return None
+    if kind is bool and not isinstance(v, bool):
+        raise ConfigurationError(f"{label} must be true or false")
+    if kind in (int, int | None) and (isinstance(v, bool) or not isinstance(v, int)):
+        raise ConfigurationError(f"{label} must be an integer, got {v!r}")
+    if kind in (float, float | None):
+        if not _is_number(v):
+            raise ConfigurationError(f"{label} must be a number, got {v!r}")
+        return float(v)
+    if kind == tuple[float, float]:
+        if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
+            raise ConfigurationError(f"{label} must be [lo, hi], got {v!r}")
+        return float(v[0]), float(v[1])
+    return v
+
+
+def _section(doc: dict, name: str, cls):
+    """Build dataclass ``cls`` from config section ``name``, one key per field."""
     if name not in doc:
         raise ConfigurationError(f"missing config section {name!r}")
     section = doc[name]
     if not isinstance(section, dict):
         raise ConfigurationError(f"section {name!r} must be an object")
-    unknown = set(section) - set(keys) - set(optional)
+    keys = {_CONFIG_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigurationError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    missing = set(keys) - set(section)
+    # every key is required unless its field defaults to None
+    missing = {key for key, f in keys.items() if f.default is not None} - set(section)
     if missing:
         raise ConfigurationError(f"missing keys in {name!r}: {sorted(missing)}")
-    return section
-
-
-def _number(section: dict, name: str, key: str) -> float:
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigurationError(f"{name}.{key} must be a number, got {v!r}")
-    return float(v)
-
-
-def _interval(section: dict, key: str) -> tuple[float, float]:
-    v = section[key]
-    if (
-        not isinstance(v, list)
-        or len(v) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
-    ):
-        raise ConfigurationError(f"theta_box.{key} must be [lo, hi], got {v!r}")
-    return float(v[0]), float(v[1])
+    kinds = get_type_hints(cls)
+    return cls(**{
+        f.name: _value(f"{name}.{key}", kinds[f.name], section[key])
+        for key, f in keys.items()
+        if key in section
+    })
 
 
 def parse_config(path: str) -> RunConfig:
@@ -122,93 +140,32 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("config root must be an object")
-    known = {"market", "benefit", "theta_box", "copula", "optimizer", "premium", "seed"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigurationError(f"unknown top-level keys: {sorted(unknown)}")
-
-    m = _section(doc, "market", ("s0", "u", "v", "r", "T"))
-    if isinstance(m["T"], bool) or not isinstance(m["T"], int):
-        raise ConfigurationError(f"market.T must be an integer, got {m['T']!r}")
-    market = MarketParams(
-        s0=_number(m, "market", "s0"),
-        u=_number(m, "market", "u"),
-        v=_number(m, "market", "v"),
-        r=_number(m, "market", "r"),
-        T=m["T"],
-    )
-
-    b = _section(doc, "benefit", ("K", "r_G", "l", "surrender"))
-    if not isinstance(b["surrender"], bool):
-        raise ConfigurationError("benefit.surrender must be true or false")
-    benefit = BenefitSpec(
-        K=_number(b, "benefit", "K"),
-        r_G=_number(b, "benefit", "r_G"),
-        l=_number(b, "benefit", "l"),
-        surrender=b["surrender"],
-    )
-
-    tb = _section(doc, "theta_box", ("a", "b", "c", "d"))
-    box = ParamBox(
-        a=_interval(tb, "a"),
-        b=_interval(tb, "b"),
-        c=_interval(tb, "c"),
-        d=_interval(tb, "d"),
-    )
-
-    cp = _section(doc, "copula", ("family",), optional=("param",))
-    family = cp["family"]
-    param = cp.get("param")
-    if param is not None and (
-        isinstance(param, bool) or not isinstance(param, (int, float))
-    ):
-        raise ConfigurationError(f"copula.param must be a number, got {param!r}")
-    copula = CopulaSpec(family, None if param is None else float(param))
-
-    if "optimizer" in doc:
-        op = _section(
-            doc,
-            "optimizer",
-            ("method", "multistarts", "tolerance", "max_iters", "grid_points"),
-        )
-        for key in ("multistarts", "max_iters", "grid_points"):
-            if isinstance(op[key], bool) or not isinstance(op[key], int):
-                raise ConfigurationError(f"optimizer.{key} must be an integer")
-        optimizer = OptimizerConfig(
-            method=op["method"],
-            multistarts=op["multistarts"],
-            tolerance=_number(op, "optimizer", "tolerance"),
-            max_iters=op["max_iters"],
-            grid_points_per_dim=op["grid_points"],
-        )
-    else:
-        optimizer = OptimizerConfig()
-
-    premium = doc.get("premium")
-    if premium is not None:
-        if isinstance(premium, bool) or not isinstance(premium, (int, float)):
-            raise ConfigurationError(f"premium must be a number, got {premium!r}")
-        premium = float(premium)
-    seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
-
+    kinds = get_type_hints(RunConfig)
     return RunConfig(
-        market=market,
-        benefit=benefit,
-        theta_box=box,
-        copula=copula,
-        optimizer=optimizer,
-        premium=premium,
-        seed=seed,
+        market=_section(doc, "market", MarketParams),
+        benefit=_section(doc, "benefit", BenefitSpec),
+        theta_box=_section(doc, "theta_box", ParamBox),
+        copula=_section(doc, "copula", CopulaSpec),
+        optimizer=(
+            _section(doc, "optimizer", OptimizerConfig)
+            if "optimizer" in doc
+            else OptimizerConfig()
+        ),
+        premium=_value("premium", kinds["premium"], doc.get("premium")),
+        seed=_value("seed", kinds["seed"], doc.get("seed")),
     )
 
 
 def canonical_json(config: RunConfig) -> str:
     """Serialize a RunConfig so that re-parsing reproduces it exactly."""
     sections = ("market", "benefit", "theta_box", "copula", "optimizer")
-    doc = {name: asdict(getattr(config, name)) for name in sections}
-    doc["optimizer"]["grid_points"] = doc["optimizer"].pop("grid_points_per_dim")
+    doc = {}
+    for name in sections:
+        section = asdict(getattr(config, name))
+        doc[name] = {_CONFIG_KEYS.get(k, k): v for k, v in section.items()}
     if config.premium is not None:
         doc["premium"] = config.premium
     if config.seed is not None:

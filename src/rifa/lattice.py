@@ -10,14 +10,19 @@ strictly positive and unique, so the market is complete and every
 terminal-measurable claim is exactly replicable.
 
 All claim values and replication arithmetic are in discounted units
-(time-t cash divided by ``(1+r)**t``).  Paths are enumerated by binary
+(time-t cash divided by ``(1+r)**t``).  Paths are numbered by binary
 index: bit ``t`` of the index is 1 exactly when step ``t+1`` is an up
 move, so index 0 is the all-down path and index ``2**T - 1`` all-up.
+
+``path_arrays`` is the one place that lays the lattice out: a price
+array of shape ``(2**T, T+1)`` whose row is the path index and whose
+column is the date, and the risk-neutral weight of each row.  ``Path``
+and ``enumerate_paths`` are a per-path view of those arrays, for the
+scalar reference functions.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -26,16 +31,9 @@ import numpy as np
 
 from rifa.errors import ConfigurationError, ContractError, ResourceError
 
-# enumerate_paths and superhedge materialise O(2**T) state; above this the
+# path_arrays and superhedge materialise O(2**T) state; above this the
 # request is refused rather than left to exhaust memory.
 MAX_LATTICE_STEPS = 24
-
-
-class Move(enum.Enum):
-    """One market step."""
-
-    UP = 1
-    DOWN = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,15 +74,18 @@ class Path:
     """One full scenario of the market filtration.
 
     index:    binary path index (bit t set <=> step t+1 is up)
-    moves:    the T moves
     prices:   asset prices S_0 .. S_T (undiscounted)
     q_weight: risk-neutral probability of the path
     """
 
     index: int
-    moves: tuple[Move, ...]
     prices: tuple[float, ...]
     q_weight: float
+
+    @classmethod
+    def from_row(cls, prices: np.ndarray, q: np.ndarray, index: int) -> "Path":
+        """The path of row ``index`` of ``path_arrays``."""
+        return cls(index, tuple(prices[index].tolist()), float(q[index]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,33 +124,31 @@ def risk_neutral_probs(market: MarketParams) -> tuple[float, float]:
     return q_u, q_d
 
 
-def enumerate_paths(market: MarketParams) -> list[Path]:
-    """All 2**T paths in ascending binary-index order."""
+def path_arrays(market: MarketParams) -> tuple[np.ndarray, np.ndarray]:
+    """Prices and risk-neutral weights of all 2**T paths.
+
+    Returns ``(prices, q)``: ``prices[i, t]`` is S_t on the path with
+    binary index i and ``q[i]`` that path's weight.  Both are running
+    products over the steps in date order, S_0 * f_1 * .. * f_t.
+    """
     T = market.T
     if T > MAX_LATTICE_STEPS:
         raise ResourceError(
             f"T={T} exceeds the enumeration cap of {MAX_LATTICE_STEPS} steps"
         )
     q_u, q_d = risk_neutral_probs(market)
-    up, down = 1.0 + market.u, 1.0 + market.v
-    paths = []
-    for index in range(1 << T):
-        moves = []
-        prices = [market.s0]
-        weight = 1.0
-        s = market.s0
-        for t in range(T):
-            if (index >> t) & 1:
-                moves.append(Move.UP)
-                s *= up
-                weight *= q_u
-            else:
-                moves.append(Move.DOWN)
-                s *= down
-                weight *= q_d
-            prices.append(s)
-        paths.append(Path(index, tuple(moves), tuple(prices), weight))
-    return paths
+    up = ((np.arange(1 << T)[:, None] >> np.arange(T)) & 1).astype(bool)
+    factors = np.where(up, 1.0 + market.u, 1.0 + market.v)
+    start = np.full((1 << T, 1), market.s0)
+    prices = np.cumprod(np.hstack((start, factors)), axis=1)
+    q = np.cumprod(np.where(up, q_u, q_d), axis=1)[:, -1]
+    return prices, q
+
+
+def enumerate_paths(market: MarketParams) -> list[Path]:
+    """All 2**T paths in ascending binary-index order, as Path views."""
+    prices, q = path_arrays(market)
+    return [Path.from_row(prices, q, index) for index in range(q.shape[0])]
 
 
 def binomial_call(market: MarketParams, strike: float) -> float:

@@ -36,11 +36,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from rifa.benefits import BenefitSpec, discounted_payoffs
+from rifa.benefits import BenefitSpec, payoff_table
 from rifa.copulas import CopulaSpec, _survival_array, SLICE_TOL
 from rifa.errors import ConfigurationError, NumericalError
 from rifa.hazards import ParamBox, Theta
-from rifa.lattice import MarketParams, Path, enumerate_paths
+from rifa.lattice import MarketParams, Path, path_arrays
 
 OPTIMIZER_METHODS = ("nelder_mead", "grid", "hybrid")
 
@@ -135,11 +135,11 @@ _BLOCK_PAIRS = 1 << 10
 class _Kernel:
     """Conditional values G(path, theta) for paired (path, a, d) points.
 
-    Built once per path sequence and death-parameter pair (b, c): payouts,
-    risk-neutral weights and price prefix sums are stored with one row per
-    path, and the death leg is computed here, once.  The prefix sums make
-    the surrender hazard an O(1) quadratic in a per date, so a value costs
-    O(T) exponentials.
+    Built once per price array (one row per path, as from ``path_arrays``)
+    and death-parameter pair (b, c): payouts, risk-neutral weights and
+    price prefix sums are stored with one row per path, and the death leg
+    is computed here, once.  The prefix sums make the surrender hazard an
+    O(1) quadratic in a per date, so a value costs O(T) exponentials.
     """
 
     __slots__ = (
@@ -148,7 +148,8 @@ class _Kernel:
 
     def __init__(
         self,
-        paths: Sequence[Path],
+        prices: np.ndarray,
+        q: np.ndarray,
         b: float,
         c: float,
         spec: CopulaSpec,
@@ -158,19 +159,18 @@ class _Kernel:
         T = self.T = market.T
         self.spec = spec
         self.surr_on = benefit.surrender
-        self.q = np.array([p.q_weight for p in paths])
+        self.q = q
         # death survival P(death > t), t = 0..T
         loads = b * np.exp(c * np.arange(T, dtype=float))
         f1 = self.f1 = np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
-        payoffs = [discounted_payoffs(benefit, market, p) for p in paths]
-        self.v_surv = np.array([sp for sp, _ in payoffs])
+        self.v_surv, v_pay = payoff_table(benefit, market, prices)
         # surrender payouts at interior dates 1..T-1; under independence
         # they enter only through their product with death survival
-        self.v_pay = np.array([ip for _, ip in payoffs])[:, 1:T]
+        self.v_pay = v_pay[:, 1:T]
         if spec.is_independence:
             self.v_pay = self.v_pay * f1[1:T]
-        prices = np.array([p.prices for p in paths])[:, :-1]
-        zero = np.zeros((len(paths), 1))
+        prices = prices[:, :-1]
+        zero = np.zeros((prices.shape[0], 1))
         self.cum1 = np.concatenate((zero, np.cumsum(prices, axis=1)), axis=1)
         self.cum2 = np.concatenate((zero, np.cumsum(prices**2, axis=1)), axis=1)
         self.tt = np.arange(T + 1, dtype=float)
@@ -462,7 +462,8 @@ def _optimize_ad(
         res = minimize(
             lambda rows, z: sign * f(rows // per_group, *to_point(z)),
             x0.reshape(-1, len(free)),
-            cfg.max_iters,
+            # scipy counts the initial simplex as iteration 1
+            cfg.max_iters + 1,
             _XATOL,
             cfg.tolerance,
         )
@@ -490,6 +491,21 @@ def _optimize_ad(
     return list(zip(best_val.tolist(), point[:, 0].tolist(), point[:, 1].tolist()))
 
 
+def conditional_values(
+    prices: np.ndarray,
+    q: np.ndarray,
+    theta: Theta,
+    spec: CopulaSpec,
+    benefit: BenefitSpec,
+    market: MarketParams,
+) -> np.ndarray:
+    """G(path, theta) on every row of a price array, as from ``path_arrays``."""
+    kernel = _Kernel(prices, q, theta.b, theta.c, spec, benefit, market)
+    rows = np.arange(q.shape[0])
+    a, d = np.full(rows.shape, theta.a), np.full(rows.shape, theta.d)
+    return _objective(kernel, price=False)(rows, a, d)
+
+
 def conditional_value(
     path: Path,
     theta: Theta,
@@ -498,12 +514,13 @@ def conditional_value(
     market: MarketParams,
 ) -> float:
     """Discounted conditional contract value G(path, theta)."""
-    kernel = _Kernel([path], theta.b, theta.c, spec, benefit, market)
-    return _at(_objective(kernel, price=False), theta.a, theta.d)
+    prices, q = np.array([path.prices]), np.array([path.q_weight])
+    return float(conditional_values(prices, q, theta, spec, benefit, market)[0])
 
 
 def _pathwise_optima(
-    paths: Sequence[Path],
+    prices: np.ndarray,
+    q: np.ndarray,
     box: ParamBox,
     spec: CopulaSpec,
     benefit: BenefitSpec,
@@ -511,7 +528,7 @@ def _pathwise_optima(
     cfg: OptimizerConfig,
     extra_thetas: Sequence[Theta],
 ) -> list[tuple[float, Theta]]:
-    """Supremum of the conditional value over the box on each path.
+    """Supremum of the conditional value over the box on each price row.
 
     (b, c) are pinned to their lower bounds by the monotone certificate;
     the remaining (a, d) rectangle of every path is searched in one
@@ -519,8 +536,8 @@ def _pathwise_optima(
     """
     b, c = box.b[0], box.c[0]
     optima = _optimize_ad(
-        _objective(_Kernel(paths, b, c, spec, benefit, market), price=False),
-        len(paths),
+        _objective(_Kernel(prices, q, b, c, spec, benefit, market), price=False),
+        q.shape[0],
         box.a,
         box.d,
         cfg,
@@ -540,7 +557,8 @@ def pathwise_esssup(
     extra_thetas: Sequence[Theta] = (),
 ) -> tuple[float, Theta]:
     """Per-path supremum of the conditional value over the box."""
-    [optimum] = _pathwise_optima([path], box, spec, benefit, market, cfg, extra_thetas)
+    prices, q = np.array([path.prices]), np.array([path.q_weight])
+    [optimum] = _pathwise_optima(prices, q, box, spec, benefit, market, cfg, extra_thetas)
     return optimum
 
 
@@ -557,16 +575,14 @@ def robust_price(
     Every path is searched at once; path results are combined by an
     exact sum in ascending path-index order.
     """
-    paths = enumerate_paths(market)
-    optima = [
-        PathOptimum(path.index, path.q_weight, value, theta)
-        for path, (value, theta) in zip(
-            paths,
-            _pathwise_optima(paths, box, spec, benefit, market, cfg, extra_thetas),
-        )
-    ]
-    total = math.fsum(opt.q_weight * opt.value for opt in optima)
-    return EvaluationReport(robust_price=total, per_path=tuple(optima))
+    prices, q = path_arrays(market)
+    optima = _pathwise_optima(prices, q, box, spec, benefit, market, cfg, extra_thetas)
+    per_path = tuple(
+        PathOptimum(index, weight, value, theta)
+        for index, (weight, (value, theta)) in enumerate(zip(q.tolist(), optima))
+    )
+    total = math.fsum(opt.q_weight * opt.value for opt in per_path)
+    return EvaluationReport(robust_price=total, per_path=per_path)
 
 
 def classical_price(
@@ -576,7 +592,7 @@ def classical_price(
     market: MarketParams,
 ) -> float:
     """Price under one fixed hazard model: E_Q of the conditional value."""
-    kernel = _Kernel(enumerate_paths(market), theta.b, theta.c, spec, benefit, market)
+    kernel = _Kernel(*path_arrays(market), theta.b, theta.c, spec, benefit, market)
     return _at(_objective(kernel, price=True), theta.a, theta.d)
 
 
@@ -590,7 +606,7 @@ def _optimize_classical(
 ) -> tuple[float, Theta]:
     # monotone certificate: worst case pins (b, c) low, best case high
     b, c = (box.b[0], box.c[0]) if maximize else (box.b[1], box.c[1])
-    kernel = _Kernel(enumerate_paths(market), b, c, spec, benefit, market)
+    kernel = _Kernel(*path_arrays(market), b, c, spec, benefit, market)
     [(value, a_star, d_star)] = _optimize_ad(
         _objective(kernel, price=True), 1, box.a, box.d, cfg, maximize=maximize
     )

@@ -23,7 +23,12 @@ from rifa.copulas import CopulaSpec, joint_survival
 from rifa.errors import ConfigurationError, ContractError, VerificationError
 from rifa.hazards import ParamBox, Theta, gompertz_cdf, surrender_cdf
 from rifa.lattice import enumerate_paths, strategy_gain
-from rifa.robust_eval import OptimizerConfig, classical_price, evaluate
+from rifa.robust_eval import (
+    OptimizerConfig,
+    classical_price,
+    conditional_value,
+    evaluate,
+)
 
 BOX = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
 CFG = OptimizerConfig(multistarts=3)
@@ -341,6 +346,35 @@ def test_portfolio_values_recomputable_from_exit_times(
             assert s.portfolio_values[j] == pytest.approx(
                 premium - float(np.mean(x[:n])), abs=1e-12
             )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CopulaSpec("independence"),
+        CopulaSpec("clayton", 3.0),
+        CopulaSpec("gumbel", 2.0),
+        CopulaSpec("frank", -4.0),
+    ],
+    ids=lambda spec: spec.family,
+)
+def test_sample_conditional_value_is_scalar_value_on_drawn_path(
+    spec, market_small_mod, benefit_paper_mod
+):
+    """Each trial's G, read from the all-path table, is G on its own path."""
+    theta = Theta(150.0, 0.025, 0.03, 2e4)
+    samples = simulate_portfolio(
+        theta, spec, benefit_paper_mod, market_small_mod, [10], trials=12, seed=8
+    )
+    paths = enumerate_paths(market_small_mod)
+    assert len({s.path_index for s in samples}) > 1
+    for s in samples:
+        expected = conditional_value(
+            paths[s.path_index], theta, spec, benefit_paper_mod, market_small_mod
+        )
+        assert type(s.conditional_value) is float
+        assert type(s.path_index) is int
+        assert s.conditional_value == expected
 
 
 @pytest.mark.parametrize("surrender", [True, False])

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from rifa.benefits import BenefitSpec, discounted_payoffs, guarantee_value
+from rifa.benefits import BenefitSpec, discounted_payoffs, guarantee_value, payoff_table
 from rifa.errors import ConfigurationError
-from rifa.lattice import MarketParams, enumerate_paths
+from rifa.lattice import MarketParams, enumerate_paths, path_arrays
 
 
 def test_spec_validation():
@@ -123,3 +123,26 @@ def test_maturity_pay_dominates_late_surrender(market_paper, benefit_paper):
         for t in range(1, market_paper.T):
             full = guarantee_value(benefit_paper, market_paper, path, t) * disc**t
             assert surrender_pays[t] <= full + 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BenefitSpec(K=100.0, r_G=0.01, l=0.1),
+        BenefitSpec(K=100.0, r_G=0.01, l=0.1, surrender=False),
+        BenefitSpec(K=100.0, r_G=0.01, l=1.0),
+        BenefitSpec(K=100.0, r_G=0.01, l=0.0),
+        BenefitSpec(K=100.0, r_G=0.0, l=0.1),
+        BenefitSpec(K=0.0, r_G=0.05, l=0.3),
+        BenefitSpec(K=180.0, r_G=0.03, l=0.2),
+    ],
+    ids=["paper", "no-surrender", "l=1", "l=0", "r_G=0", "K=0", "high-floor"],
+)
+def test_payoff_table_rows_equal_discounted_payoffs(spec, market_paper):
+    """Row i of the table is bit for bit the per-path payout of path i."""
+    survival, surrender = payoff_table(spec, market_paper, path_arrays(market_paper)[0])
+    assert surrender.shape == (1 << market_paper.T, market_paper.T + 1)
+    for path in enumerate_paths(market_paper):
+        survival_pay, surrender_pays = discounted_payoffs(spec, market_paper, path)
+        assert survival[path.index] == survival_pay
+        assert surrender[path.index].tolist() == surrender_pays.tolist()

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rifa
 from rifa.cli import SWEEP_AXES, canonical_json, main, parse_config
 from rifa.errors import ConfigurationError
 
@@ -270,7 +275,7 @@ def test_price_deterministic_across_runs(write_config, base_config_doc, capsys):
 
 
 def test_price_reports_nonconvergence_as_exit_3(write_config, base_config_doc, capsys):
-    # scipy's iteration count starts at 1, so max_iters=1 runs no iteration
+    # one Nelder-Mead iteration cannot meet the tolerances
     base_config_doc["optimizer"]["max_iters"] = 1
     code, out, err = run_cli(["price", "--config", write_config(base_config_doc)], capsys)
     assert code == 3
@@ -441,3 +446,17 @@ def test_simulate_rejects_bad_sizes(write_config, base_config_doc, capsys):
         ["simulate", "--config", path, "--n-max", "100", "--trials", "0"], capsys
     )
     assert code == 2
+
+
+def test_python_m_rifa_runs_the_cli(write_config, base_config_doc, capsys):
+    """`python -m rifa` prints what main prints, with nothing on stderr."""
+    path = write_config(base_config_doc)
+    src = str(pathlib.Path(rifa.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rifa", "price", "--config", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, out, _ = run_cli(["price", "--config", path], capsys)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")

@@ -12,10 +12,10 @@ from rifa.lattice import (
     MAX_LATTICE_STEPS,
     Claim,
     MarketParams,
-    Move,
     Path,
     binomial_call,
     enumerate_paths,
+    path_arrays,
     risk_neutral_probs,
     strategy_gain,
     superhedge,
@@ -46,20 +46,66 @@ def test_market_validation_rejects_bad_orderings():
             MarketParams(s0=100.0, u=bad, v=-0.1, r=0.05, T=2)
 
 
+def _reference_paths(market):
+    """(prices, weight) of every path from a per-path, per-step loop."""
+    q_u, q_d = risk_neutral_probs(market)
+    up, down = 1.0 + market.u, 1.0 + market.v
+    paths = []
+    for index in range(1 << market.T):
+        s, weight = market.s0, 1.0
+        prices = [s]
+        for t in range(market.T):
+            if (index >> t) & 1:
+                s *= up
+                weight *= q_u
+            else:
+                s *= down
+                weight *= q_d
+            prices.append(s)
+        paths.append((prices, weight))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "s0, u, v, r",
+    [(100.0, 0.1, -0.1, 0.05), (37.3, 0.3, -0.2, 0.01), (1.0, 0.07, -0.03, 0.02)],
+)
+@pytest.mark.parametrize("T", [1, 4, 8, 12])
+def test_path_arrays_match_reference_loop(T, s0, u, v, r):
+    """The array lattice equals the per-path loop bit for bit."""
+    market = MarketParams(s0=s0, u=u, v=v, r=r, T=T)
+    prices, q = path_arrays(market)
+    assert prices.shape == (1 << T, T + 1) and q.shape == (1 << T,)
+    reference = _reference_paths(market)
+
+    def hexes(xs):
+        return [float.hex(x) for x in xs]
+
+    assert [hexes(row) for row in prices.tolist()] == [hexes(p) for p, _ in reference]
+    assert hexes(q.tolist()) == hexes([w for _, w in reference])
+    paths = enumerate_paths(market)
+    assert [p.prices for p in paths] == [tuple(row) for row in prices.tolist()]
+    assert [p.q_weight for p in paths] == q.tolist()
+
+
+def _ups(market, path):
+    # v < r < u: an up step outgrows the riskless rate, a down step does not
+    steps = zip(path.prices, path.prices[1:])
+    return [after / before > 1.0 + market.r for before, after in steps]
+
+
 def test_enumerate_paths_index_encoding(market_small):
     paths = enumerate_paths(market_small)
     assert len(paths) == 16
     assert [p.index for p in paths] == list(range(16))
+    up, down = 1.0 + market_small.u, 1.0 + market_small.v
     for p in paths:
-        # bit t of the index records the move over step t+1
-        for t, move in enumerate(p.moves):
-            assert ((p.index >> t) & 1) == (move is Move.UP)
-        # prices follow the moves multiplicatively
-        s = market_small.s0
-        assert p.prices[0] == s
-        for t, move in enumerate(p.moves):
-            s *= 1.0 + (market_small.u if move is Move.UP else market_small.v)
-            assert p.prices[t + 1] == pytest.approx(s, rel=1e-15)
+        assert p.prices[0] == market_small.s0
+        for t, is_up in enumerate(_ups(market_small, p)):
+            # bit t of the index records the move over step t+1
+            assert ((p.index >> t) & 1) == is_up
+            ratio = p.prices[t + 1] / p.prices[t]
+            assert ratio == pytest.approx(up if is_up else down, rel=1e-15)
 
 
 def test_path_weights_sum_to_one(market_small):
@@ -67,12 +113,15 @@ def test_path_weights_sum_to_one(market_small):
     assert math.fsum(p.q_weight for p in paths) == pytest.approx(1.0, abs=1e-12)
     q_u, q_d = risk_neutral_probs(market_small)
     for p in paths:
-        ups = sum(m is Move.UP for m in p.moves)
+        ups = sum(_ups(market_small, p))
+        assert ups == bin(p.index).count("1")
         assert p.q_weight == pytest.approx(q_u**ups * q_d ** (4 - ups), rel=1e-13)
 
 
 def test_lattice_cap_enforced():
     big = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=MAX_LATTICE_STEPS + 1)
+    with pytest.raises(ResourceError):
+        path_arrays(big)
     with pytest.raises(ResourceError):
         enumerate_paths(big)
 

@@ -12,7 +12,8 @@ from rifa.benefits import BenefitSpec, discounted_payoffs
 from rifa.copulas import CopulaSpec, joint_survival, surrender_slice_prob
 from rifa.errors import ConfigurationError, NumericalError
 from rifa.hazards import ParamBox, Theta
-from rifa.lattice import MarketParams, binomial_call, enumerate_paths
+from rifa.lattice import MarketParams, binomial_call, enumerate_paths, path_arrays
+from rifa import robust_eval
 from rifa.robust_eval import (
     _BLOCK_PAIRS,
     EvaluationReport,
@@ -311,22 +312,22 @@ def test_robust_price_is_repeatable(market_small, benefit_paper, independence):
 @pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
 def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
     """A block of points gives bit for bit the values of length-1 calls."""
-    paths = enumerate_paths(market_small)
-    kernel = _Kernel(paths, 0.02, 0.01, spec, benefit_paper, market_small)
+    prices, q = path_arrays(market_small)
+    kernel = _Kernel(prices, q, 0.02, 0.01, spec, benefit_paper, market_small)
     rng = np.random.default_rng(7)
     # enough points to span several blocks of the price objective
-    n = 2 * _BLOCK_PAIRS // len(paths) + 3
+    n = 2 * _BLOCK_PAIRS // len(q) + 3
     a = np.concatenate(([t.a for t in THETAS], rng.uniform(50.0, 340.0, n)))
     d = np.concatenate(([t.d for t in THETAS], rng.uniform(1e4, 1e5, n)))
-    rows = rng.integers(len(paths), size=a.shape[0])
+    rows = rng.integers(len(q), size=a.shape[0])
     block = kernel.values(rows, a, d)
     for i in range(a.shape[0]):
         single = kernel.values(rows[i : i + 1], a[i : i + 1], d[i : i + 1])
         assert np.array_equal(block[i], single[0])
     # every path at every point, broadcast and paired: more pairs than
     # one kernel block
-    every = np.tile(np.arange(len(paths)), a.shape[0])
-    aa, dd = np.repeat(a, len(paths)), np.repeat(d, len(paths))
+    every = np.tile(np.arange(len(q)), a.shape[0])
+    aa, dd = np.repeat(a, len(q)), np.repeat(d, len(q))
     assert every.shape[0] > _BLOCK_PAIRS
     paired = kernel.values(every, aa, dd).tolist()
     assert kernel.values(slice(None), a[:, None], d[:, None]).ravel().tolist() == paired
@@ -406,12 +407,12 @@ def test_lockstep_nelder_mead_matches_scipy(free, maxiter, market_small, benefit
     boxes with d or a fixed.  Without surrender G is flat in (a, d), so
     every contraction fails and the simplex shrinks.
     """
-    paths = enumerate_paths(market_small)
+    prices, q = path_arrays(market_small)
     problems, starts = [], []
     for spec in COPULAS:
         for surrender in (True, False):
             benefit = dataclasses.replace(benefit_paper, surrender=surrender)
-            kernel = _Kernel(paths, 0.02, 0.01, spec, benefit, market_small)
+            kernel = _Kernel(prices, q, 0.02, 0.01, spec, benefit, market_small)
             for row, z0 in enumerate(_NM_STARTS):
                 problems.append(_negated_value(kernel, 3 * row, free))
                 starts.append(z0[: len(free)])
@@ -457,10 +458,13 @@ def test_theta_fields_are_python_floats(spec, market_small, benefit_paper):
     thetas += [report.argmax_outer, verdict.theta_prime]
     for theta in thetas:
         assert [type(getattr(theta, f)) for f in "abcd"] == [float] * 4
+    # the report's repr shows plain Python numbers, not numpy scalars
+    for opt in report.per_path:
+        assert (type(opt.index), type(opt.q_weight), type(opt.value)) == (int, float, float)
 
 
 def test_nonconvergence_raises_with_best_value(market_small, benefit_paper, independence):
-    """max_iters=1 runs no Nelder-Mead iteration, so no start converges."""
+    """max_iters=1 runs one Nelder-Mead iteration, so no start converges."""
     box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
     cfg = OptimizerConfig(max_iters=1)
     with pytest.raises(NumericalError, match="failed to converge within 1 iter") as info:
@@ -478,6 +482,50 @@ def test_nonconvergence_raises_with_best_value(market_small, benefit_paper, inde
         pathwise_esssup(path, box, independence, benefit_paper, market_small, cfg)
     assert robust.value.best_value == single.value.best_value
     assert math.isfinite(single.value.best_value)
+
+
+def test_max_iters_allows_that_many_iterations(
+    monkeypatch, market_small, benefit_paper, independence
+):
+    """max_iters=k runs each start as scipy does with maxiter=k+1.
+
+    scipy counts the initial simplex as iteration 1, so a start that scipy
+    reports converged after nit iterations needs max_iters >= nit.
+    """
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    calls = []
+    real = robust_eval.minimize
+
+    def spy(fun, x0, maxiter, xatol, fatol):
+        calls.append((fun, x0, xatol, fatol))
+        return real(fun, x0, maxiter, xatol, fatol)
+
+    monkeypatch.setattr(robust_eval, "minimize", spy)
+    sup_classical(box, independence, benefit_paper, market_small, OptimizerConfig())
+    [(fun, x0, xatol, fatol)] = calls
+    runs = [
+        optimize.minimize(
+            lambda z, row=row: float(fun(np.array([row]), z[None, :])[0]),
+            z0,
+            method="Nelder-Mead",
+            bounds=[(0.0, 1.0)] * 2,
+            options={"xatol": xatol, "fatol": fatol},
+        )
+        for row, z0 in enumerate(x0)
+    ]
+    assert all(run.success for run in runs)
+    k = min(run.nit for run in runs)
+    sup_classical(
+        box, independence, benefit_paper, market_small, OptimizerConfig(max_iters=k)
+    )
+    with pytest.raises(NumericalError, match=f"within {k - 1} iterations"):
+        sup_classical(
+            box,
+            independence,
+            benefit_paper,
+            market_small,
+            OptimizerConfig(max_iters=k - 1),
+        )
 
 
 def test_degenerate_rectangle_runs_no_search(market_small, benefit_paper, independence):
