@@ -312,8 +312,13 @@ def construct_arbitrage(
 
 
 def _exit_times(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    # smallest integer t with CDF(t) >= draw; one past the horizon when none
-    return (np.searchsorted(cdf[1:], draws, side="left") + 1).astype(np.int16)
+    # Generalized inverse: the smallest t with CDF(t) >= draw, T+1 when none.
+    # The CDF is nondecreasing, so that t is 1 plus the number of levels
+    # CDF(1..T) strictly below the draw, counted one level at a time.
+    tau = np.ones(draws.shape, np.int16)
+    for level in cdf[1:]:
+        tau += draws > level
+    return tau
 
 
 def _client_payouts(
@@ -346,7 +351,8 @@ def simulate_portfolio(
     Each trial draws a market path from the risk-neutral weights, then a
     pool of conditionally independent clients: one copula draw per
     client mapped through the generalized inverses of the path's
-    marginal exit-time distributions.  Per-trial generators are derived
+    marginal exit-time distributions, each taken by counting the CDF
+    levels below the draw.  Per-trial generators are derived
     from (seed, trial), so results are reproducible and independent of
     any execution order.
     """

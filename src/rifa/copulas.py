@@ -94,17 +94,20 @@ def _clayton(alpha: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     with w = min(u, v) and z = max(u, v) is used instead: its bases lie in
     [0, 1] and its bracket in [1, 2], and C -> w as w -> 0, exactly 0 at
     w = 0.  Elsewhere the textbook form stays, because Clayton optimizer
-    paths, and so printed argmax digits, follow its last bits.
+    paths, and so printed argmax digits, follow its last bits.  Such tiny
+    pairs are rare, so the factored form is only evaluated when one occurs.
     """
     w = np.minimum(u, v)
-    z = np.maximum(u, v)
     tiny = w <= _CLAYTON_POW_MAX ** (-1.0 / alpha)
-    uc = np.where(tiny, 0.5, u)
-    vc = np.where(tiny, 0.5, v)
-    textbook = (uc**-alpha + vc**-alpha - 1.0) ** (-1.0 / alpha)
-    ratio = w / np.where(z > 0.0, z, 1.0)  # w = z = 0 gives ratio 0, not 0/0
-    factored = w * (1.0 + ratio**alpha - w**alpha) ** (-1.0 / alpha)
-    return np.where(tiny, factored, textbook)
+    # the powers overflow only on tiny pairs, whose values are replaced below
+    with np.errstate(divide="ignore", over="ignore"):
+        out = (u**-alpha + v**-alpha - 1.0) ** (-1.0 / alpha)
+    if tiny.any():
+        z = np.maximum(u, v)
+        ratio = w / np.where(z > 0.0, z, 1.0)  # w = z = 0 gives ratio 0, not 0/0
+        factored = w * (1.0 + ratio**alpha - w**alpha) ** (-1.0 / alpha)
+        out = np.where(tiny, factored, out)
+    return out
 
 
 def _eval_array(spec: CopulaSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:

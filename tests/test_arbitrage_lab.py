@@ -12,6 +12,7 @@ from rifa.arbitrage_lab import (
     InsuranceStrategy,
     Verdict,
     _client_payouts,
+    _exit_times,
     construct_arbitrage,
     lln_rms,
     nrifa_check,
@@ -22,7 +23,7 @@ from rifa.benefits import BenefitSpec, discounted_payoffs
 from rifa.copulas import CopulaSpec, joint_survival
 from rifa.errors import ConfigurationError, ContractError, VerificationError
 from rifa.hazards import ParamBox, Theta, gompertz_cdf, surrender_cdf
-from rifa.lattice import enumerate_paths, strategy_gain
+from rifa.lattice import MAX_LATTICE_STEPS, enumerate_paths, strategy_gain
 from rifa.robust_eval import (
     OptimizerConfig,
     classical_price,
@@ -397,6 +398,42 @@ def test_client_payouts_follow_per_client_rule(market_small_mod, surrender):
         assert x == expected, (t1, t2)
 
 
+def _searchsorted_exit_times(cdf, draws):
+    """Reference generalized inverse by binary search over CDF(1..T)."""
+    return (np.searchsorted(cdf[1:], draws, side="left") + 1).astype(np.int16)
+
+
+_DEATH = Theta(120.0, 0.05, 0.2, 5e3)
+_SLOW_DEATH = Theta(300.0, 0.002, 0.01, 1e4)
+EXIT_TIME_CDFS = {
+    "gompertz": np.array([gompertz_cdf(_DEATH, t) for t in range(9)]),
+    "surrender_off": np.zeros(9),
+    # ties, and levels saturated at 1.0 before the horizon
+    "tied_saturated": np.array([0.0, 0.1, 0.1, 0.1, 0.5, 1.0, 1.0, 1.0]),
+    "T1": np.array([0.0, 0.3]),
+    "T_max": np.array(
+        [gompertz_cdf(_SLOW_DEATH, t) for t in range(MAX_LATTICE_STEPS + 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("cdf", EXIT_TIME_CDFS.values(), ids=EXIT_TIME_CDFS.keys())
+def test_exit_times_equal_searchsorted(cdf):
+    """Counting levels below a draw is the binary-search inverse, exactly."""
+    rng = np.random.default_rng(5)
+    levels = cdf[1:]
+    draws = np.concatenate((
+        rng.random(20_000),
+        levels,
+        np.nextafter(levels, -np.inf),
+        np.nextafter(levels, np.inf),
+        [0.0],
+    ))
+    got = _exit_times(cdf, draws)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, _searchsorted_exit_times(cdf, draws))
+
+
 def test_exit_time_marginals_match_cdfs(
     market_small_mod, benefit_paper_mod, independence_mod
 ):
@@ -508,6 +545,27 @@ def test_verify_arbitrage_passes_for_valid_pair(
     assert out.worst_violation == 0.0
     assert len(out.mean_payoffs) == 2
     assert max(out.mean_payoffs) > 0.0
+
+
+def test_verify_arbitrage_clayton_is_pinned(market_small_mod, benefit_paper_mod):
+    """Monte Carlo means and the worst payoff stay fixed to the last bit."""
+    spec = CopulaSpec("clayton", 2.0)
+    rep = evaluate(BOX, spec, benefit_paper_mod, market_small_mod, CFG)
+    premium = rep.robust_price + 1.0
+    pair = construct_arbitrage(
+        premium, rep, BOX, spec, benefit_paper_mod, market_small_mod
+    )
+    thetas = [Theta(100.0, 0.02, 0.01, 1e4), Theta(300.0, 0.03, 0.05, 9e4)]
+    out = verify_arbitrage(
+        pair, premium, thetas, spec, benefit_paper_mod, market_small_mod,
+        trials=4, seed=17, n_clients=4000,
+    )
+    assert rep.robust_price.hex() == "0x1.800dfd7e6a8bcp+6"
+    assert [m.hex() for m in out.mean_payoffs] == [
+        "0x1.00eb4d2885b10p+2", "0x1.00e9f841c7504p+5"
+    ]
+    assert out.min_payoff.hex() == "0x1.246fb7adbb5d0p+0"
+    assert out.passed
 
 
 def test_verify_arbitrage_nonstrict_needs_no_profit(

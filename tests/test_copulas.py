@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rifa.copulas import (
+    _CLAYTON_POW_MAX,
     CopulaSpec,
+    _clayton,
     copula_eval,
     joint_survival,
     sample_pair,
@@ -124,6 +126,48 @@ def test_clayton_tiny_argument_is_finite_limit():
         assert copula_eval(spec, 0.0, 0.0) == 0.0
     assert math.isfinite(value)
     assert value == 5e-324
+
+
+def _two_branch_clayton(alpha, u, v):
+    """Reference Clayton: both forms on every pair, one picked per pair."""
+    w = np.minimum(u, v)
+    z = np.maximum(u, v)
+    tiny = w <= _CLAYTON_POW_MAX ** (-1.0 / alpha)
+    uc = np.where(tiny, 0.5, u)
+    vc = np.where(tiny, 0.5, v)
+    textbook = (uc**-alpha + vc**-alpha - 1.0) ** (-1.0 / alpha)
+    ratio = w / np.where(z > 0.0, z, 1.0)
+    factored = w * (1.0 + ratio**alpha - w**alpha) ** (-1.0 / alpha)
+    return np.where(tiny, factored, textbook)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 50.0])
+def test_clayton_equals_two_branch_reference(alpha):
+    """Only the needed branch is evaluated; every value stays bit-identical."""
+    switch = _CLAYTON_POW_MAX ** (-1.0 / alpha)
+    edges = np.array([
+        0.0, 5e-324, np.nextafter(switch, 0.0), switch,
+        np.nextafter(switch, 1.0), 1e-6, 0.5, 1.0,
+    ])
+    rng = np.random.default_rng(9)
+    column = np.concatenate((edges, rng.random(40), switch * rng.random(8)))[:, None]
+    row = np.concatenate((edges, rng.random(30)))[None, :]
+    cases = [
+        (column, row),  # (points, 1) x (1, paths)
+        (row[0, :9], rng.random((12, 9))),  # a (T,) level row against a block
+        (np.asarray(0.3), np.asarray(0.7)),
+        (np.asarray(0.0), np.asarray(0.7)),
+        (np.asarray(switch), np.asarray(switch)),
+        (np.empty((0, 1)), row),
+        (np.empty(0), np.empty(0)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, v in cases:
+            got = _clayton(alpha, u, v)
+            expected = _two_branch_clayton(alpha, u, v)
+            assert np.shape(got) == expected.shape
+            assert np.array_equal(got, expected)
 
 
 def test_frank_symmetric_and_sign():
