@@ -90,16 +90,20 @@ def _clayton(alpha: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     The textbook form (u^-alpha + v^-alpha - 1)^(-1/alpha) overflows once a
     power passes the float range.  Where one would pass _CLAYTON_POW_MAX,
-    zero arguments included, C = w * (1 + (w/z)^alpha - w^alpha)^(-1/alpha)
-    with w = min(u, v) and z = max(u, v) is used instead: its bases lie in
-    [0, 1] and its bracket in [1, 2], and C -> w as w -> 0, exactly 0 at
-    w = 0.  Elsewhere the textbook form stays, because Clayton optimizer
-    paths, and so printed argmax digits, follow its last bits.  Such tiny
-    pairs are rare, so the factored form is only evaluated when one occurs.
+    C = w * (1 + (w/z)^alpha - w^alpha)^(-1/alpha) with w = min(u, v) and
+    z = max(u, v) is used instead: its bases lie in [0, 1] and its bracket
+    in [1, 2], and C -> w as w -> 0.  Elsewhere the textbook form stays,
+    because Clayton optimizer paths, and so printed argmax digits, follow
+    its last bits.  At w = 0 the textbook form already gives +0.0 (0^-alpha
+    is inf and inf^(-1/alpha) is +0.0), the factored form's value, so zeros
+    stay on it; they are common (the kernel's first survival column is
+    exactly 1), while positive pairs below the switch are rare, and the
+    factored form is only evaluated when one of those occurs.
     """
     w = np.minimum(u, v)
-    tiny = w <= _CLAYTON_POW_MAX ** (-1.0 / alpha)
-    # the powers overflow only on tiny pairs, whose values are replaced below
+    tiny = (w > 0.0) & (w <= _CLAYTON_POW_MAX ** (-1.0 / alpha))
+    # the powers overflow only at zeros, which give +0.0, and on tiny pairs,
+    # whose values are replaced below
     with np.errstate(divide="ignore", over="ignore"):
         out = (u**-alpha + v**-alpha - 1.0) ** (-1.0 / alpha)
     if tiny.any():

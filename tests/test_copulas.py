@@ -168,6 +168,7 @@ def test_clayton_equals_two_branch_reference(alpha):
             expected = _two_branch_clayton(alpha, u, v)
             assert np.shape(got) == expected.shape
             assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))  # +0.0 at zeros
 
 
 def test_frank_symmetric_and_sign():
