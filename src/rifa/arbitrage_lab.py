@@ -167,11 +167,12 @@ class ArbitragePair:
 class PortfolioSample:
     """One simulated client pool on one drawn market path.
 
-    tau_death / tau_surrender hold per-client exit times with T+1
-    standing for survival beyond the horizon.  portfolio_values[i] is
-    the average of (premium - benefit) over the first n_schedule[i]
-    clients; payout_std is the per-client benefit standard deviation
-    over the full pool, feeding the verification error budget.
+    tau_death / tau_surrender hold per-client exit times as int8, one
+    byte per client each, with T+1 standing for survival beyond the
+    horizon.  portfolio_values[i] is the average of (premium - benefit)
+    over the first n_schedule[i] clients; payout_std is the per-client
+    benefit standard deviation over the full pool, feeding the
+    verification error budget.
     """
 
     trial: int
@@ -315,7 +316,7 @@ def _exit_times(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
     # Generalized inverse: the smallest t with CDF(t) >= draw, T+1 when none.
     # The CDF is nondecreasing, so that t is 1 plus the number of levels
     # CDF(1..T) strictly below the draw, counted one level at a time.
-    tau = np.ones(draws.shape, np.int16)
+    tau = np.ones(draws.shape, np.int8)
     for level in cdf[1:]:
         tau += draws > level
     return tau
@@ -327,13 +328,16 @@ def _client_payouts(
     survival_pay: float,
     surrender_pays: np.ndarray,
 ) -> np.ndarray:
-    # A client alive at min(tau_surrender, T) is paid the leg indexed by
-    # tau_surrender: surrender_pays[t] for t <= T (zero at t = T, where the
-    # surrender leg pays nothing) and survival_pay at T+1, which means the
-    # client held the contract past the horizon.  Anyone else gets 0.
+    # One lookup per client in table[td, ts] = pays[ts] if td > min(ts, T)
+    # else 0.0, where pays = (surrender_pays[0..T], survival_pay): a client
+    # alive at min(tau_surrender, T) is paid the surrender leg (zero at T)
+    # or, at T+1, the survival leg.  The flat index is formed in intp: int8
+    # exit times times T+2 would wrap once T >= 10.
     T = len(surrender_pays) - 1
-    pays = np.append(surrender_pays, survival_pay)[tau_surrender]
-    return np.where(tau_death > np.minimum(tau_surrender, T), pays, 0.0)
+    pays = np.append(surrender_pays, survival_pay)
+    t = np.arange(T + 2)
+    table = np.where(t[:, None] > np.minimum(t, T), pays, 0.0)
+    return table.ravel().take(tau_death.astype(np.intp) * (T + 2) + tau_surrender)
 
 
 def simulate_portfolio(
@@ -446,7 +450,10 @@ def verify_arbitrage(
     min_payoff = math.inf
     worst_violation = 0.0
     for j, theta in enumerate(thetas):
-        samples = simulate_portfolio(
+        payoffs = []
+        # No name holds a model's samples, so they are freed before the
+        # next model's are drawn.
+        for s in simulate_portfolio(
             theta,
             spec,
             benefit,
@@ -455,9 +462,7 @@ def verify_arbitrage(
             trials,
             seed + 7919 * j,
             premium=premium,
-        )
-        payoffs = []
-        for s in samples:
+        ):
             path = Path.from_row(prices, q, s.path_index)
             payoff = s.portfolio_values[-1] + strategy_gain(market, holdings, path)
             payoffs.append(payoff)

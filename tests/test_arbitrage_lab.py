@@ -1,6 +1,7 @@
 """Arbitrage decisions, explicit constructions, and pool simulation."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -337,12 +338,13 @@ def test_portfolio_values_recomputable_from_exit_times(
         survival_pay, surrender_pays = discounted_payoffs(
             benefit_paper_mod, market_small_mod, paths[s.path_index]
         )
-        x = np.zeros(len(s.tau_death))
-        for i, (t1, t2) in enumerate(zip(s.tau_death, s.tau_surrender)):
-            if t1 > T and t2 > T:
-                x[i] = survival_pay
-            elif 1 <= t2 < T and t1 > t2:
-                x[i] = surrender_pays[t2]
+        for tau in (s.tau_death, s.tau_surrender):
+            assert tau.dtype == np.int8
+            assert tau.nbytes == s.n_schedule[-1]
+        x = np.array([
+            _payout_rule(t1, t2, T, survival_pay, surrender_pays)
+            for t1, t2 in zip(s.tau_death, s.tau_surrender)
+        ])
         for j, n in enumerate(s.n_schedule):
             assert s.portfolio_values[j] == pytest.approx(
                 premium - float(np.mean(x[:n])), abs=1e-12
@@ -378,6 +380,15 @@ def test_sample_conditional_value_is_scalar_value_on_drawn_path(
         assert s.conditional_value == expected
 
 
+def _payout_rule(t1, t2, T, survival_pay, surrender_pays):
+    """Contract rule for one client: survival leg, surrender leg, or 0."""
+    if t1 > T and t2 > T:
+        return survival_pay
+    if 1 <= t2 < T and t1 > t2:
+        return surrender_pays[t2]
+    return 0.0
+
+
 @pytest.mark.parametrize("surrender", [True, False])
 def test_client_payouts_follow_per_client_rule(market_small_mod, surrender):
     """One lookup per client equals the contract rule on every exit pair."""
@@ -389,13 +400,22 @@ def test_client_payouts_follow_per_client_rule(market_small_mod, surrender):
     tau_death, tau_surrender = np.array(pairs, dtype=np.int16).T
     got = _client_payouts(tau_death, tau_surrender, survival_pay, surrender_pays)
     for x, (t1, t2) in zip(got, pairs):
-        if t1 > T and t2 > T:
-            expected = survival_pay
-        elif 1 <= t2 < T and t1 > t2:
-            expected = surrender_pays[t2]
-        else:
-            expected = 0.0
-        assert x == expected, (t1, t2)
+        assert x == _payout_rule(t1, t2, T, survival_pay, surrender_pays), (t1, t2)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16], ids=["int8", "int16"])
+def test_client_payouts_at_lattice_cap(dtype):
+    """Every exit pair at T = MAX_LATTICE_STEPS, where int8 flat indices wrap."""
+    T = MAX_LATTICE_STEPS
+    # distinct legs, and no surrender payout at the horizon itself
+    surrender_pays = 1.0 + np.arange(T + 1) / 64.0
+    surrender_pays[T] = 0.0
+    survival_pay = 1000.0
+    pairs = [(t1, t2) for t1 in range(1, T + 2) for t2 in range(1, T + 2)]
+    tau_death, tau_surrender = np.array(pairs, dtype=dtype).T
+    got = _client_payouts(tau_death, tau_surrender, survival_pay, surrender_pays)
+    for x, (t1, t2) in zip(got, pairs):
+        assert x == _payout_rule(t1, t2, T, survival_pay, surrender_pays), (t1, t2)
 
 
 def _searchsorted_exit_times(cdf, draws):
@@ -430,7 +450,7 @@ def test_exit_times_equal_searchsorted(cdf):
         [0.0],
     ))
     got = _exit_times(cdf, draws)
-    assert got.dtype == np.int16
+    assert got.dtype == np.int8
     assert np.array_equal(got, _searchsorted_exit_times(cdf, draws))
 
 
@@ -617,3 +637,31 @@ def test_verify_arbitrage_validation(
             "not a pair", 90.0, [Theta(100.0, 0.02, 0.01, 1e4)], independence_mod,
             benefit_paper_mod, market_small_mod, trials=1, seed=1,
         )
+
+
+def test_verify_arbitrage_holds_one_model_of_samples(
+    report, market_small_mod, benefit_paper_mod, independence_mod
+):
+    """Each model's samples are freed before the next model is simulated."""
+    premium = report.robust_price + 1.0
+    pair = construct_arbitrage(
+        premium, report, BOX, independence_mod, benefit_paper_mod, market_small_mod
+    )
+    thetas = [
+        Theta(100.0, 0.02, 0.01, 1e4),
+        Theta(200.0, 0.025, 0.03, 5e4),
+        Theta(300.0, 0.03, 0.05, 9e4),
+    ]
+    trials, n_clients = 200, 10_000
+    # two one-byte exit times per client and trial
+    one_model = 2 * trials * n_clients
+    tracemalloc.start()
+    try:
+        verify_arbitrage(
+            pair, premium, thetas, independence_mod, benefit_paper_mod,
+            market_small_mod, trials=trials, seed=13, n_clients=n_clients,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * one_model
