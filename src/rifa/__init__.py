@@ -75,6 +75,7 @@ from rifa.robust_eval import (
     pathwise_esssup,
     robust_price,
     sup_classical,
+    sup_classical_batch,
 )
 
 __all__ = [
@@ -131,6 +132,7 @@ __all__ = [
     "simulate_portfolio",
     "strategy_gain",
     "sup_classical",
+    "sup_classical_batch",
     "superhedge",
     "surrender_cdf",
     "surrender_slice_prob",

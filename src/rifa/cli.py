@@ -34,7 +34,7 @@ from .errors import (
 from .hazards import ParamBox, Theta
 from .lattice import MarketParams
 from .arbitrage_lab import lln_rms, nrifa_check, simulate_portfolio
-from .robust_eval import OptimizerConfig, evaluate, sup_classical
+from .robust_eval import OptimizerConfig, evaluate, sup_classical_batch
 
 __all__ = [
     "RunConfig",
@@ -222,14 +222,13 @@ def _cmd_sweep(args) -> tuple[str, int]:
         raise ConfigurationError(f"need lo <= hi, got [{args.lo}, {args.hi}]")
     if args.steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {args.steps}")
-    grid = np.linspace(args.lo, args.hi, args.steps)
+    grid = np.linspace(args.lo, args.hi, args.steps).tolist()
+    boxes, benefits = zip(*(_swept_configs(config, args.axis, value) for value in grid))
+    optima = sup_classical_batch(
+        boxes, benefits, config.copula, config.market, config.optimizer
+    )
     rows = ["axis_value,price"]
-    for value in grid:
-        box, benefit = _swept_configs(config, args.axis, float(value))
-        price, _ = sup_classical(
-            box, config.copula, benefit, config.market, config.optimizer
-        )
-        rows.append(f"{_fmt(float(value))},{_fmt(price)}")
+    rows += [f"{_fmt(value)},{_fmt(price)}" for value, (price, _) in zip(grid, optima)]
     return "\n".join(rows) + "\n", _EXIT_OK
 
 

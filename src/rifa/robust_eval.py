@@ -30,6 +30,7 @@ iteration, each following scipy's bounded Nelder-Mead exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -127,24 +128,73 @@ class EvaluationReport:
                 )
 
 
-# (point, path) pairs per kernel block: each (pairs, T+1) temporary takes
-# 8*(T+1) kB.  Larger blocks measured slower on the classical screen
+# (point, path) pairs per block of the paired route: each (pairs, T+1)
+# temporary takes 8*(T+1) kB
 _BLOCK_PAIRS = 1 << 10
+# (point, path) pairs per block of the prefix-tree route: each temporary
+# takes 64 kB.  Larger blocks spread the fixed cost of a call over more
+# points and run faster, at the price of peak memory
+_TREE_PAIRS = 1 << 13
+
+
+def _by_date(nodes: np.ndarray) -> list[np.ndarray]:
+    """The dates of a prefix-tree node array, one level each from date 0.
+
+    Node 0 is date 0, and date t >= 1 has the 2**(t-1) nodes
+    2**(t-1) + p, one per path prefix p < 2**(t-1), so a node array of
+    the dates 0..s has 2**s nodes (one for s = 0) in its first axis.
+    Level t is a view of date t's nodes with that axis split into t-1
+    axes of 2, highest step first: bit k of p indexes the k-th of them
+    from the right, ahead of any trailing axes.  Under numpy's
+    broadcasting a coarser level then lines up with the low bits of a
+    finer one, so path row i of the finer level reads entry
+    i mod 2**(t-1) of the coarser, without copies.
+    """
+    rest = nodes.shape[1:]
+    return [
+        nodes[(1 << t) >> 1 : 1 << t].reshape((2,) * max(t - 1, 0) + rest)
+        for t in range(nodes.shape[0].bit_length())
+    ]
+
+
+def _row_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum of arrays in the order numpy's ``sum(axis=-1)`` adds a row of them.
+
+    numpy starts from +0.0 and adds its pairwise sum of the row: fewer
+    than 8 terms in sequence; 8 to 128 terms in 8 interleaved
+    accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    the tail past the last multiple of 8 in sequence.  Longer rows, split
+    in halves by numpy, are not reproduced; a date sum has T-1 <= 23
+    terms.  The terms broadcast together.
+    """
+    n = len(terms)
+    if n < 8:
+        return functools.reduce(np.add, terms, 0.0)
+    r = list(terms[:8])
+    k = 8
+    while k + 8 <= n:
+        r = [x + y for x, y in zip(r, terms[k : k + 8])]
+        k += 8
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return 0.0 + functools.reduce(np.add, terms[k:], res)
 
 
 class _Kernel:
-    """Conditional values G(path, theta) for paired (path, a, d) points.
+    """Conditional values G(path, theta) over the paths of one price array.
 
     Built once per price array (one row per path, as from ``path_arrays``)
-    and death-parameter pair (b, c): payouts, risk-neutral weights and
-    price prefix sums are stored with one row per path, and the death leg
-    is computed here, once.  The prefix sums make the surrender hazard an
-    O(1) quadratic in a per date, so a value costs O(T) exponentials.
+    and death-parameter pair (b, c): the death leg is computed here, once.
+    The price prefix sums make the surrender hazard an O(1) quadratic in a
+    per date, so a value costs O(T) exponentials.
+
+    Two routes give the same values bit for bit: ``values`` at paired
+    (path, a, d) points, and ``every_path``, every path at each (a, d)
+    point, which walks the lattice's prefix tree and needs the price array
+    to hold all 2**T paths in path-index order.  Each route builds its
+    arrays on first use and keeps only those.
     """
 
-    __slots__ = (
-        "T", "spec", "surr_on", "f1", "q", "v_surv", "v_pay", "cum1", "cum2", "tt"
-    )
+    __slots__ = ("T", "spec", "surr_on", "f1", "q", "tt", "source", "rows", "tree")
 
     def __init__(
         self,
@@ -162,56 +212,133 @@ class _Kernel:
         self.q = q
         # death survival P(death > t), t = 0..T
         loads = b * np.exp(c * np.arange(T, dtype=float))
-        f1 = self.f1 = np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
-        self.v_surv, v_pay = payoff_table(benefit, market, prices)
-        # surrender payouts at interior dates 1..T-1; under independence
-        # they enter only through their product with death survival
-        self.v_pay = v_pay[:, 1:T]
-        if spec.is_independence:
-            self.v_pay = self.v_pay * f1[1:T]
+        self.f1 = np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
+        self.tt = np.arange(T + 1, dtype=float)
+        self.source = (prices, benefit, market)
+        self.rows = self.tree = None
+
+    def _row_arrays(self) -> tuple[np.ndarray, ...]:
+        """Payouts and price prefix sums with one row per path.
+
+        Returns (v_surv, v_pay, cum1, cum2): the survival payout, the
+        surrender payouts at interior dates 1..T-1 (under independence
+        times death survival, the only way they enter), and the prefix
+        sums of prices and squared prices over dates 0..T.
+        """
+        prices, benefit, market = self.source
+        T, f1 = self.T, self.f1
+        v_surv, v_pay = payoff_table(benefit, market, prices)
+        v_pay = v_pay[:, 1:T]
+        if self.spec.is_independence:
+            v_pay = v_pay * f1[1:T]
         prices = prices[:, :-1]
         zero = np.zeros((prices.shape[0], 1))
-        self.cum1 = np.concatenate((zero, np.cumsum(prices, axis=1)), axis=1)
-        self.cum2 = np.concatenate((zero, np.cumsum(prices**2, axis=1)), axis=1)
-        self.tt = np.arange(T + 1, dtype=float)
+        cum1 = np.concatenate((zero, np.cumsum(prices, axis=1)), axis=1)
+        cum2 = np.concatenate((zero, np.cumsum(prices**2, axis=1)), axis=1)
+        return v_surv, v_pay, cum1, cum2
 
-    def values(
-        self, rows: np.ndarray | slice, a: np.ndarray, d: np.ndarray
-    ) -> np.ndarray:
-        """G at paired points: entry i is G on path rows[i] at (a[i], d[i]).
+    def _tree_arrays(self) -> tuple:
+        """The arrays of ``every_path``, one node per row of the column vectors.
 
-        rows (path indices, or a slice of the paths), a and d broadcast
-        together: paired 1-D arrays give one value per point, and every
-        path against a and d of shape (points, 1) gives every path at
-        every point.  Every operation is elementwise per pair, so a value
-        does not depend on the other pairs of the call.
+        The prefix tree is laid out as in ``_by_date``.  Bit k of a path
+        row is step k+1, so column t of cum1 and cum2 depends only on the
+        row mod 2**(t-1), and node 2**(t-1) + p takes row p's value.
         """
         T, f1 = self.T, self.f1
-        v_surv = self.v_surv[rows]
+        v_surv, v_pay, cum1, cum2 = self.rows or self._row_arrays()
+        if v_surv.shape[0] != 1 << T:
+            raise ValueError("every_path needs the price array of all 2**T paths")
+        counts = [1] + [1 << (t - 1) for t in range(1, T + 1)]
+        node_cum1, node_cum2 = (
+            np.concatenate([cum[:n, t] for t, n in enumerate(counts)])[:, None]
+            for cum in (cum1, cum2)
+        )
+        # column t of the price array, and so the payout of date t, depends
+        # only on the row mod 2**t: levels t = 1..T-1, then T for v_surv
+        pays = [v_pay[: 1 << t, t - 1] for t in range(1, T)] + [v_surv]
+        return (
+            np.repeat(self.tt, counts)[:, None],
+            node_cum1,
+            node_cum2,
+            np.repeat(f1, counts)[:, None],
+            # f1 of the next date on the nodes of dates 0..T-2
+            np.repeat(f1[1:T], counts[: T - 1])[:, None],
+            [
+                np.ascontiguousarray(pay).reshape((2,) * t + (1,))
+                for t, pay in enumerate(pays, start=1)
+            ],
+        )
+
+    def values(self, rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """G at paired points: entry i is G on path rows[i] at (a[i], d[i]).
+
+        rows, a and d are paired 1-D arrays.  Every operation is
+        elementwise per pair, so a value does not depend on the other
+        pairs of the call.
+        """
+        T, f1 = self.T, self.f1
+        if self.rows is None:
+            self.rows = self._row_arrays()
+        v_surv, v_pay, cum1, cum2 = self.rows
+        v_surv = v_surv[rows]
         if not self.surr_on:
-            shape = np.broadcast_shapes(v_surv.shape, a.shape, d.shape)
-            return np.broadcast_to(v_surv * f1[T], shape)
-        a = a[..., None]
+            return v_surv * f1[T]
+        a = a[:, None]
         # float_power squares through libm pow, as Python floats do; the
         # classical band's Nelder-Mead path depends on that last bit
-        load = (
-            self.tt * np.float_power(a, 2.0) - 2.0 * a * self.cum1[rows] + self.cum2[rows]
-        )
-        f2 = np.exp(load / -d[..., None])
+        load = self.tt * np.float_power(a, 2.0) - 2.0 * a * cum1[rows] + cum2[rows]
+        f2 = np.exp(load / -d[:, None])
         if self.spec.is_independence:
-            survival = f1[T] * f2[..., T]
-            slices = f2[..., 0 : T - 1] - f2[..., 1:T]
+            survival = f1[T] * f2[:, T]
+            slices = f2[:, 0 : T - 1] - f2[:, 1:T]
         else:
             # joint survival P(death > t, surrender > t) for t = 1..T
-            joint = _survival_array(self.spec, f1[1:], f2[..., 1:])
-            upper = _survival_array(self.spec, f1[1:T], f2[..., 0 : T - 1])
-            survival = joint[..., T - 1]
-            slices = upper - joint[..., : T - 1]
+            joint = _survival_array(self.spec, f1[1:], f2[:, 1:])
+            upper = _survival_array(self.spec, f1[1:T], f2[:, 0 : T - 1])
+            survival = joint[:, T - 1]
+            slices = upper - joint[:, : T - 1]
         if float(slices.min(initial=0.0)) < -SLICE_TOL:
             raise NumericalError("negative surrender slice mass beyond tolerance")
         if not self.spec.is_independence:
             slices = np.clip(slices, 0.0, None)
-        return v_surv * survival + (slices * self.v_pay[rows]).sum(axis=-1)
+        return v_surv * survival + (slices * v_pay[rows]).sum(axis=-1)
+
+    def every_path(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """G on every path at each point: entry [i, r] is G on row r at (a[i], d[i]).
+
+        The same arithmetic as ``values``, bit for bit, on the prefix
+        tree: the surrender survival and the copula terms of a date are
+        computed once per node, 2**T nodes in all instead of 2**T*(T+1)
+        row entries, and broadcasting repeats each date's terms across
+        the finer levels (``_by_date``).  The date sum keeps numpy's
+        order (``_row_sum``).
+        """
+        T, f1 = self.T, self.f1
+        if self.tree is None:
+            self.tree = self._tree_arrays()
+        node_t, node_cum1, node_cum2, node_f1, next_f1, levels = self.tree
+        *pays, v_surv = levels
+        if not self.surr_on:
+            return np.broadcast_to(v_surv.reshape(-1) * f1[T], (a.shape[0], 1 << T))
+        # nodes along the first axis, points along the last
+        load = node_t * np.float_power(a, 2.0) - 2.0 * a * node_cum1 + node_cum2
+        f2 = np.exp(load / -d)
+        if self.spec.is_independence:
+            level = _by_date(f2)
+            survival = f1[T] * level[T]
+            slices = [level[t - 1] - level[t] for t in range(1, T)]
+        else:
+            # date 0 is evaluated along with the rest, to keep the layout
+            joint = _by_date(_survival_array(self.spec, node_f1, f2))
+            upper = _by_date(_survival_array(self.spec, next_f1, f2[: next_f1.shape[0]]))
+            survival = joint[T]
+            slices = [upper[t - 1] - joint[t] for t in range(1, T)]
+        if min((float(s.min()) for s in slices), default=0.0) < -SLICE_TOL:
+            raise NumericalError("negative surrender slice mass beyond tolerance")
+        if not self.spec.is_independence:
+            slices = [np.clip(s, 0.0, None) for s in slices]
+        paid = _row_sum([s * pay for s, pay in zip(slices, pays)])
+        return (v_surv * survival + paid).reshape(-1, a.shape[0]).T
 
 
 _Objective = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -220,24 +347,41 @@ _Objective = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 def _objective(kernel: _Kernel, price: bool) -> _Objective:
     """Vectorised objective f(rows, a, d) on a kernel.
 
-    price=False gives G on path rows[i] at (a[i], d[i]).  price=True gives
-    the single-model price at (a[i], d[i]), an exact q-weighted sum over
-    all the kernel's paths in path order; the price is one problem, so
-    rows is not read.  The kernel sees blocks of at most _BLOCK_PAIRS
-    (point, path) pairs, so memory stays flat.
+    price=False gives G on path rows[i] at (a[i], d[i]), through the
+    paired route in blocks of at most _BLOCK_PAIRS points.  price=True
+    gives the single-model price at (a[i], d[i]), an exact q-weighted sum
+    over all the kernel's paths in path order; the price is one problem,
+    so rows is not read.  Its values come from the prefix-tree route in
+    blocks of at most _TREE_PAIRS (point, path) pairs.  Memory stays flat.
     """
     q = kernel.q
-    step = max(1, _BLOCK_PAIRS // q.shape[0]) if price else _BLOCK_PAIRS
+    step = max(1, _TREE_PAIRS // q.shape[0]) if price else _BLOCK_PAIRS
 
     def f(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         out = np.empty(a.shape[0])
         for i in range(0, a.shape[0], step):
             s = slice(i, i + step)
             if price:
-                g = kernel.values(slice(None), a[s, None], d[s, None])
-                out[s] = [math.fsum((q * row).tolist()) for row in g]
+                g = kernel.every_path(a[s], d[s])
+                out[s] = list(map(math.fsum, (q * g).tolist()))
             else:
                 out[s] = kernel.values(rows[s], a[s], d[s])
+        return out
+
+    return f
+
+
+def _by_group(objectives: Sequence[_Objective], which: np.ndarray) -> _Objective:
+    """Objective whose group g is problem 0 of objectives[which[g]]."""
+    if len(objectives) == 1:
+        return objectives[0]
+
+    def f(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        kind = which[rows]
+        out = np.empty(a.shape[0])
+        for k in np.unique(kind).tolist():
+            sel = np.flatnonzero(kind == k)
+            out[sel] = objectives[k](np.zeros_like(sel), a[sel], d[sel])
         return out
 
     return f
@@ -378,15 +522,24 @@ def _latin_starts(k: int, ndim: int) -> list[tuple[float, ...]]:
 
 
 def _first_best(
-    f: _Objective, groups: int, a: np.ndarray, d: np.ndarray, sign: float
+    f: _Objective,
+    groups: int,
+    n: int,
+    points: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    sign: float,
 ) -> np.ndarray:
-    """Per group, the index of the first best of the paired (a, d) points."""
-    n = a.shape[0]
-    chunk = max(1, _BLOCK_PAIRS // n)
+    """Per group, the index of the first best of its n candidate points.
+
+    points(rows) gives the candidates of groups rows as (a, d) arrays of
+    shape (rows, n); the groups are evaluated in chunks of about
+    _TREE_PAIRS points.
+    """
+    chunk = max(1, _TREE_PAIRS // n)
     best = np.empty(groups, dtype=np.intp)
     for g in range(0, groups, chunk):
         rows = np.arange(g, min(g + chunk, groups))
-        vals = f(np.repeat(rows, n), np.tile(a, rows.size), np.tile(d, rows.size))
+        a, d = points(rows)
+        vals = f(np.repeat(rows, n), a.ravel(), d.ravel())
         best[rows] = np.argmin(sign * vals.reshape(rows.size, n), axis=1)
     return best
 
@@ -394,36 +547,48 @@ def _first_best(
 def _optimize_ad(
     f: _Objective,
     groups: int,
-    a_iv: tuple[float, float],
-    d_iv: tuple[float, float],
+    a_iv: tuple[float, float] | Sequence[tuple[float, float]],
+    d_iv: tuple[float, float] | Sequence[tuple[float, float]],
     cfg: OptimizerConfig,
     maximize: bool,
     extra_points: Sequence[tuple[float, float]] = (),
 ) -> list[tuple[float, float, float]]:
-    """Optimize a smooth objective over the (a, d) rectangle, per group.
+    """Optimize a smooth objective over an (a, d) rectangle, per group.
 
     `f(rows, a, d)` gives the objective of problem group rows[i] at
-    (a[i], d[i]); a group is one path of the robust search, or the
-    single-model price.  Each group's candidates are the rectangle
-    corners and midpoint, the caller's extras, the best point of the
-    dense grid (grid, hybrid) and the Nelder-Mead results (nelder_mead,
-    hybrid) from the Latin starts and the group's best point of a coarse
-    screen.  The searches of every group run in one lockstep `minimize`.
-    Returns, per group, the first best candidate as Python floats
-    (value, a, d).
+    (a[i], d[i]); a group is one path of the robust search, or one
+    single-model price.  a_iv and d_iv are a (lo, hi) interval shared by
+    every group or one per group, shape (groups, 2); the free axes (those
+    with hi > lo) must be the same in every group.  Each group's
+    candidates are its rectangle's corners and midpoint, the caller's
+    extras, the best point of the dense grid (grid, hybrid) and the
+    Nelder-Mead results (nelder_mead, hybrid) from the Latin starts and
+    the group's best point of a coarse screen.  The searches of every
+    group run in one lockstep `minimize`.  Returns, per group, the first
+    best candidate as Python floats (value, a, d).
     """
     sign = -1.0 if maximize else 1.0
-    a_lo, a_hi = a_iv
-    d_lo, d_hi = d_iv
-    lo = np.array([a_lo, d_lo])
-    width = np.array([a_hi - a_lo, d_hi - d_lo])
-    free = [i for i, (low, high) in enumerate((a_iv, d_iv)) if high > low]
+    # per group, axis (a, d) and end (lo, hi)
+    ends = np.stack(
+        [np.broadcast_to(np.asarray(iv, dtype=float), (groups, 2)) for iv in (a_iv, d_iv)],
+        axis=1,
+    )
+    lo, hi = ends[..., 0], ends[..., 1]
+    width = hi - lo
+    spans = hi > lo
+    if not (spans == spans[0]).all():
+        raise ValueError("every group must have the same free axes")
+    free = np.flatnonzero(spans[0]).tolist()
 
-    def to_point(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = np.tile(lo, (z.shape[0], 1))
-        pts[:, free] = lo[free] + np.clip(z, 0.0, 1.0) * width[free]
-        return pts[:, 0], pts[:, 1]
+    def to_point(z: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # unit-cube coordinates z of groups g to (a, d)
+        z = np.clip(z, 0.0, 1.0)
+        pts = [lo[g, 0], lo[g, 1]]
+        for k, i in enumerate(free):
+            pts[i] = pts[i] + z[:, k] * width[g, i]
+        return pts[0], pts[1]
 
+    (a_lo, d_lo), (a_hi, d_hi) = lo.T, hi.T
     fixed = [
         (a_lo, d_lo),
         (a_lo, d_hi),
@@ -432,17 +597,29 @@ def _optimize_ad(
         (0.5 * (a_lo + a_hi), 0.5 * (d_lo + d_hi)),
     ]
     for a, d in extra_points:
-        fixed.append((min(max(a, a_lo), a_hi), min(max(d, d_lo), d_hi)))
-    candidates = [np.broadcast_to(np.array(fixed, dtype=float), (groups, len(fixed), 2))]
+        fixed.append((
+            np.minimum(np.maximum(a, a_lo), a_hi), np.minimum(np.maximum(d, d_lo), d_hi)
+        ))
+    candidates = [np.stack([np.stack(pair, axis=1) for pair in fixed], axis=1)]
 
     if free and cfg.method in ("grid", "hybrid"):
         n = cfg.grid_points_per_dim
-        a_grid = np.linspace(a_lo, a_hi, n) if a_hi > a_lo else np.array([a_lo])
-        d_grid = np.linspace(d_lo, d_hi, n) if d_hi > d_lo else np.array([d_lo])
-        aa, dd = np.meshgrid(a_grid, d_grid, indexing="ij")
-        aa, dd = aa.ravel(), dd.ravel()
-        best = _first_best(f, groups, aa, dd, sign)
-        candidates.append(np.stack((aa[best], dd[best]), axis=1)[:, None, :])
+        # each group's grid axes, shape (groups, n), or (groups, 1) if fixed
+        a_grid, d_grid = (
+            np.linspace(lo[:, i], hi[:, i], n, axis=1) if i in free else lo[:, i : i + 1]
+            for i in (0, 1)
+        )
+        n_d = d_grid.shape[1]
+
+        def grid(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # a meshgrid with indexing="ij", flattened, per group
+            aa = np.repeat(a_grid[rows], n_d, axis=1)
+            return aa, np.tile(d_grid[rows], a_grid.shape[1])
+
+        i, j = np.divmod(_first_best(f, groups, a_grid.shape[1] * n_d, grid, sign), n_d)
+        every = np.arange(groups)
+        grid_best = np.stack((a_grid[every, i], d_grid[every, j]), axis=1)
+        candidates.append(grid_best[:, None, :])
 
     failed = np.zeros(groups, dtype=bool)
     if free and cfg.method in ("nelder_mead", "hybrid"):
@@ -453,21 +630,33 @@ def _optimize_ad(
         axes = [np.linspace(0.0, 1.0, n_screen)] * len(free)
         mesh = np.meshgrid(*axes, indexing="ij") if len(free) == 2 else axes
         zz = np.stack([m.ravel() for m in mesh], axis=1)
-        screened = zz[_first_best(f, groups, *to_point(zz), sign)]
+
+        def screen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            a, d = to_point(np.tile(zz, (rows.size, 1)), np.repeat(rows, zz.shape[0]))
+            return a.reshape(rows.size, -1), d.reshape(rows.size, -1)
+
+        screened = zz[_first_best(f, groups, zz.shape[0], screen, sign)]
         x0 = np.concatenate(
             (np.broadcast_to(starts, (groups, *starts.shape)), screened[:, None, :]),
             axis=1,
         )
         per_group = x0.shape[1]
+
+        def fun(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+            g = rows // per_group
+            return sign * f(g, *to_point(z, g))
+
         res = minimize(
-            lambda rows, z: sign * f(rows // per_group, *to_point(z)),
+            fun,
             x0.reshape(-1, len(free)),
             # scipy counts the initial simplex as iteration 1
             cfg.max_iters + 1,
             _XATOL,
             cfg.tolerance,
         )
-        candidates.append(np.stack(to_point(res.x), axis=1).reshape(groups, per_group, 2))
+        g = np.repeat(np.arange(groups), per_group)
+        polished = np.stack(to_point(res.x, g), axis=1)
+        candidates.append(polished.reshape(groups, per_group, 2))
         failed = ~res.converged.reshape(groups, per_group).any(axis=1)
 
     cand = np.concatenate(candidates, axis=1)
@@ -597,20 +786,49 @@ def classical_price(
 
 
 def _optimize_classical(
-    box: ParamBox,
+    boxes: Sequence[ParamBox],
+    benefits: Sequence[BenefitSpec],
     spec: CopulaSpec,
-    benefit: BenefitSpec,
     market: MarketParams,
     cfg: OptimizerConfig,
     maximize: bool,
-) -> tuple[float, Theta]:
+) -> list[tuple[float, Theta]]:
+    """Extreme single-model price of each (box, benefit) pair, one lockstep search.
+
+    Pairs that pin the same (b, c) and share a benefit share a kernel.
+    """
+    prices, q = path_arrays(market)
     # monotone certificate: worst case pins (b, c) low, best case high
-    b, c = (box.b[0], box.c[0]) if maximize else (box.b[1], box.c[1])
-    kernel = _Kernel(*path_arrays(market), b, c, spec, benefit, market)
-    [(value, a_star, d_star)] = _optimize_ad(
-        _objective(kernel, price=True), 1, box.a, box.d, cfg, maximize=maximize
+    pins = [(box.b[0], box.c[0]) if maximize else (box.b[1], box.c[1]) for box in boxes]
+    kinds: dict[tuple[float, float, BenefitSpec], int] = {}
+    which = np.array([
+        kinds.setdefault((b, c, benefit), len(kinds))
+        for (b, c), benefit in zip(pins, benefits)
+    ])
+    objectives = [
+        _objective(_Kernel(prices, q, b, c, spec, benefit, market), price=True)
+        for b, c, benefit in kinds
+    ]
+    optima = _optimize_ad(
+        _by_group(objectives, which),
+        len(boxes),
+        [box.a for box in boxes],
+        [box.d for box in boxes],
+        cfg,
+        maximize=maximize,
     )
-    return value, Theta(a_star, b, c, d_star)
+    return [(value, Theta(a, b, c, d)) for (value, a, d), (b, c) in zip(optima, pins)]
+
+
+def sup_classical_batch(
+    boxes: Sequence[ParamBox],
+    benefits: Sequence[BenefitSpec],
+    spec: CopulaSpec,
+    market: MarketParams,
+    cfg: OptimizerConfig,
+) -> list[tuple[float, Theta]]:
+    """``sup_classical`` of each (box, benefit) pair, bit for bit, in one search."""
+    return _optimize_classical(boxes, benefits, spec, market, cfg, maximize=True)
 
 
 def sup_classical(
@@ -621,7 +839,8 @@ def sup_classical(
     cfg: OptimizerConfig,
 ) -> tuple[float, Theta]:
     """Largest single-model price over the box, with its attaining point."""
-    return _optimize_classical(box, spec, benefit, market, cfg, maximize=True)
+    [optimum] = _optimize_classical([box], [benefit], spec, market, cfg, maximize=True)
+    return optimum
 
 
 def inf_classical(
@@ -632,7 +851,8 @@ def inf_classical(
     cfg: OptimizerConfig,
 ) -> tuple[float, Theta]:
     """Smallest single-model price over the box, with its attaining point."""
-    return _optimize_classical(box, spec, benefit, market, cfg, maximize=False)
+    [optimum] = _optimize_classical([box], [benefit], spec, market, cfg, maximize=False)
+    return optimum
 
 
 def evaluate(

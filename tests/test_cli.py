@@ -7,11 +7,13 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rifa
-from rifa.cli import SWEEP_AXES, canonical_json, main, parse_config
+from rifa.cli import SWEEP_AXES, _swept_configs, canonical_json, main, parse_config
 from rifa.errors import ConfigurationError
+from rifa.robust_eval import sup_classical, sup_classical_batch
 
 from conftest import PAPER_CFG
 
@@ -395,6 +397,100 @@ def test_sweep_rejects_bad_ranges(write_config, base_config_doc, capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--config", path, "--axis", "zz", "--lo", "0", "--hi", "1",
               "--steps", "2"])
+
+
+SWEEP_RANGES = {"a": (50.0, 350.0), "d": (1e4, 1e5), "b": (0.02, 0.03), "l": (0.0, 0.9)}
+
+
+def _hexes(optima):
+    return [(p.hex(), t.a.hex(), t.d.hex()) for p, t in optima]
+
+
+def _paper_config(family, param, method):
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    doc["copula"] = {"family": family, "param": param}
+    doc["optimizer"].update(method=method, grid_points=16)
+    return doc
+
+
+@pytest.mark.parametrize("method", ["grid", "hybrid"])
+@pytest.mark.parametrize(
+    "family, param", [("independence", None), ("clayton", 2.0)], ids=["indep", "clayton"]
+)
+@pytest.mark.parametrize("axis", list(SWEEP_RANGES))
+def test_batched_sweep_equals_per_step_sup_classical(
+    axis, family, param, method, write_config
+):
+    """One lockstep search over all steps gives each step's sup bit for bit."""
+    config = parse_config(write_config(_paper_config(family, param, method)))
+    steps = [_swept_configs(config, axis, v) for v in np.linspace(*SWEEP_RANGES[axis], 4)]
+    boxes, benefits = zip(*steps)
+    args = (config.copula, config.market, config.optimizer)
+    batched = sup_classical_batch(boxes, benefits, *args)
+    single = [
+        sup_classical(box, config.copula, benefit, *args[1:]) for box, benefit in steps
+    ]
+    assert _hexes(batched) == _hexes(single)
+
+
+def test_batched_sweep_without_free_axis(write_config):
+    """The single-peak sweep of criterion 10 pins b, c and d: no search runs."""
+    doc = _paper_config("independence", None, "nelder_mead")
+    box = doc["theta_box"]
+    for name, end in (("b", 0), ("c", 0), ("d", 1)):
+        box[name] = [box[name][end]] * 2
+    config = parse_config(write_config(doc))
+    steps = [_swept_configs(config, "a", v) for v in np.linspace(50.0, 350.0, 7)]
+    boxes, benefits = zip(*steps)
+    args = (config.copula, config.market, config.optimizer)
+    batched = sup_classical_batch(boxes, benefits, *args)
+    single = [
+        sup_classical(box, config.copula, benefit, *args[1:]) for box, benefit in steps
+    ]
+    assert _hexes(batched) == _hexes(single)
+
+
+SWEEP_PAPER_A = (
+    "axis_value,price\n"
+    "50,84.3182752229\n"
+    "60,82.0440013874\n"
+    "70,80.9069766636\n"
+    "80,81.6648149724\n"
+    "90,82.441574704\n"
+    "100,83.1879481312\n"
+    "110,83.8585585075\n"
+    "120,84.4160501979\n"
+    "130,84.8343628147\n"
+    "140,85.1008036372\n"
+    "150,85.2166882079\n"
+    "160,85.9318367124\n"
+    "170,87.0561945654\n"
+    "180,87.9220992632\n"
+    "190,88.604727062\n"
+    "200,89.1361619352\n"
+    "210,89.5341011652\n"
+    "220,89.8209698407\n"
+    "230,90.0239722659\n"
+    "240,90.1679636181\n"
+    "250,90.271339579\n"
+    "260,90.3462811802\n"
+    "270,90.400716085\n"
+    "280,90.4400430152\n"
+    "290,90.4681578388\n"
+    "300,90.4879816866\n"
+    "310,90.501738077\n"
+    "320,90.5111184589\n"
+    "330,90.5173968859\n"
+    "340,90.5215182441\n"
+    "350,90.524170005\n"
+)
+
+
+def test_sweep_output_is_pinned(capsys):
+    """The benchmark sweep on paper.cfg prints the same CSV as before batching."""
+    argv = ["sweep", "--config", str(PAPER_CFG), "--axis", "a", "--lo", "50",
+            "--hi", "350", "--steps", "31"]
+    assert run_cli(argv, capsys) == (0, SWEEP_PAPER_A, "")
 
 
 def test_sweep_axes_cover_box_and_benefit():

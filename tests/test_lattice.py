@@ -88,6 +88,20 @@ def test_path_arrays_match_reference_loop(T, s0, u, v, r):
     assert [p.q_weight for p in paths] == q.tolist()
 
 
+@pytest.mark.parametrize("T", [1, 4, 8, 12])
+def test_price_columns_repeat_over_prefixes(T):
+    """Column t depends only on the row mod 2**t: the prefix tree's premise."""
+    prices, _ = path_arrays(MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T))
+    for t in range(T + 1):
+        column = prices[:, t]
+        assert np.array_equal(column, np.tile(column[: 1 << t], 1 << (T - t)))
+
+
+def test_lattice_cap_fits_int8_exit_times():
+    # simulate_portfolio stores exit times 0..T+1 as int8
+    assert MAX_LATTICE_STEPS + 1 <= np.iinfo(np.int8).max
+
+
 def _ups(market, path):
     # v < r < u: an up step outgrows the riskless rate, a down step does not
     steps = zip(path.prices, path.prices[1:])

@@ -15,13 +15,14 @@ from rifa.hazards import ParamBox, Theta
 from rifa.lattice import MarketParams, binomial_call, enumerate_paths, path_arrays
 from rifa import robust_eval
 from rifa.robust_eval import (
-    _BLOCK_PAIRS,
+    _TREE_PAIRS,
     EvaluationReport,
     OptimizerConfig,
     PathOptimum,
     _Kernel,
     _at,
     _objective,
+    _row_sum,
     classical_price,
     conditional_value,
     evaluate,
@@ -316,7 +317,7 @@ def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
     kernel = _Kernel(prices, q, 0.02, 0.01, spec, benefit_paper, market_small)
     rng = np.random.default_rng(7)
     # enough points to span several blocks of the price objective
-    n = 2 * _BLOCK_PAIRS // len(q) + 3
+    n = 2 * _TREE_PAIRS // len(q) + 3
     a = np.concatenate(([t.a for t in THETAS], rng.uniform(50.0, 340.0, n)))
     d = np.concatenate(([t.d for t in THETAS], rng.uniform(1e4, 1e5, n)))
     rows = rng.integers(len(q), size=a.shape[0])
@@ -324,16 +325,57 @@ def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
     for i in range(a.shape[0]):
         single = kernel.values(rows[i : i + 1], a[i : i + 1], d[i : i + 1])
         assert np.array_equal(block[i], single[0])
-    # every path at every point, broadcast and paired: more pairs than
-    # one kernel block
+    # every path at every point, on the prefix tree and paired: more pairs
+    # than one block of either route
     every = np.tile(np.arange(len(q)), a.shape[0])
     aa, dd = np.repeat(a, len(q)), np.repeat(d, len(q))
-    assert every.shape[0] > _BLOCK_PAIRS
+    assert every.shape[0] > _TREE_PAIRS
     paired = kernel.values(every, aa, dd).tolist()
-    assert kernel.values(slice(None), a[:, None], d[:, None]).ravel().tolist() == paired
+    assert kernel.every_path(a, d).ravel().tolist() == paired
     assert _objective(kernel, price=False)(every, aa, dd).tolist() == paired
     price = _objective(kernel, price=True)
     assert price(rows, a, d).tolist() == [_at(price, x, y) for x, y in zip(a, d)]
+
+
+def _hexes(values):
+    return [float.hex(x) for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+@pytest.mark.parametrize("surrender", [True, False], ids=["surrender", "no_surrender"])
+@pytest.mark.parametrize("T", [1, 2, 8, 9, 10, 12])
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_tree_route_equals_paired_route(spec, T, surrender):
+    """every_path walks the prefix tree yet gives values() bit for bit.
+
+    T = 9, 10 and 12 put 8 or more terms in the date sum, where numpy's
+    pairwise order differs from a sequential sum.
+    """
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
+    benefit = BenefitSpec(K=100.0, r_G=0.01, l=0.1, surrender=surrender)
+    prices, q = path_arrays(market)
+    kernel = _Kernel(prices, q, 0.02, 0.01, spec, benefit, market)
+    rng = np.random.default_rng(T)
+    a = np.concatenate(([50.0, 50.0, 340.0, 340.0], rng.uniform(50.0, 340.0, 4)))
+    d = np.concatenate(([1e4, 1e5, 1e4, 1e5], rng.uniform(1e4, 1e5, 4)))
+    paths = len(q)
+    paired = kernel.values(
+        np.tile(np.arange(paths), a.shape[0]), np.repeat(a, paths), np.repeat(d, paths)
+    )
+    tree = kernel.every_path(a, d)
+    assert tree.shape == (a.shape[0], paths)
+    assert _hexes(tree) == _hexes(paired)
+
+
+def test_row_sum_follows_numpy_order():
+    """_row_sum adds a row in the order of numpy's sum(axis=-1), bit for bit."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 24):
+        # mixed magnitudes make the summation order visible in the last bits
+        x = rng.standard_normal((64, n)) * 10.0 ** rng.integers(-8, 9, (64, n))
+        x[0] = -0.0
+        expect = x.sum(axis=-1)
+        assert _hexes(_row_sum([x[:, i] for i in range(n)])) == _hexes(expect)
+    assert float.hex(float(_row_sum([-0.0]))) == float.hex(np.sum([-0.0]))
 
 
 @pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
