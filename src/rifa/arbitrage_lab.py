@@ -237,7 +237,7 @@ def _check_schedule(n_schedule: Sequence[int]) -> tuple[int, ...]:
         raise ContractError("client count schedule must be nonempty")
     prev = 0
     for n in sched:
-        if not (isinstance(n, (int, np.integer)) and n > prev):
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n > prev):
             raise ContractError(
                 f"schedule must be strictly increasing positive integers, got {sched}"
             )
@@ -361,9 +361,9 @@ def simulate_portfolio(
     any execution order.
     """
     sched = _check_schedule(n_schedule)
-    if not (isinstance(trials, int) and trials >= 1):
+    if isinstance(trials, bool) or not (isinstance(trials, int) and trials >= 1):
         raise ContractError(f"trials must be a positive integer, got {trials}")
-    if not (isinstance(seed, int) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, int) and seed >= 0):
         raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
     prices, q = path_arrays(market)
     survival, surrender = payoff_table(benefit, market, prices)
@@ -444,6 +444,9 @@ def verify_arbitrage(
         raise ContractError("pair must come from construct_arbitrage")
     if not thetas:
         raise ContractError("need at least one model to sample")
+    if isinstance(seed, bool):
+        # seed + 7919 * j below would turn a bool into an int
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
     prices, q = path_arrays(market)
     holdings = list(pair.holdings)
     means: list[float] = []

@@ -275,6 +275,10 @@ def test_insurance_strategy_validation():
         InsuranceStrategy(n_schedule=(100, 100))
     with pytest.raises(ContractError):
         InsuranceStrategy(n_schedule=())
+    with pytest.raises(ContractError):
+        InsuranceStrategy(n_schedule=(True, 10))
+    with pytest.raises(ContractError):
+        InsuranceStrategy(n_schedule=(np.bool_(True), 10))
 
 
 def test_simulate_portfolio_deterministic(
@@ -319,6 +323,28 @@ def test_simulate_portfolio_validation(
         simulate_portfolio(
             theta, independence_mod, benefit_paper_mod, market_small_mod,
             [100], trials=1, seed=-1,
+        )
+
+
+@pytest.mark.parametrize(
+    "schedule, trials, seed, error",
+    [
+        ([True, 10], 1, 1, ContractError),
+        ([1, 10], True, 1, ContractError),
+        ([1, 10], 1, False, ConfigurationError),
+        ([1, 10], 1, True, ConfigurationError),
+    ],
+    ids=["schedule", "trials", "seed_false", "seed_true"],
+)
+def test_simulate_portfolio_rejects_booleans(
+    market_small_mod, benefit_paper_mod, independence_mod, schedule, trials, seed, error
+):
+    """bool is an int subclass, but no count or seed of the API takes one."""
+    theta = Theta(150.0, 0.025, 0.03, 2e4)
+    with pytest.raises(error):
+        simulate_portfolio(
+            theta, independence_mod, benefit_paper_mod, market_small_mod,
+            schedule, trials=trials, seed=seed,
         )
 
 
@@ -637,6 +663,12 @@ def test_verify_arbitrage_validation(
             "not a pair", 90.0, [Theta(100.0, 0.02, 0.01, 1e4)], independence_mod,
             benefit_paper_mod, market_small_mod, trials=1, seed=1,
         )
+    for trials, seed, error in ((True, 1, ContractError), (1, True, ConfigurationError)):
+        with pytest.raises(error):
+            verify_arbitrage(
+                pair, 90.0, [Theta(100.0, 0.02, 0.01, 1e4)], independence_mod,
+                benefit_paper_mod, market_small_mod, trials=trials, seed=seed,
+            )
 
 
 def test_verify_arbitrage_holds_one_model_of_samples(

@@ -2,9 +2,14 @@
 
 import dataclasses
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import optimize
 
 from rifa.arbitrage_lab import nrifa_check
@@ -21,16 +26,19 @@ from rifa.robust_eval import (
     PathOptimum,
     _Kernel,
     _at,
+    _fsum_rows,
     _objective,
     _row_sum,
     classical_price,
     conditional_value,
+    conditional_values,
     evaluate,
     inf_classical,
     minimize,
     pathwise_esssup,
     robust_price,
     sup_classical,
+    sup_classical_batch,
 )
 
 
@@ -226,6 +234,35 @@ def test_classical_price_is_path_expectation(market_small, benefit_paper):
             assert direct == brute
 
 
+@pytest.mark.parametrize("T", [8, 12])
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_classical_price_is_path_expectation_on_larger_lattices(spec, T, benefit_paper):
+    """The same exact sum over 256 and 4,096 paths (a block of 2 points at T=12)."""
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
+    prices, q = path_arrays(market)
+    for theta in THETAS:
+        g = conditional_values(prices, q, theta, spec, benefit_paper, market)
+        brute = math.fsum((q * g).tolist())
+        assert classical_price(theta, spec, benefit_paper, market).hex() == brute.hex()
+
+
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_sweep_optima_are_exact_path_expectations(spec, market_paper, benefit_paper):
+    """Each step of a 31-step a-sweep, priced in blocks of many points, is an fsum."""
+    boxes = [
+        ParamBox(a=(a, a), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+        for a in np.linspace(50.0, 350.0, 31).tolist()
+    ]
+    cfg = OptimizerConfig()
+    optima = sup_classical_batch(
+        boxes, [benefit_paper] * len(boxes), spec, market_paper, cfg
+    )
+    prices, q = path_arrays(market_paper)
+    for price, theta in optima:
+        g = conditional_values(prices, q, theta, spec, benefit_paper, market_paper)
+        assert price.hex() == math.fsum((q * g).tolist()).hex()
+
+
 def test_singleton_box_collapses_everything(market_small, benefit_paper, independence):
     theta = Theta(120.0, 0.025, 0.02, 5e4)
     box = ParamBox(
@@ -376,6 +413,111 @@ def test_row_sum_follows_numpy_order():
         expect = x.sum(axis=-1)
         assert _hexes(_row_sum([x[:, i] for i in range(n)])) == _hexes(expect)
     assert float.hex(float(_row_sum([-0.0]))) == float.hex(np.sum([-0.0]))
+
+
+def _outcome(f):
+    """The hex bits of f(), or the class of the error it raises."""
+    try:
+        return float(f()).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_fsum_rows(x):
+    """_fsum_rows gives fsum's bits or raises its error, on both routes, unwarned."""
+    x = np.asarray(x, dtype=float)
+    expect = [_outcome(lambda r=r: math.fsum(r)) for r in x.tolist()]
+    for direct in (0, robust_eval._FSUM_DIRECT):
+        with warnings.catch_warnings(), mock.patch.object(
+            robust_eval, "_FSUM_DIRECT", direct
+        ):
+            warnings.simplefilter("error")
+            assert [_outcome(lambda r=r: _fsum_rows(r[None, :])[0]) for r in x] == expect
+            if all(isinstance(e, str) for e in expect):
+                assert _hexes(_fsum_rows(x)) == expect
+
+
+_MIXED = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.builds(
+        lambda m, e: m * 10.0**e,
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.integers(min_value=-300, max_value=300),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 300)),
+        elements=_MIXED,
+    ),
+    cancel=st.booleans(),
+)
+def test_fsum_rows_matches_fsum(x, cancel):
+    """Mixed signs and magnitudes 1e-300..1e300, with or without exact cancellation."""
+    if cancel:
+        # the row and its negation, shuffled: the exact sum is 0 or the odd term
+        x = np.concatenate([x, -x[:, ::-1], x[:, :1]], axis=1)
+        x = np.random.default_rng(x.shape[1]).permuted(x, axis=1)
+    _assert_fsum_rows(x)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [-0.0] * 3,
+        [0.0, -0.0],
+        [1.0, -1.0],
+        [5e-324] * 7 + [-1e-323],
+        [2.2e-308, 5e-324, -1e-310],
+        [1.0, 2.0**-53],
+        [1.0, 2.0**-53, 2.0**-105],
+        [1.0, -(2.0**-54), 2.0**-107],
+        # the lo sum rounds to a tie just under 1.0, whose gap below is half
+        # the gap above; the exact sum rounds down to 1 - 2**-53
+        [2.0**46, -(2.0**46), 1.0, 2.0**-7, -0.501 * 2.0**-53, -(2.0**-7)],
+        [1e300, 1.0, -1e300],
+        [1e16, 1.0, 1.0, -1e16],
+        [math.inf, 1.0],
+        [-math.inf, -math.inf],
+        [math.nan, 1.0],
+        [math.inf, -math.inf],
+        [1e308, 1e308],
+        [1.7976931348623157e308, 1e292],
+        [1.7976931348623157e308, -1.7976931348623157e308, 1.0],
+    ],
+)
+@pytest.mark.parametrize("n", [None, 1, 2, 255, 256, 300])
+def test_fsum_rows_special_rows(row, n):
+    """Signed zeros, subnormals, ties, inf, nan and overflow behave as in fsum.
+
+    n=None takes the row as written; otherwise it is repeated or cut to n.
+    """
+    _assert_fsum_rows(np.resize(np.array(row), (2, n or len(row))))
+
+
+def test_fsum_rows_certifies_price_blocks():
+    """Rows of q-weighted values take the vectorised route, without fsum.
+
+    Short rows may not: the exact sum of two terms is often a rounding
+    tie, which the certificate cannot separate from its neighbours.  Rows
+    of negative terms near max|x|, whose hi parts sit on the finer grid
+    below sigma and sum to about -n * max|x|, need the full headroom 2**M.
+    """
+    rng = np.random.default_rng(5)
+    for n in (64, 255, 256, 257, 300, 4096):
+        for x in (
+            rng.random((32, n)) * rng.random(n),
+            rng.random((32, n)) * 2.0**-20 - 2.0,
+        ):
+            with mock.patch.object(robust_eval, "_FSUM_DIRECT", 0), mock.patch(
+                "math.fsum", side_effect=AssertionError("fell back")
+            ):
+                got = _fsum_rows(x)
+            assert _hexes(got) == [math.fsum(r).hex() for r in x.tolist()]
 
 
 @pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
