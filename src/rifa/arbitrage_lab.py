@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -121,7 +121,8 @@ class InsuranceStrategy:
             raise ContractError(f"unsupported insurance strategy {self.kind!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ContractError("allocation mass must be positive")
-        _check_schedule(self.n_schedule)
+        # a frozen dataclass must hold the tuple, or hash() fails on a list
+        object.__setattr__(self, "n_schedule", _check_schedule(self.n_schedule))
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,18 +232,40 @@ def _check_request(
             raise ContractError("report was computed for a different parameter box")
 
 
+def _is_int(x) -> bool:
+    """True for Python and numpy integers; bool is an int subclass, not a count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_schedule(n_schedule: Sequence[int]) -> tuple[int, ...]:
     sched = tuple(n_schedule)
     if not sched:
         raise ContractError("client count schedule must be nonempty")
     prev = 0
     for n in sched:
-        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n > prev):
+        if not (_is_int(n) and n > prev):
             raise ContractError(
                 f"schedule must be strictly increasing positive integers, got {sched}"
             )
         prev = int(n)
     return tuple(int(n) for n in sched)
+
+
+def _check_run(
+    n_schedule: Sequence[int], trials: int, seed: int
+) -> tuple[tuple[int, ...], int, int]:
+    """Validated schedule, trial count and seed, all as Python ints.
+
+    The seed must be a Python int before it reaches a SeedSequence, so
+    that a numpy seed gives the same entropy, and before seed arithmetic,
+    which would wrap in a fixed-width numpy integer.
+    """
+    sched = _check_schedule(n_schedule)
+    if not (_is_int(trials) and trials >= 1):
+        raise ContractError(f"trials must be a positive integer, got {trials}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
+    return sched, int(trials), int(seed)
 
 
 def nrifa_check(
@@ -312,13 +335,16 @@ def construct_arbitrage(
     )
 
 
-def _exit_times(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _exit_times(
+    cdf: np.ndarray, draws: np.ndarray, mask: np.ndarray | None = None
+) -> np.ndarray:
     # Generalized inverse: the smallest t with CDF(t) >= draw, T+1 when none.
     # The CDF is nondecreasing, so that t is 1 plus the number of levels
-    # CDF(1..T) strictly below the draw, counted one level at a time.
+    # CDF(1..T) strictly below the draw, counted one level at a time, each
+    # comparison into `mask` (a bool array shaped like draws) when given.
     tau = np.ones(draws.shape, np.int8)
     for level in cdf[1:]:
-        tau += draws > level
+        tau += np.greater(draws, level, out=mask)
     return tau
 
 
@@ -327,17 +353,74 @@ def _client_payouts(
     tau_surrender: np.ndarray,
     survival_pay: float,
     surrender_pays: np.ndarray,
+    index: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     # One lookup per client in table[td, ts] = pays[ts] if td > min(ts, T)
     # else 0.0, where pays = (surrender_pays[0..T], survival_pay): a client
     # alive at min(tau_surrender, T) is paid the surrender leg (zero at T)
-    # or, at T+1, the survival leg.  The flat index is formed in intp: int8
-    # exit times times T+2 would wrap once T >= 10.
+    # or, at T+1, the survival leg.  The flat index is formed in intp, in
+    # `index` when given: int8 exit times times T+2 would wrap once T >= 10.
+    # The payouts go to `out` when given.
     T = len(surrender_pays) - 1
     pays = np.append(surrender_pays, survival_pay)
     t = np.arange(T + 2)
     table = np.where(t[:, None] > np.minimum(t, T), pays, 0.0)
-    return table.ravel().take(tau_death.astype(np.intp) * (T + 2) + tau_surrender)
+    index = np.multiply(tau_death, T + 2, out=index, dtype=np.intp)
+    index += tau_surrender
+    return table.ravel().take(index, out=out)
+
+
+def _portfolio_trials(
+    theta: Theta,
+    spec: CopulaSpec,
+    benefit: BenefitSpec,
+    market: MarketParams,
+    sched: tuple[int, ...],
+    trials: int,
+    seed: int,
+    premium: float,
+) -> Iterator[PortfolioSample]:
+    """Yield `simulate_portfolio`'s samples one trial at a time.
+
+    The arguments must already have passed `_check_run`.
+    """
+    prices, q = path_arrays(market)
+    survival, surrender = payoff_table(benefit, market, prices)
+    g = conditional_values(prices, q, theta, spec, benefit, market)
+    T = market.T
+    n_max = sched[-1]
+    death_cdf = np.array([gompertz_cdf(theta, t) for t in range(T + 1)])
+    # One workspace for every trial: beyond numpy's own temporaries, a
+    # trial allocates only the two exit-time arrays its sample keeps.
+    draws = (np.empty(n_max), np.empty(n_max))
+    mask = np.empty(n_max, bool)
+    index = np.empty(n_max, np.intp)
+    for k in range(trials):
+        rng = np.random.default_rng([seed, k])
+        i = int(rng.choice(q.shape[0], p=q))
+        path = Path.from_row(prices, q, i)
+        surr_cdf = np.array(
+            [surrender_cdf(path, theta, t, benefit.surrender) for t in range(T + 1)]
+        )
+        u, v = sample_pairs(spec, n_max, rng, out=draws)
+        tau1 = _exit_times(death_cdf, u, mask)
+        tau2 = _exit_times(surr_cdf, v, mask)
+        # u is spent: it takes the payouts, then their running sums
+        x = _client_payouts(tau1, tau2, survival[i], surrender[i], index, out=u)
+        payout_std = float(np.std(x))
+        cum = np.cumsum(x, out=x)
+        yield PortfolioSample(
+            trial=k,
+            path_index=i,
+            tau_death=tau1,
+            tau_surrender=tau2,
+            n_schedule=sched,
+            portfolio_values=tuple(premium - cum[n - 1] / n for n in sched),
+            premium=premium,
+            conditional_value=float(g[i]),
+            payout_std=payout_std,
+        )
 
 
 def simulate_portfolio(
@@ -358,47 +441,17 @@ def simulate_portfolio(
     marginal exit-time distributions, each taken by counting the CDF
     levels below the draw.  Per-trial generators are derived
     from (seed, trial), so results are reproducible and independent of
-    any execution order.
+    any execution order.  `trials` and `seed` may be Python or numpy
+    integers, not bools.  All trials of a call run in one workspace for
+    the draws, the level comparisons, the payout index and the payouts;
+    apart from numpy's short-lived temporaries, a trial allocates only
+    the two exit-time arrays its sample keeps, so no two samples share
+    memory.
     """
-    sched = _check_schedule(n_schedule)
-    if isinstance(trials, bool) or not (isinstance(trials, int) and trials >= 1):
-        raise ContractError(f"trials must be a positive integer, got {trials}")
-    if isinstance(seed, bool) or not (isinstance(seed, int) and seed >= 0):
-        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
-    prices, q = path_arrays(market)
-    survival, surrender = payoff_table(benefit, market, prices)
-    g = conditional_values(prices, q, theta, spec, benefit, market)
-    T = market.T
-    n_max = sched[-1]
-    death_cdf = np.array([gompertz_cdf(theta, t) for t in range(T + 1)])
-    samples: list[PortfolioSample] = []
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        i = int(rng.choice(q.shape[0], p=q))
-        path = Path.from_row(prices, q, i)
-        surr_cdf = np.array(
-            [surrender_cdf(path, theta, t, benefit.surrender) for t in range(T + 1)]
-        )
-        u, v = sample_pairs(spec, n_max, rng)
-        tau1 = _exit_times(death_cdf, u)
-        tau2 = _exit_times(surr_cdf, v)
-        x = _client_payouts(tau1, tau2, survival[i], surrender[i])
-        cum = np.cumsum(x)
-        values = tuple(premium - cum[n - 1] / n for n in sched)
-        samples.append(
-            PortfolioSample(
-                trial=k,
-                path_index=i,
-                tau_death=tau1,
-                tau_surrender=tau2,
-                n_schedule=sched,
-                portfolio_values=values,
-                premium=premium,
-                conditional_value=float(g[i]),
-                payout_std=float(np.std(x)),
-            )
-        )
-    return samples
+    sched, trials, seed = _check_run(n_schedule, trials, seed)
+    return list(
+        _portfolio_trials(theta, spec, benefit, market, sched, trials, seed, premium)
+    )
 
 
 def lln_rms(samples: Sequence[PortfolioSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -444,9 +497,9 @@ def verify_arbitrage(
         raise ContractError("pair must come from construct_arbitrage")
     if not thetas:
         raise ContractError("need at least one model to sample")
-    if isinstance(seed, bool):
-        # seed + 7919 * j below would turn a bool into an int
-        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
+    # validated here, before the first model: the trials below are lazy
+    sched, trials, seed = _check_run([n_clients], trials, seed)
+    n_clients = sched[0]
     prices, q = path_arrays(market)
     holdings = list(pair.holdings)
     means: list[float] = []
@@ -454,17 +507,10 @@ def verify_arbitrage(
     worst_violation = 0.0
     for j, theta in enumerate(thetas):
         payoffs = []
-        # No name holds a model's samples, so they are freed before the
-        # next model's are drawn.
-        for s in simulate_portfolio(
-            theta,
-            spec,
-            benefit,
-            market,
-            [n_clients],
-            trials,
-            seed + 7919 * j,
-            premium=premium,
+        # Trials are read as they are drawn and none is kept, so memory
+        # does not grow with the trial count.
+        for s in _portfolio_trials(
+            theta, spec, benefit, market, sched, trials, seed + 7919 * j, premium
         ):
             path = Path.from_row(prices, q, s.path_index)
             payoff = s.portfolio_values[-1] + strategy_gain(market, holdings, path)

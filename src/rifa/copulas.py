@@ -218,31 +218,50 @@ def _conditional_gumbel(beta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray
 
 
 def sample_pairs(
-    spec: CopulaSpec, n: int, rng: np.random.Generator
+    spec: CopulaSpec,
+    n: int,
+    rng: np.random.Generator,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n pairs with uniform marginals and copula `spec`.
 
     Consumes exactly two uniform blocks of length n from the generator,
-    in a fixed order, for every family.
+    in a fixed order, for every family.  The pairs are written into
+    `out`, two distinct float64 arrays of length n that are returned,
+    or into two new arrays when it is None; the draws are the same
+    either way.  Clipping and the Clayton inverse run in place, so with
+    `out` independence allocates nothing and Clayton only its u**-alpha
+    factor; Frank and Gumbel keep their temporaries.
     """
-    u = rng.random(n)
-    w = rng.random(n)
+    if out is None:
+        out = (np.empty(n), np.empty(n))
+    # v is computed in the buffer that holds the second block w
+    u, w = out
+    rng.random(n, out=u)
+    rng.random(n, out=w)
     if spec.is_independence:
         return u, w
     # conditional-inverse step needs interior points
-    u = np.clip(u, 1e-15, 1.0 - 1e-15)
-    w = np.clip(w, 1e-15, 1.0 - 1e-15)
+    np.clip(u, 1e-15, 1.0 - 1e-15, out=u)
+    np.clip(w, 1e-15, 1.0 - 1e-15, out=w)
     if spec.family == "clayton":
+        # v = (1 + u**-alpha * (w**(-alpha/(alpha+1)) - 1))**(-1/alpha)
         alpha = spec.param
-        v = (1.0 + u**-alpha * (w ** (-alpha / (alpha + 1.0)) - 1.0)) ** (-1.0 / alpha)
-        return u, v
+        w **= -alpha / (alpha + 1.0)
+        w -= 1.0
+        w *= u**-alpha
+        w += 1.0
+        w **= -1.0 / alpha
+        return u, w
     if spec.family == "frank":
         delta = spec.param
         g1 = math.expm1(-delta)
         gu = np.expm1(-delta * u)
         gv = w * g1 / (np.exp(-delta * u) - w * gu)
-        v = -np.log1p(gv) / delta
-        return u, v
+        np.log1p(gv, out=w)
+        np.negative(w, out=w)
+        w /= delta
+        return u, w
     # gumbel: no closed-form conditional inverse, bisect on v
     beta = spec.param
     lo = np.zeros(n)
@@ -259,7 +278,9 @@ def sample_pairs(
             f"copula conditional inversion did not reach {_BISECT_TOL}",
             best_value=float(np.max(hi - lo)),
         )
-    return u, 0.5 * (lo + hi)
+    np.add(lo, hi, out=w)
+    w *= 0.5
+    return u, w
 
 
 def sample_pair(spec: CopulaSpec, rng: np.random.Generator) -> tuple[float, float]:

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rifa import arbitrage_lab
 from rifa.arbitrage_lab import (
     COMPARISON_BAND,
     ArbitragePair,
@@ -20,15 +21,22 @@ from rifa.arbitrage_lab import (
     simulate_portfolio,
     verify_arbitrage,
 )
-from rifa.benefits import BenefitSpec, discounted_payoffs
-from rifa.copulas import CopulaSpec, joint_survival
+from rifa.benefits import BenefitSpec, discounted_payoffs, payoff_table
+from rifa.copulas import CopulaSpec, joint_survival, sample_pairs
 from rifa.errors import ConfigurationError, ContractError, VerificationError
 from rifa.hazards import ParamBox, Theta, gompertz_cdf, surrender_cdf
-from rifa.lattice import MAX_LATTICE_STEPS, enumerate_paths, strategy_gain
+from rifa.lattice import (
+    MAX_LATTICE_STEPS,
+    Path,
+    enumerate_paths,
+    path_arrays,
+    strategy_gain,
+)
 from rifa.robust_eval import (
     OptimizerConfig,
     classical_price,
     conditional_value,
+    conditional_values,
     evaluate,
 )
 
@@ -281,6 +289,15 @@ def test_insurance_strategy_validation():
         InsuranceStrategy(n_schedule=(np.bool_(True), 10))
 
 
+def test_insurance_strategy_stores_schedule_as_tuple():
+    """A list or numpy schedule is kept as the tuple of ints, so it hashes."""
+    built = InsuranceStrategy(n_schedule=[10, np.int64(100)])
+    assert type(built.n_schedule) is tuple
+    assert all(type(n) is int for n in built.n_schedule)
+    assert built == InsuranceStrategy(n_schedule=(10, 100))
+    assert hash(built) == hash(InsuranceStrategy(n_schedule=(10, 100)))
+
+
 def test_simulate_portfolio_deterministic(
     market_small_mod, benefit_paper_mod, independence_mod
 ):
@@ -346,6 +363,89 @@ def test_simulate_portfolio_rejects_booleans(
             theta, independence_mod, benefit_paper_mod, market_small_mod,
             schedule, trials=trials, seed=seed,
         )
+
+
+def _fingerprint(samples):
+    """Every stored bit of a sample list, in comparable form."""
+    return [
+        (
+            s.trial,
+            s.path_index,
+            s.tau_death.tobytes(),
+            s.tau_surrender.tobytes(),
+            s.n_schedule,
+            [float(x).hex() for x in s.portfolio_values],
+            s.conditional_value.hex(),
+            s.payout_std.hex(),
+        )
+        for s in samples
+    ]
+
+
+def test_simulate_portfolio_accepts_numpy_integers(
+    market_small_mod, benefit_paper_mod, independence_mod
+):
+    """numpy counts and seeds give the samples of the equal Python ints."""
+    theta = Theta(150.0, 0.025, 0.03, 2e4)
+    args = (theta, independence_mod, benefit_paper_mod, market_small_mod)
+    plain = simulate_portfolio(*args, [50, 100], trials=3, seed=11)
+    from_numpy = simulate_portfolio(
+        *args, [np.int32(50), np.int64(100)], trials=np.int64(3), seed=np.uint32(11)
+    )
+    assert _fingerprint(from_numpy) == _fingerprint(plain)
+    assert type(from_numpy[0].n_schedule[0]) is int
+
+
+def _allocating_trials(theta, spec, benefit, market, sched, trials, seed, premium):
+    """Oracle for simulate_portfolio: every array of every trial is new."""
+    prices, q = path_arrays(market)
+    survival, surrender = payoff_table(benefit, market, prices)
+    g = conditional_values(prices, q, theta, spec, benefit, market)
+    T = market.T
+    death_cdf = np.array([gompertz_cdf(theta, t) for t in range(T + 1)])
+    trials_out = []
+    for k in range(trials):
+        rng = np.random.default_rng([seed, k])
+        i = int(rng.choice(q.shape[0], p=q))
+        path = Path.from_row(prices, q, i)
+        surr_cdf = np.array(
+            [surrender_cdf(path, theta, t, benefit.surrender) for t in range(T + 1)]
+        )
+        u, v = sample_pairs(spec, sched[-1], rng)
+        tau1 = _exit_times(death_cdf, u)
+        tau2 = _exit_times(surr_cdf, v)
+        x = _client_payouts(tau1, tau2, survival[i], surrender[i])
+        cum = np.cumsum(x)
+        values = [float(premium - cum[n - 1] / n).hex() for n in sched]
+        trials_out.append((
+            k, i, tau1.tobytes(), tau2.tobytes(), sched, values,
+            float(g[i]).hex(), float(np.std(x)).hex(),
+        ))
+    return trials_out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CopulaSpec("independence"),
+        CopulaSpec("clayton", 2.0),
+        CopulaSpec("gumbel", 2.0),
+        CopulaSpec("frank", -4.0),
+    ],
+    ids=lambda spec: spec.family,
+)
+def test_trial_workspace_matches_allocating_oracle(
+    spec, market_small_mod, benefit_paper_mod
+):
+    """Reusing one workspace per call changes no bit and leaks no buffer."""
+    theta = Theta(150.0, 0.025, 0.03, 2e4)
+    run = (theta, spec, benefit_paper_mod, market_small_mod, (7, 50, 300), 6, 5, 80.0)
+    samples = simulate_portfolio(*run[:5], trials=run[5], seed=run[6], premium=run[7])
+    assert _fingerprint(samples) == _allocating_trials(*run)
+    arrays = [a for s in samples for a in (s.tau_death, s.tau_surrender)]
+    for j, a in enumerate(arrays):
+        for b in arrays[j + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_portfolio_values_recomputable_from_exit_times(
@@ -669,6 +769,85 @@ def test_verify_arbitrage_validation(
                 pair, 90.0, [Theta(100.0, 0.02, 0.01, 1e4)], independence_mod,
                 benefit_paper_mod, market_small_mod, trials=trials, seed=seed,
             )
+
+
+def test_verify_arbitrage_accepts_numpy_integers(
+    report, market_small_mod, benefit_paper_mod, independence_mod
+):
+    """numpy arguments give the Python-int report, with no seed wrap-around."""
+    premium = report.robust_price + 1.0
+    pair = construct_arbitrage(
+        premium, report, BOX, independence_mod, benefit_paper_mod, market_small_mod
+    )
+    thetas = [Theta(100.0, 0.02, 0.01, 1e4), Theta(300.0, 0.03, 0.05, 9e4)]
+    run = (pair, premium, thetas, independence_mod, benefit_paper_mod, market_small_mod)
+    # the second model's seed, seed + 7919, lies past the int64 range
+    seed = 2**63 - 1
+    plain = verify_arbitrage(*run, trials=3, seed=seed, n_clients=2000)
+    from_numpy = verify_arbitrage(
+        *run, trials=np.int64(3), seed=np.int64(seed), n_clients=np.int32(2000)
+    )
+    assert from_numpy == plain
+    assert type(from_numpy.trials) is int and type(from_numpy.n_clients) is int
+
+
+@pytest.mark.parametrize(
+    "trials, seed, n_clients, error",
+    [
+        (0, 1, 100, ContractError),
+        (np.int64(0), 1, 100, ContractError),
+        (2, 1, 0, ContractError),
+        (2, -1, 100, ConfigurationError),
+    ],
+    ids=["trials", "numpy_trials", "n_clients", "seed"],
+)
+def test_verify_arbitrage_validates_before_simulating(
+    report, market_small_mod, benefit_paper_mod, independence_mod, monkeypatch,
+    trials, seed, n_clients, error,
+):
+    """Bad counts fail before any model's trials are even requested."""
+    pair = construct_arbitrage(
+        report.robust_price, report, BOX, independence_mod, benefit_paper_mod,
+        market_small_mod,
+    )
+    requested = []
+    monkeypatch.setattr(
+        arbitrage_lab, "_portfolio_trials", lambda *args: requested.append(args)
+    )
+    with pytest.raises(error):
+        verify_arbitrage(
+            pair, 90.0, [Theta(100.0, 0.02, 0.01, 1e4)], independence_mod,
+            benefit_paper_mod, market_small_mod, trials=trials, seed=seed,
+            n_clients=n_clients,
+        )
+    assert requested == []
+
+
+def test_verify_arbitrage_memory_does_not_grow_with_trials(
+    report, market_small_mod, benefit_paper_mod, independence_mod
+):
+    """Trials are read as drawn: 10x the trials adds less than one trial's bytes."""
+    premium = report.robust_price + 1.0
+    pair = construct_arbitrage(
+        premium, report, BOX, independence_mod, benefit_paper_mod, market_small_mod
+    )
+    n_clients = 10_000
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            verify_arbitrage(
+                pair, premium, [Theta(200.0, 0.025, 0.03, 5e4)], independence_mod,
+                benefit_paper_mod, market_small_mod, trials=trials, seed=13,
+                n_clients=n_clients,
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call set-up is not a trial's
+    # two one-byte exit times per client
+    assert abs(peak(200) - peak(20)) < 2 * n_clients
 
 
 def test_verify_arbitrage_holds_one_model_of_samples(

@@ -321,6 +321,19 @@ def test_sampler_is_deterministic():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_sampler_draws_into_out(spec):
+    """With `out` the pairs land in, and are, the given buffers, bit for bit."""
+    rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+    u, v = sample_pairs(spec, 1000, rng_a)
+    buf = (np.full(1000, np.nan), np.full(1000, np.nan))
+    got = sample_pairs(spec, 1000, rng_b, out=buf)
+    assert got[0] is buf[0] and got[1] is buf[1]
+    assert np.array_equal(buf[0], u) and np.array_equal(buf[1], v)
+    # both calls consumed the same two blocks
+    assert rng_a.random() == rng_b.random()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     u1=st.floats(min_value=0.0, max_value=1.0),
