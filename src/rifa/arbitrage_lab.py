@@ -361,14 +361,15 @@ def _client_payouts(
     # alive at min(tau_surrender, T) is paid the surrender leg (zero at T)
     # or, at T+1, the survival leg.  The flat index is formed in intp, in
     # `index` when given: int8 exit times times T+2 would wrap once T >= 10.
-    # The payouts go to `out` when given.
+    # The payouts go to `out` when given, by take's mode="clip", which
+    # writes there directly: exit times in 1..T+1 keep indices in range.
     T = len(surrender_pays) - 1
     pays = np.append(surrender_pays, survival_pay)
     t = np.arange(T + 2)
     table = np.where(t[:, None] > np.minimum(t, T), pays, 0.0)
     index = np.multiply(tau_death, T + 2, out=index, dtype=np.intp)
     index += tau_surrender
-    return table.ravel().take(index, out=out)
+    return table.ravel().take(index, out=out, mode="clip")
 
 
 def _portfolio_trials(

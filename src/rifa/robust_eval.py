@@ -77,14 +77,13 @@ class OptimizerConfig:
             raise ConfigurationError(
                 f"method must be one of {OPTIMIZER_METHODS}, got {self.method!r}"
             )
-        if self.multistarts < 1:
-            raise ConfigurationError("multistarts must be >= 1")
-        if not 0.0 < self.tolerance < math.inf:
+        for name, least in (("multistarts", 1), ("max_iters", 1), ("grid_points_per_dim", 2)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+                raise ConfigurationError(f"{name} must be an integer >= {least}, got {n!r}")
+            object.__setattr__(self, name, int(n))
+        if isinstance(self.tolerance, bool) or not 0.0 < self.tolerance < math.inf:
             raise ConfigurationError("tolerance must be positive and finite")
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be >= 1")
-        if self.grid_points_per_dim < 2:
-            raise ConfigurationError("grid_points_per_dim must be >= 2")
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,15 +142,12 @@ _FSUM_DIRECT = 1 << 10
 def _by_date(nodes: np.ndarray) -> list[np.ndarray]:
     """The dates of a prefix-tree node array, one level each from date 0.
 
-    Node 0 is date 0, and date t >= 1 has the 2**(t-1) nodes
-    2**(t-1) + p, one per path prefix p < 2**(t-1), so a node array of
-    the dates 0..s has 2**s nodes (one for s = 0) in its first axis.
-    Level t is a view of date t's nodes with that axis split into t-1
-    axes of 2, highest step first: bit k of p indexes the k-th of them
-    from the right, ahead of any trailing axes.  Under numpy's
-    broadcasting a coarser level then lines up with the low bits of a
-    finer one, so path row i of the finer level reads entry
-    i mod 2**(t-1) of the coarser, without copies.
+    Node 0 is date 0 and node 2**(t-1) + p is date t's node of the path
+    prefix p < 2**(t-1), so the dates 0..s fill 2**s nodes of the first
+    axis.  Level t views date t's nodes with that axis split into t-1 axes
+    of 2, bit k of p the k-th from the right, ahead of any trailing axes:
+    under broadcasting, path row i of a finer level then reads entry
+    i mod 2**(t-1) of a coarser one, without copies.
     """
     rest = nodes.shape[1:]
     return [
@@ -280,32 +276,31 @@ class _Kernel:
         """The arrays of ``every_path``, one node per row of the column vectors.
 
         The prefix tree is laid out as in ``_by_date``.  Bit k of a path
-        row is step k+1, so column t of cum1 and cum2 depends only on the
-        row mod 2**(t-1), and node 2**(t-1) + p takes row p's value.
+        row is step k+1, so column t of cum1 and cum2, and column t-1 of
+        the payouts, depend only on the row mod 2**(t-1) and mod 2**t:
+        node 2**(t-1) + p takes row p's values of date t, and the payout
+        of date t-1.  Its parent is 2**(t-2) + p mod 2**(t-2), or node 0.
         """
         T, f1 = self.T, self.f1
         v_surv, v_pay, cum1, cum2 = self.rows or self._row_arrays()
         if v_surv.shape[0] != 1 << T:
             raise ValueError("every_path needs the price array of all 2**T paths")
-        counts = [1] + [1 << (t - 1) for t in range(1, T + 1)]
-        node_cum1, node_cum2 = (
-            np.concatenate([cum[:n, t] for t, n in enumerate(counts)])[:, None]
-            for cum in (cum1, cum2)
-        )
-        # column t of the price array, and so the payout of date t, depends
-        # only on the row mod 2**t: levels t = 1..T-1, then T for v_surv
-        pays = [v_pay[: 1 << t, t - 1] for t in range(1, T)] + [v_surv]
+        date = np.repeat(np.arange(T + 1), [1] + [1 << (t - 1) for t in range(1, T + 1)])
+        row = np.arange(1 << T) - ((1 << date) >> 1)
+        half = (1 << date) >> 2
+        parent = half + row % np.maximum(half, 1)
         return (
-            np.repeat(self.tt, counts)[:, None],
-            node_cum1,
-            node_cum2,
-            np.repeat(f1, counts)[:, None],
+            date.astype(float)[:, None],
+            cum1[row, date][:, None],
+            cum2[row, date][:, None],
+            f1[date][:, None],
             # f1 of the next date on the nodes of dates 0..T-2
-            np.repeat(f1[1:T], counts[: T - 1])[:, None],
-            [
-                np.ascontiguousarray(pay).reshape((2,) * t + (1,))
-                for t, pay in enumerate(pays, start=1)
-            ],
+            f1[date[: (1 << T) >> 2] + 1][:, None],
+            # the parents of dates 1..T-1, and of later nodes as rows of those
+            parent[1 : (1 << T) >> 1],
+            parent[2:] - 1,
+            v_pay[row[2:], date[2:] - 2][:, None],
+            np.ascontiguousarray(v_surv).reshape((2,) * T + (1,)),
         )
 
     def values(self, rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -345,42 +340,59 @@ class _Kernel:
     def every_path(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         """G on every path at each point: entry [i, r] is G on row r at (a[i], d[i]).
 
-        The same arithmetic as ``values``, bit for bit, on the prefix
-        tree: the surrender survival and the copula terms of a date are
-        computed once per node, 2**T nodes in all instead of 2**T*(T+1)
-        row entries, and broadcasting repeats each date's terms across
-        the finer levels (``_by_date``).  The date sum keeps numpy's
-        order (``_row_sum``).
+        The same arithmetic as ``values``, bit for bit, on the prefix tree:
+        each date's terms are computed once per node, 2**T nodes instead of
+        2**T*(T+1) row entries.  The surrender slices of dates 1..T-1, and
+        their products with the payouts, take one node array each, a node
+        reading its parent's term; the date sum broadcasts them over the
+        finer levels (``_by_date``) in numpy's order (``_row_sum``).
         """
         T, f1 = self.T, self.f1
         if self.tree is None:
             self.tree = self._tree_arrays()
-        node_t, node_cum1, node_cum2, node_f1, next_f1, levels = self.tree
-        *pays, v_surv = levels
+        node_t, node_cum1, node_cum2, node_f1, next_f1, up, gather, pay, v_surv = self.tree
         if not self.surr_on:
             return np.broadcast_to(v_surv.reshape(-1) * f1[T], (a.shape[0], 1 << T))
         # nodes along the first axis, points along the last
         load = node_t * np.float_power(a, 2.0) - 2.0 * a * node_cum1 + node_cum2
         f2 = np.exp(load / -d)
+        inner = slice(1, (1 << T) >> 1)
         if self.spec.is_independence:
-            level = _by_date(f2)
-            survival = f1[T] * level[T]
-            slices = [level[t - 1] - level[t] for t in range(1, T)]
+            survival = f1[T] * _by_date(f2)[T]
+            slices = f2[up] - f2[inner]
         else:
             # date 0 is evaluated along with the rest, to keep the layout
-            joint = _by_date(_survival_array(self.spec, node_f1, f2))
-            upper = _by_date(_survival_array(self.spec, next_f1, f2[: next_f1.shape[0]]))
-            survival = joint[T]
-            slices = [upper[t - 1] - joint[t] for t in range(1, T)]
-        if min((float(s.min()) for s in slices), default=0.0) < -SLICE_TOL:
+            joint = _survival_array(self.spec, node_f1, f2)
+            upper = _survival_array(self.spec, next_f1, f2[: next_f1.shape[0]])
+            survival = _by_date(joint)[T]
+            slices = upper[up] - joint[inner]
+        if float(slices.min(initial=0.0)) < -SLICE_TOL:
             raise NumericalError("negative surrender slice mass beyond tolerance")
         if not self.spec.is_independence:
-            slices = [np.clip(s, 0.0, None) for s in slices]
-        paid = _row_sum([s * pay for s, pay in zip(slices, pays)])
+            np.clip(slices, 0.0, None, out=slices)
+        # each slice times its payout on the next date's nodes (in-range
+        # indices: take needs no bounds copy)
+        paid = np.empty_like(f2)
+        np.take(slices, gather, axis=0, out=paid[2:], mode="clip")
+        paid[2:] *= pay
+        paid = _row_sum(_by_date(paid)[2:])
         return (v_surv * survival + paid).reshape(-1, a.shape[0]).T
 
 
-_Objective = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+_Objective = Callable[..., np.ndarray]
+
+
+def _sum_margin(n: int) -> float:
+    """c with |s - fsum(x)| <= fl(c * A) for float sums s of n finite x and A of |x|.
+
+    In any order of addition, with u = 2**-53 and g = (n-1)u / (1 - (n-1)u),
+    |s - S| <= g*sum|x| for the exact sum S, and A >= (1 - g)*sum|x| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, 4.2), while
+    |fsum - S| <= u*sum|x|; so |s - fsum| <= (g + u)*A/(1 - g) <= nu*A/(1 - 2nu).
+    The factor 1 + 8u covers the roundings of c and of c * A, which is normal
+    for A >= 2**-900.
+    """
+    return n * 2.0**-53 / (1 - n * 2.0**-52) * (1 + 2.0**-50)
 
 
 def _objective(kernel: _Kernel, price: bool) -> _Objective:
@@ -394,20 +406,31 @@ def _objective(kernel: _Kernel, price: bool) -> _Objective:
     its fallback.  The price is one problem, so rows is not read.  Its
     values come from the prefix-tree route in blocks of at most
     _TREE_PAIRS (point, path) pairs.  Memory stays flat.
+
+    f(rows, a, d, estimate=True) gives two rows, estimates and radii: a
+    price block of finite terms with sum|terms| >= 2**-900 gets numpy's
+    sums, radius ``_sum_margin`` * sum|terms|; other points values, radius 0.
     """
     q = kernel.q
     step = max(1, _TREE_PAIRS // q.shape[0]) if price else _BLOCK_PAIRS
+    margin = _sum_margin(q.shape[0])
 
-    def f(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
-        out = np.empty(a.shape[0])
+    def f(rows: np.ndarray, a: np.ndarray, d: np.ndarray, estimate: bool = False):
+        out = np.zeros((1 + estimate, a.shape[0]))
         for i in range(0, a.shape[0], step):
             s = slice(i, i + step)
-            if price:
-                g = kernel.every_path(a[s], d[s])
-                out[s] = _fsum_rows(q * g)
-            else:
-                out[s] = kernel.values(rows[s], a[s], d[s])
-        return out
+            if not price:
+                out[0, s] = kernel.values(rows[s], a[s], d[s])
+                continue
+            x = q * kernel.every_path(a[s], d[s])
+            if estimate:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    est, mag = x.sum(axis=1), np.abs(x).sum(axis=1)
+                if 2.0**-900 <= mag.min() and mag.max() < math.inf and np.isfinite(est).all():
+                    out[:, s] = est, margin * mag
+                    continue
+            out[0, s] = _fsum_rows(x)
+        return out if estimate else out[0]
 
     return f
 
@@ -417,13 +440,13 @@ def _by_group(objectives: Sequence[_Objective], which: np.ndarray) -> _Objective
     if len(objectives) == 1:
         return objectives[0]
 
-    def f(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def f(rows: np.ndarray, a: np.ndarray, d: np.ndarray, estimate: bool = False):
         kind = which[rows]
-        out = np.empty(a.shape[0])
+        out = np.zeros((1 + estimate, a.shape[0]))
         for k in np.unique(kind).tolist():
             sel = np.flatnonzero(kind == k)
-            out[sel] = objectives[k](np.zeros_like(sel), a[sel], d[sel])
-        return out
+            out[:, sel] = objectives[k](np.zeros_like(sel), a[sel], d[sel], estimate)
+        return out if estimate else out[0]
 
     return f
 
@@ -568,21 +591,45 @@ def _first_best(
     n: int,
     points: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     sign: float,
-) -> np.ndarray:
-    """Per group, the index of the first best of its n candidate points.
+    every: Callable | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per group, the index and value of the first best of its n candidate points.
 
-    points(rows) gives the candidates of groups rows as (a, d) arrays of
-    shape (rows, n); the groups are evaluated in chunks of about
-    _TREE_PAIRS points.
+    The index is np.argmin's of sign * values: the first of ties, or the
+    first nan.  points(rows) gives groups rows' candidates as (a, d) arrays
+    of shape (rows, n).  every(a, d), when given, is every group's objective
+    at shared points, shape (points, groups): group 0's points go through
+    it in blocks of at most _TREE_PAIRS pairs, with a running first best.
+    Otherwise f gets chunks of about _BLOCK_PAIRS points and may estimate
+    (``_objective``); only contenders, whose sign * estimate - radius
+    reaches their group's least sign * estimate + radius, are then
+    evaluated exactly, as no other can win.
     """
-    chunk = max(1, _TREE_PAIRS // n)
-    best = np.empty(groups, dtype=np.intp)
+    best, val = np.zeros(groups, dtype=np.intp), np.full(groups, np.inf)
+    if every is not None:
+        a, d = (x[0] for x in points(np.zeros(1, dtype=np.intp)))
+        step = max(1, _TREE_PAIRS // groups)
+        for i in range(0, n, step):
+            v = sign * every(a[i : i + step], d[i : i + step])
+            j = np.argmin(v, axis=0)
+            m = v[j, np.arange(groups)]
+            new = (m < val) | (np.isnan(m) & ~np.isnan(val))
+            best[new], val[new] = j[new] + i, m[new]
+        return best, sign * val
+    chunk = max(1, _BLOCK_PAIRS // n)
     for g in range(0, groups, chunk):
         rows = np.arange(g, min(g + chunk, groups))
         a, d = points(rows)
-        vals = f(np.repeat(rows, n), a.ravel(), d.ravel())
-        best[rows] = np.argmin(sign * vals.reshape(rows.size, n), axis=1)
-    return best
+        owner = np.repeat(rows[:, None], n, axis=1)
+        est, rad = f(owner.ravel(), a.ravel(), d.ravel(), estimate=True).reshape(2, -1, n)
+        v = sign * est
+        with np.errstate(over="ignore"):
+            redo = (rad > 0) & (v - rad <= (v + rad).min(axis=1, keepdims=True))
+        v[redo] = sign * f(owner[redo], a[redo], d[redo])
+        # every estimate left in v lies above its group's least value
+        best[rows] = np.argmin(v, axis=1)
+        val[rows] = v[np.arange(rows.size), best[rows]]
+    return best, sign * val
 
 
 def _optimize_ad(
@@ -593,6 +640,7 @@ def _optimize_ad(
     cfg: OptimizerConfig,
     maximize: bool,
     extra_points: Sequence[tuple[float, float]] = (),
+    every: Callable | None = None,
 ) -> list[tuple[float, float, float]]:
     """Optimize a smooth objective over an (a, d) rectangle, per group.
 
@@ -605,8 +653,9 @@ def _optimize_ad(
     extras, the best point of the dense grid (grid, hybrid) and the
     Nelder-Mead results (nelder_mead, hybrid) from the Latin starts and
     the group's best point of a coarse screen.  The searches of every
-    group run in one lockstep `minimize`.  Returns, per group, the first
-    best candidate as Python floats (value, a, d).
+    group run in one lockstep `minimize`; `every` (``_first_best``)
+    serves the fixed points, grid and screen if all rectangles are equal.
+    Returns, per group, the first best candidate as (value, a, d) floats.
     """
     sign = -1.0 if maximize else 1.0
     # per group, axis (a, d) and end (lo, hi)
@@ -614,6 +663,7 @@ def _optimize_ad(
         [np.broadcast_to(np.asarray(iv, dtype=float), (groups, 2)) for iv in (a_iv, d_iv)],
         axis=1,
     )
+    every = every if (ends == ends[0]).all() else None
     lo, hi = ends[..., 0], ends[..., 1]
     width = hi - lo
     spans = hi > lo
@@ -641,7 +691,13 @@ def _optimize_ad(
         fixed.append((
             np.minimum(np.maximum(a, a_lo), a_hi), np.minimum(np.maximum(d, d_lo), d_hi)
         ))
-    candidates = [np.stack([np.stack(pair, axis=1) for pair in fixed], axis=1)]
+    fixed = np.stack([np.stack(pair, axis=1) for pair in fixed], axis=1)
+    every_group = np.arange(groups)
+    # per group, the first best of each kind of candidate, in this order
+    i, value = _first_best(
+        f, groups, fixed.shape[1], lambda g: np.moveaxis(fixed[g], 2, 0), sign, every
+    )
+    candidates, values = [fixed[every_group, i][:, None]], [value[:, None]]
 
     if free and cfg.method in ("grid", "hybrid"):
         n = cfg.grid_points_per_dim
@@ -657,10 +713,11 @@ def _optimize_ad(
             aa = np.repeat(a_grid[rows], n_d, axis=1)
             return aa, np.tile(d_grid[rows], a_grid.shape[1])
 
-        i, j = np.divmod(_first_best(f, groups, a_grid.shape[1] * n_d, grid, sign), n_d)
-        every = np.arange(groups)
-        grid_best = np.stack((a_grid[every, i], d_grid[every, j]), axis=1)
+        k, value = _first_best(f, groups, a_grid.shape[1] * n_d, grid, sign, every)
+        i, j = np.divmod(k, n_d)
+        grid_best = np.stack((a_grid[every_group, i], d_grid[every_group, j]), axis=1)
         candidates.append(grid_best[:, None, :])
+        values.append(value[:, None])
 
     failed = np.zeros(groups, dtype=bool)
     if free and cfg.method in ("nelder_mead", "hybrid"):
@@ -676,7 +733,7 @@ def _optimize_ad(
             a, d = to_point(np.tile(zz, (rows.size, 1)), np.repeat(rows, zz.shape[0]))
             return a.reshape(rows.size, -1), d.reshape(rows.size, -1)
 
-        screened = zz[_first_best(f, groups, zz.shape[0], screen, sign)]
+        screened = zz[_first_best(f, groups, zz.shape[0], screen, sign, every)[0]]
         x0 = np.concatenate(
             (np.broadcast_to(starts, (groups, *starts.shape)), screened[:, None, :]),
             axis=1,
@@ -695,18 +752,15 @@ def _optimize_ad(
             _XATOL,
             cfg.tolerance,
         )
-        g = np.repeat(np.arange(groups), per_group)
+        g = np.repeat(every_group, per_group)
         polished = np.stack(to_point(res.x, g), axis=1)
         candidates.append(polished.reshape(groups, per_group, 2))
+        values.append(f(g, polished[:, 0], polished[:, 1]).reshape(groups, per_group))
         failed = ~res.converged.reshape(groups, per_group).any(axis=1)
 
-    cand = np.concatenate(candidates, axis=1)
-    count = cand.shape[1]
-    vals = f(
-        np.repeat(np.arange(groups), count), cand[..., 0].ravel(), cand[..., 1].ravel()
-    ).reshape(groups, count)
+    cand, vals = np.concatenate(candidates, axis=1), np.concatenate(values, axis=1)
     best = np.argmin(sign * vals, axis=1)
-    best_val = vals[np.arange(groups), best]
+    best_val = vals[every_group, best]
     bad = np.flatnonzero(failed | ~np.isfinite(best_val))
     if bad.size:
         g = bad[0]
@@ -717,7 +771,7 @@ def _optimize_ad(
                 best_value=float(best_val[g]),
             )
         raise NumericalError(f"objective returned non-finite value {float(best_val[g])}")
-    point = cand[np.arange(groups), best]
+    point = cand[every_group, best]
     return list(zip(best_val.tolist(), point[:, 0].tolist(), point[:, 1].tolist()))
 
 
@@ -765,14 +819,17 @@ def _pathwise_optima(
     `_optimize_ad` call.
     """
     b, c = box.b[0], box.c[0]
+    kernel = _Kernel(prices, q, b, c, spec, benefit, market)
     optima = _optimize_ad(
-        _objective(_Kernel(prices, q, b, c, spec, benefit, market), price=False),
+        _objective(kernel, price=False),
         q.shape[0],
         box.a,
         box.d,
         cfg,
         maximize=True,
         extra_points=[(t.a, t.d) for t in extra_thetas],
+        # the prefix tree needs the price array of every path
+        every=kernel.every_path if q.shape[0] == 1 << market.T else None,
     )
     return [(value, Theta(a, b, c, d)) for value, a, d in optima]
 

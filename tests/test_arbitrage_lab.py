@@ -544,6 +544,29 @@ def test_client_payouts_at_lattice_cap(dtype):
         assert x == _payout_rule(t1, t2, T, survival_pay, surrender_pays), (t1, t2)
 
 
+def test_client_payouts_write_into_out_without_a_copy():
+    """With out=, the payouts keep their bits and no payout-sized temporary is made."""
+    rng = np.random.default_rng(3)
+    T, n = 8, 100_000
+    surrender_pays = rng.random(T + 1)
+    surrender_pays[T] = 0.0
+    tau_death, tau_surrender = rng.integers(1, T + 2, (2, n)).astype(np.int8)
+    expect = [
+        _payout_rule(t1, t2, T, 7.5, surrender_pays)
+        for t1, t2 in zip(tau_death.tolist(), tau_surrender.tolist())
+    ]
+    index, out = np.empty(n, dtype=np.intp), np.empty(n)
+    tracemalloc.start()
+    try:
+        got = _client_payouts(tau_death, tau_surrender, 7.5, surrender_pays, index, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is out
+    assert [x.hex() for x in out.tolist()] == [float(x).hex() for x in expect]
+    assert peak < out.nbytes
+
+
 def _searchsorted_exit_times(cdf, draws):
     """Reference generalized inverse by binary search over CDF(1..T)."""
     return (np.searchsorted(cdf[1:], draws, side="left") + 1).astype(np.int16)

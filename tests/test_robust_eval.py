@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -26,6 +27,8 @@ from rifa.robust_eval import (
     PathOptimum,
     _Kernel,
     _at,
+    _by_group,
+    _first_best,
     _fsum_rows,
     _objective,
     _row_sum,
@@ -379,13 +382,14 @@ def _hexes(values):
 
 
 @pytest.mark.parametrize("surrender", [True, False], ids=["surrender", "no_surrender"])
-@pytest.mark.parametrize("T", [1, 2, 8, 9, 10, 12])
+@pytest.mark.parametrize("T", [1, 2, 3, 8, 9, 10, 12])
 @pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
 def test_tree_route_equals_paired_route(spec, T, surrender):
     """every_path walks the prefix tree yet gives values() bit for bit.
 
-    T = 9, 10 and 12 put 8 or more terms in the date sum, where numpy's
-    pairwise order differs from a sequential sum.
+    T = 1 has no surrender date and T = 2, 3 the first nodes whose parent
+    is not the root.  T = 9, 10 and 12 put 8 or more terms in the date
+    sum, where numpy's pairwise order differs from a sequential sum.
     """
     market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
     benefit = BenefitSpec(K=100.0, r_G=0.01, l=0.1, surrender=surrender)
@@ -401,6 +405,100 @@ def test_tree_route_equals_paired_route(spec, T, surrender):
     tree = kernel.every_path(a, d)
     assert tree.shape == (a.shape[0], paths)
     assert _hexes(tree) == _hexes(paired)
+
+
+def _shared(a, d):
+    """A points function of _first_best giving every group the points (a, d)."""
+    return lambda rows: (np.tile(a, (rows.size, 1)), np.tile(d, (rows.size, 1)))
+
+
+_SCREEN = np.linspace(0.0, 1.0, 17)
+_SCREEN_A, _SCREEN_D = (
+    x.ravel()
+    for x in np.meshgrid(50.0 + 290.0 * _SCREEN, 1e4 + 9e4 * _SCREEN, indexing="ij")
+)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
+@pytest.mark.parametrize("T", [4, 8, 10])
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_tree_route_first_best_equals_paired_route(spec, T, sign):
+    """Shared screen points pick the same point and value per path on both routes.
+
+    At T = 8 and 10 the 289 points of the screen span several blocks of
+    the tree, and T=4 also checks against one matrix of every value.
+    """
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
+    prices, q = path_arrays(market)
+    kernel = _Kernel(prices, q, 0.02, 0.01, spec, BenefitSpec(100.0, 0.01, 0.1), market)
+    f, n = _objective(kernel, price=False), _SCREEN_A.size
+    points = _shared(_SCREEN_A, _SCREEN_D)
+    tree = _first_best(f, len(q), n, points, sign, kernel.every_path)
+    paired = _first_best(f, len(q), n, points, sign)
+    assert tree[0].tolist() == paired[0].tolist()
+    assert _hexes(tree[1]) == _hexes(paired[1])
+    assert (n > _TREE_PAIRS // len(q)) == (T > 4)
+    if T == 4:
+        every = kernel.every_path(_SCREEN_A, _SCREEN_D)
+        assert tree[0].tolist() == np.argmin(sign * every, axis=0).tolist()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
+def test_first_best_of_a_flat_objective_is_the_first_point(sign):
+    """Without surrender every point ties, and every route picks index 0."""
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=8)
+    prices, q = path_arrays(market)
+    benefit = BenefitSpec(K=100.0, r_G=0.01, l=0.1, surrender=False)
+    kernel = _Kernel(prices, q, 0.02, 0.01, CopulaSpec("independence"), benefit, market)
+    points, n = _shared(_SCREEN_A, _SCREEN_D), _SCREEN_A.size
+    paths, price = _objective(kernel, price=False), _objective(kernel, price=True)
+    for f, groups, every in (
+        (paths, len(q), kernel.every_path),
+        (paths, len(q), None),
+        # three single-model prices: every point is a contender
+        (price, 3, None),
+    ):
+        best, _ = _first_best(f, groups, n, points, sign, every)
+        assert best.tolist() == [0] * groups
+
+
+_NAN_VALUES = np.array(
+    [
+        # points along the first axis, groups along the second
+        [3.0, 1.0, math.nan, 2.0, -math.inf, 0.0, 5.0],
+        [3.0, 0.5, 1.0, math.nan, -math.inf, -0.0, math.inf],
+        [1.0, 0.5, math.nan, 2.0, 7.0, 0.0, -1.0],
+        [math.nan, 0.5, -1.0, math.nan, math.inf, 0.0, math.nan],
+        [1.0, math.inf, 0.0, -3.0, -math.inf, -0.0, -1.0],
+    ]
+)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
+def test_first_best_handles_nan_and_ties_as_argmin(sign):
+    """Injected nan, inf and exact ties give np.argmin's index on both routes.
+
+    Blocks of one or two points make the tree route carry its running best
+    across blocks.
+    """
+    values = _NAN_VALUES
+    n, groups = values.shape
+
+    def every(a, d):
+        return values[a.astype(np.intp)]
+
+    def f(rows, a, d, estimate=False):
+        out = values[a.astype(np.intp), rows]
+        return np.stack((out, np.zeros_like(out))) if estimate else out
+
+    points = _shared(np.arange(n, dtype=float), np.zeros(n))
+    expect = np.argmin(sign * values, axis=0)
+    for pairs in (groups, 2 * groups, _TREE_PAIRS):
+        with mock.patch.object(robust_eval, "_TREE_PAIRS", pairs):
+            for route in (every, None):
+                best, value = _first_best(f, groups, n, points, sign, route)
+                assert best.tolist() == expect.tolist()
+                assert _hexes(value) == _hexes(values[expect, np.arange(groups)])
 
 
 def test_row_sum_follows_numpy_order():
@@ -520,6 +618,129 @@ def test_fsum_rows_certifies_price_blocks():
             assert _hexes(got) == [math.fsum(r).hex() for r in x.tolist()]
 
 
+class _Rows:
+    """Kernel stand-in for the price objective: point a is row int(a) of g."""
+
+    def __init__(self, q, g):
+        self.q, self.g = q, g
+
+    def every_path(self, a, d):
+        return self.g[a.astype(np.intp)]
+
+
+def _argmin_or_error(f):
+    """f() as a list, or the class of the error it raises."""
+    try:
+        return f()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.5e308]), _MIXED)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=st.lists(_ENTRIES, min_size=1, max_size=12),
+    shape=st.tuples(st.integers(1, 24), st.integers(1, 48)),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=8),
+    nudged=st.lists(st.integers(0, 23), max_size=4),
+    bad=st.lists(
+        st.tuples(st.integers(0, 23), st.sampled_from([math.inf, -math.inf, math.nan])),
+        max_size=2,
+    ),
+)
+def test_certified_first_best_equals_exact_argmin(entries, shape, seed, ties, nudged, bad):
+    """Estimates and contenders pick np.argmin of the exact sums, with their values.
+
+    Blocks of the given entries carry positive path weights, mixed signs,
+    zeros, exact ties (copied points), near ties (a copy with one term
+    moved by one ulp) and non-finite terms; two groups go through
+    ``_by_group``.  Blocks of at most 64 pairs split a group's points.
+    """
+    points, paths = shape
+    rng = np.random.default_rng(seed)
+    g = np.array(entries)[rng.integers(len(entries), size=shape)]
+    q = rng.random(paths) + 2.0**-20
+    for i, j in ties:
+        g[j % points] = g[i % points]
+    for i in nudged:
+        k = rng.integers(paths)
+        g[(i + 1) % points] = g[i % points]
+        g[(i + 1) % points, k] = np.nextafter(g[i % points, k], math.inf)
+    for i, x in bad:
+        g[i % points, rng.integers(paths)] = x
+    blocks = [g, -g[::-1]]
+    with mock.patch.object(robust_eval, "_TREE_PAIRS", 64):
+        objectives = [_objective(_Rows(q, b), price=True) for b in blocks]
+    f = _by_group(objectives, np.arange(2))
+    at = _shared(np.arange(points, dtype=float), np.zeros(points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sign in (1.0, -1.0):
+
+            def exact():
+                picks = []
+                for b in blocks:
+                    v = _fsum_rows(q * b)
+                    k = int(np.argmin(sign * v))
+                    picks.append((k, float(v[k]).hex()))
+                return picks
+
+            def certified():
+                best, value = _first_best(f, 2, points, at, sign)
+                return list(zip(best.tolist(), _hexes(value)))
+
+            assert _argmin_or_error(certified) == _argmin_or_error(exact)
+
+
+def test_screen_contenders_are_few(market_paper, benefit_paper, independence):
+    """Certified estimates leave under 2% of the a-sweep's screen to exact sums."""
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    boxes = [dataclasses.replace(box, a=(a, a)) for a in np.linspace(50.0, 350.0, 31)]
+    real, screens = robust_eval._first_best, []
+
+    def spy(f, groups, n, points, sign, every=None):
+        exact = []
+
+        def counted(rows, a, d, estimate=False):
+            if not estimate:
+                exact.append(a.size)
+            return f(rows, a, d, estimate)
+
+        out = real(counted, groups, n, points, sign, every)
+        screens.append((groups * n, sum(exact)))
+        return out
+
+    with mock.patch.object(robust_eval, "_first_best", spy):
+        sup_classical_batch(
+            boxes, [benefit_paper] * 31, independence, market_paper, OptimizerConfig()
+        )
+    # the fixed candidates, then the 17**2-point screen of d
+    [_, (screened, contenders)] = screens
+    assert screened == 31 * 289
+    assert contenders < 0.02 * screened
+
+
+def test_grid_search_memory_is_flat_in_points(benefit_paper, independence):
+    """A T=10 grid search never holds a (points x paths) matrix of values.
+
+    Its 4,096 shared points on 1,024 paths would take 512 blocks of
+    _TREE_PAIRS floats.
+    """
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=10)
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    cfg = OptimizerConfig(method="grid", grid_points_per_dim=64)
+    tracemalloc.start()
+    try:
+        robust_price(box, independence, benefit_paper, market, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * _TREE_PAIRS * 8
+
+
 @pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
 def test_robust_price_per_path_is_pathwise_esssup(spec, market_small, benefit_paper):
     box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
@@ -545,6 +766,21 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ConfigurationError):
         OptimizerConfig(grid_points_per_dim=1)
+
+
+@pytest.mark.parametrize("field", ["multistarts", "max_iters", "grid_points_per_dim"])
+def test_optimizer_config_counts_are_integers(field):
+    """Counts reject floats and bools, and store numpy integers as int."""
+    for bad in (2.5, 10.0, True, False, "3"):
+        with pytest.raises(ConfigurationError, match=field):
+            OptimizerConfig(**{field: bad})
+    cfg = OptimizerConfig(**{field: np.int64(7)})
+    assert getattr(cfg, field) == 7 and type(getattr(cfg, field)) is int
+
+
+def test_optimizer_config_rejects_boolean_tolerance():
+    with pytest.raises(ConfigurationError, match="tolerance"):
+        OptimizerConfig(tolerance=True)
 
 
 def test_report_validation_rejects_bad_delta():
