@@ -340,11 +340,16 @@ def _exit_times(
 ) -> np.ndarray:
     # Generalized inverse: the smallest t with CDF(t) >= draw, T+1 when none.
     # The CDF is nondecreasing, so that t is 1 plus the number of levels
-    # CDF(1..T) strictly below the draw, counted one level at a time, each
-    # comparison into `mask` (a bool array shaped like draws) when given.
+    # CDF(1..T) strictly below the draw, counted one level at a time: each
+    # comparison goes into `mask` (bool, shaped like draws, new when not
+    # given) and is added through its int8 view, skipping a buffered cast.
+    if mask is None:
+        mask = np.empty(draws.shape, bool)
+    hits = mask.view(np.int8)
     tau = np.ones(draws.shape, np.int8)
     for level in cdf[1:]:
-        tau += np.greater(draws, level, out=mask)
+        np.greater(draws, level, out=mask)
+        tau += hits
     return tau
 
 
@@ -359,15 +364,19 @@ def _client_payouts(
     # One lookup per client in table[td, ts] = pays[ts] if td > min(ts, T)
     # else 0.0, where pays = (surrender_pays[0..T], survival_pay): a client
     # alive at min(tau_surrender, T) is paid the surrender leg (zero at T)
-    # or, at T+1, the survival leg.  The flat index is formed in intp, in
-    # `index` when given: int8 exit times times T+2 would wrap once T >= 10.
+    # or, at T+1, the survival leg.  The flat index is formed in `index`,
+    # int16 when not given (int8 would wrap once T >= 10): int8 exit times
+    # need T+1 <= 127, so the largest index, (T+1)(T+2) + T+1, is below
+    # 128**2.  take copies an int16 index to intp; an intp `index` does not.
     # The payouts go to `out` when given, by take's mode="clip", which
     # writes there directly: exit times in 1..T+1 keep indices in range.
     T = len(surrender_pays) - 1
     pays = np.append(surrender_pays, survival_pay)
     t = np.arange(T + 2)
     table = np.where(t[:, None] > np.minimum(t, T), pays, 0.0)
-    index = np.multiply(tau_death, T + 2, out=index, dtype=np.intp)
+    if index is None:
+        index = np.empty(tau_death.shape, np.int16)
+    np.multiply(tau_death, T + 2, out=index, dtype=index.dtype)
     index += tau_surrender
     return table.ravel().take(index, out=out, mode="clip")
 
@@ -396,20 +405,28 @@ def _portfolio_trials(
     # trial allocates only the two exit-time arrays its sample keeps.
     draws = (np.empty(n_max), np.empty(n_max))
     mask = np.empty(n_max, bool)
-    index = np.empty(n_max, np.intp)
+    index = np.empty(n_max, np.int16)
+    # surrender levels per drawn path, from the same scalar calls: they are
+    # compared exactly, and np.expm1 may differ from math.expm1 in the last bit
+    surr_cdfs: dict[int, np.ndarray] = {}
     for k in range(trials):
         rng = np.random.default_rng([seed, k])
         i = int(rng.choice(q.shape[0], p=q))
-        path = Path.from_row(prices, q, i)
-        surr_cdf = np.array(
-            [surrender_cdf(path, theta, t, benefit.surrender) for t in range(T + 1)]
-        )
+        if i not in surr_cdfs:
+            path = Path.from_row(prices, q, i)
+            surr_cdfs[i] = np.array(
+                [surrender_cdf(path, theta, t, benefit.surrender) for t in range(T + 1)]
+            )
         u, v = sample_pairs(spec, n_max, rng, out=draws)
         tau1 = _exit_times(death_cdf, u, mask)
-        tau2 = _exit_times(surr_cdf, v, mask)
+        tau2 = _exit_times(surr_cdfs[i], v, mask)
         # u is spent: it takes the payouts, then their running sums
         x = _client_payouts(tau1, tau2, survival[i], surrender[i], index, out=u)
-        payout_std = float(np.std(x))
+        # np.std's operations in its order (numpy 2.x _var), with the
+        # deviations in v, which is spent too
+        np.subtract(x, np.add.reduce(x) / n_max, out=v)
+        np.square(v, out=v)
+        payout_std = float(np.sqrt(np.add.reduce(v) / n_max))
         cum = np.cumsum(x, out=x)
         yield PortfolioSample(
             trial=k,
@@ -444,10 +461,12 @@ def simulate_portfolio(
     from (seed, trial), so results are reproducible and independent of
     any execution order.  `trials` and `seed` may be Python or numpy
     integers, not bools.  All trials of a call run in one workspace for
-    the draws, the level comparisons, the payout index and the payouts;
-    apart from numpy's short-lived temporaries, a trial allocates only
-    the two exit-time arrays its sample keeps, so no two samples share
-    memory.
+    the draws, the level comparisons, the int16 payout index, the payouts
+    and their deviations from the mean (in the spent draw buffers); the
+    surrender levels are computed once per drawn path.  Apart from
+    numpy's short-lived temporaries (take's intp copy of the index, the
+    copula's), a trial allocates only the two exit-time arrays its sample
+    keeps, so no two samples share memory.
     """
     sched, trials, seed = _check_run(n_schedule, trials, seed)
     return list(

@@ -231,10 +231,13 @@ def sample_pairs(
     or into two new arrays when it is None; the draws are the same
     either way.  Clipping and the Clayton inverse run in place, so with
     `out` independence allocates nothing and Clayton only its u**-alpha
-    factor; Frank and Gumbel keep their temporaries.
+    factor; Frank and Gumbel keep their temporaries.  Buffers that share
+    memory raise ContractError: the second block would overwrite the first.
     """
     if out is None:
         out = (np.empty(n), np.empty(n))
+    elif np.shares_memory(out[0], out[1]):
+        raise ContractError("out must be two arrays that do not share memory")
     # v is computed in the buffer that holds the second block w
     u, w = out
     rng.random(n, out=u)

@@ -663,7 +663,8 @@ def _optimize_ad(
         [np.broadcast_to(np.asarray(iv, dtype=float), (groups, 2)) for iv in (a_iv, d_iv)],
         axis=1,
     )
-    every = every if (ends == ends[0]).all() else None
+    same = (ends == ends[0]).all()
+    every = every if same else None
     lo, hi = ends[..., 0], ends[..., 1]
     width = hi - lo
     spans = hi > lo
@@ -701,9 +702,14 @@ def _optimize_ad(
 
     if free and cfg.method in ("grid", "hybrid"):
         n = cfg.grid_points_per_dim
-        # each group's grid axes, shape (groups, n), or (groups, 1) if fixed
+        # each group's grid axes, shape (groups, n), or (groups, 1) if fixed;
+        # one row broadcast to every group when all rectangles are equal
+        r = slice(1) if same else slice(None)
         a_grid, d_grid = (
-            np.linspace(lo[:, i], hi[:, i], n, axis=1) if i in free else lo[:, i : i + 1]
+            np.broadcast_to(
+                np.linspace(lo[r, i], hi[r, i], n, axis=1) if i in free else lo[r, i : i + 1],
+                (groups, n if i in free else 1),
+            )
             for i in (0, 1)
         )
         n_d = d_grid.shape[1]

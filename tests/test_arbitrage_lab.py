@@ -27,6 +27,7 @@ from rifa.errors import ConfigurationError, ContractError, VerificationError
 from rifa.hazards import ParamBox, Theta, gompertz_cdf, surrender_cdf
 from rifa.lattice import (
     MAX_LATTICE_STEPS,
+    MarketParams,
     Path,
     enumerate_paths,
     path_arrays,
@@ -437,15 +438,21 @@ def _allocating_trials(theta, spec, benefit, market, sched, trials, seed, premiu
 def test_trial_workspace_matches_allocating_oracle(
     spec, market_small_mod, benefit_paper_mod
 ):
-    """Reusing one workspace per call changes no bit and leaks no buffer."""
+    """Reusing one workspace per call changes no bit and leaks no buffer.
+
+    The second run draws 30 trials on 8 paths, so paths repeat and reuse
+    their surrender levels.
+    """
     theta = Theta(150.0, 0.025, 0.03, 2e4)
-    run = (theta, spec, benefit_paper_mod, market_small_mod, (7, 50, 300), 6, 5, 80.0)
-    samples = simulate_portfolio(*run[:5], trials=run[5], seed=run[6], premium=run[7])
-    assert _fingerprint(samples) == _allocating_trials(*run)
-    arrays = [a for s in samples for a in (s.tau_death, s.tau_surrender)]
-    for j, a in enumerate(arrays):
-        for b in arrays[j + 1:]:
-            assert not np.shares_memory(a, b)
+    market_t3 = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=3)
+    for market, trials in ((market_small_mod, 6), (market_t3, 30)):
+        run = (theta, spec, benefit_paper_mod, market, (7, 50, 300), trials, 5, 80.0)
+        samples = simulate_portfolio(*run[:5], trials=trials, seed=run[6], premium=run[7])
+        assert _fingerprint(samples) == _allocating_trials(*run)
+        arrays = [a for s in samples for a in (s.tau_death, s.tau_surrender)]
+        for j, a in enumerate(arrays):
+            for b in arrays[j + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 def test_portfolio_values_recomputable_from_exit_times(
@@ -544,6 +551,22 @@ def test_client_payouts_at_lattice_cap(dtype):
         assert x == _payout_rule(t1, t2, T, survival_pay, surrender_pays), (t1, t2)
 
 
+@pytest.mark.parametrize("T", [MAX_LATTICE_STEPS, 125])
+def test_client_payouts_int16_index_equals_intp(T):
+    """An int16 index gives the intp index's payouts up to T+1 = 126 (int8 exit times)."""
+    surrender_pays = 1.0 + np.arange(T + 1) / 64.0
+    surrender_pays[T] = 0.0
+    pairs = [(t1, t2) for t1 in range(1, T + 2) for t2 in range(1, T + 2)]
+    tau_death, tau_surrender = np.array(pairs, dtype=np.int8).T
+    n = len(pairs)
+    expect = _client_payouts(
+        tau_death, tau_surrender, 1000.0, surrender_pays, np.empty(n, np.intp)
+    )
+    for index in (np.empty(n, np.int16), None):
+        got = _client_payouts(tau_death, tau_surrender, 1000.0, surrender_pays, index)
+        assert got.tobytes() == expect.tobytes()
+
+
 def test_client_payouts_write_into_out_without_a_copy():
     """With out=, the payouts keep their bits and no payout-sized temporary is made."""
     rng = np.random.default_rng(3)
@@ -598,9 +621,11 @@ def test_exit_times_equal_searchsorted(cdf):
         np.nextafter(levels, np.inf),
         [0.0],
     ))
-    got = _exit_times(cdf, draws)
-    assert got.dtype == np.int8
-    assert np.array_equal(got, _searchsorted_exit_times(cdf, draws))
+    expect = _searchsorted_exit_times(cdf, draws)
+    for mask in (None, np.empty(draws.shape, bool)):
+        got = _exit_times(cdf, draws, mask)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, expect)
 
 
 def test_exit_time_marginals_match_cdfs(

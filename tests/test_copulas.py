@@ -334,6 +334,19 @@ def test_sampler_draws_into_out(spec):
     assert rng_a.random() == rng_b.random()
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+@pytest.mark.parametrize("overlap", ["aliased", "overlapping"])
+def test_sampler_rejects_out_buffers_that_share_memory(spec, overlap):
+    """One buffer for both blocks, or two overlapping slices, would give wrong pairs."""
+    buf = np.zeros(8)
+    out = (buf[:5], buf[:5]) if overlap == "aliased" else (buf[:5], buf[3:8])
+    rng = np.random.default_rng(42)
+    with pytest.raises(ContractError, match="share memory"):
+        sample_pairs(spec, 5, rng, out=out)
+    # refused before any draw
+    assert rng.random() == np.random.default_rng(42).random()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     u1=st.floats(min_value=0.0, max_value=1.0),

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy import optimize
 
 from rifa.arbitrage_lab import nrifa_check
@@ -547,15 +546,20 @@ _MIXED = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    x=hnp.arrays(
-        np.float64,
-        st.tuples(st.integers(1, 4), st.integers(1, 300)),
-        elements=_MIXED,
-    ),
+    entries=st.lists(_MIXED, min_size=1, max_size=12),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 300)),
+    seed=st.integers(0, 2**32 - 1),
     cancel=st.booleans(),
 )
-def test_fsum_rows_matches_fsum(x, cancel):
-    """Mixed signs and magnitudes 1e-300..1e300, with or without exact cancellation."""
+def test_fsum_rows_matches_fsum(entries, shape, seed, cancel):
+    """Mixed signs and magnitudes 1e-300..1e300, with or without exact cancellation.
+
+    A few drawn entries are spread over the block, with random signs, by
+    a seeded generator: drawing every element would cost far more time.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.array(entries)[rng.integers(len(entries), size=shape)]
+    x *= rng.choice([-1.0, 1.0], size=shape)
     if cancel:
         # the row and its negation, shuffled: the exact sum is 0 or the odd term
         x = np.concatenate([x, -x[:, ::-1], x[:, :1]], axis=1)
@@ -739,6 +743,9 @@ def test_grid_search_memory_is_flat_in_points(benefit_paper, independence):
     finally:
         tracemalloc.stop()
     assert peak < 40 * _TREE_PAIRS * 8
+    # the paths' equal rectangles share one row of grid axes: one row per
+    # path would add 2 x 1,024 x 64 floats, 1 MiB, to a peak of about 1 MB
+    assert peak < 1.5 * 2**20
 
 
 @pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
