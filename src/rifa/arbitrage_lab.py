@@ -33,6 +33,7 @@ from .lattice import (
     Claim,
     MarketParams,
     Path,
+    _is_int,
     path_arrays,
     strategy_gain,
     superhedge,
@@ -230,11 +231,6 @@ def _check_request(
     for opt in report.per_path:
         if not box.contains(opt.theta):
             raise ContractError("report was computed for a different parameter box")
-
-
-def _is_int(x) -> bool:
-    """True for Python and numpy integers; bool is an int subclass, not a count."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_schedule(n_schedule: Sequence[int]) -> tuple[int, ...]:

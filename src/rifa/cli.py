@@ -32,7 +32,7 @@ from .errors import (
     ResourceError,
 )
 from .hazards import ParamBox, Theta
-from .lattice import MarketParams
+from .lattice import MarketParams, _is_int
 from .arbitrage_lab import lln_rms, nrifa_check, simulate_portfolio
 from .robust_eval import OptimizerConfig, evaluate, sup_classical_batch
 
@@ -66,17 +66,17 @@ class RunConfig:
     def __post_init__(self):
         if self.premium is not None:
             if not (
-                isinstance(self.premium, (int, float))
+                _is_number(self.premium)
                 and math.isfinite(self.premium)
                 and self.premium >= 0.0
             ):
                 raise ConfigurationError(f"premium must be >= 0, got {self.premium}")
-        if self.seed is not None and not (
-            isinstance(self.seed, int) and self.seed >= 0
-        ):
-            raise ConfigurationError(
-                f"seed must be a nonnegative integer, got {self.seed!r}"
-            )
+        if self.seed is not None:
+            if not (_is_int(self.seed) and self.seed >= 0):
+                raise ConfigurationError(
+                    f"seed must be a nonnegative integer, got {self.seed!r}"
+                )
+            object.__setattr__(self, "seed", int(self.seed))
 
 
 # config keys named differently from their dataclass fields

@@ -36,6 +36,11 @@ from rifa.errors import ConfigurationError, ContractError, ResourceError
 MAX_LATTICE_STEPS = 24
 
 
+def _is_int(x) -> bool:
+    """True for Python and numpy integers; bool is an int subclass, not a count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class MarketParams:
     """Static description of the binomial market.
@@ -56,8 +61,9 @@ class MarketParams:
     def __post_init__(self):
         if not 0.0 < self.s0 < math.inf:
             raise ConfigurationError(f"s0 must be positive and finite, got {self.s0}")
-        if not isinstance(self.T, int) or self.T < 1:
+        if not _is_int(self.T) or self.T < 1:
             raise ConfigurationError(f"T must be an integer >= 1, got {self.T!r}")
+        object.__setattr__(self, "T", int(self.T))
         if not (-1.0 < self.v < self.r < self.u < math.inf):
             raise ConfigurationError(
                 f"returns must satisfy -1 < v < r < u, got v={self.v}, r={self.r}, u={self.u}"

@@ -33,15 +33,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from rifa.benefits import BenefitSpec, payoff_table
 from rifa.copulas import CopulaSpec, _survival_array, SLICE_TOL
-from rifa.errors import ConfigurationError, NumericalError
+from rifa.errors import ConfigurationError, ContractError, NumericalError
 from rifa.hazards import ParamBox, Theta
-from rifa.lattice import MarketParams, Path, path_arrays
+from rifa.lattice import MarketParams, Path, _is_int, path_arrays
 
 OPTIMIZER_METHODS = ("nelder_mead", "grid", "hybrid")
 
@@ -79,7 +79,7 @@ class OptimizerConfig:
             )
         for name, least in (("multistarts", 1), ("max_iters", 1), ("grid_points_per_dim", 2)):
             n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+            if not _is_int(n) or n < least:
                 raise ConfigurationError(f"{name} must be an integer >= {least}, got {n!r}")
             object.__setattr__(self, name, int(n))
         if isinstance(self.tolerance, bool) or not 0.0 < self.tolerance < math.inf:
@@ -130,9 +130,9 @@ class EvaluationReport:
 # (point, path) pairs per block of the paired route: each (pairs, T+1)
 # temporary takes 8*(T+1) kB
 _BLOCK_PAIRS = 1 << 10
-# (point, path) pairs per block of the prefix-tree route: each temporary
-# takes 64 kB.  Larger blocks spread the fixed cost of a call over more
-# points and run faster, at the price of peak memory
+# (point, path) pairs per block of the prefix-tree route, and (point, group)
+# pairs per tile of _first_best: each temporary takes 64 kB.  Larger blocks
+# spread a call's fixed cost over more points, at the price of peak memory
 _TREE_PAIRS = 1 << 13
 # blocks of fewer terms are summed by math.fsum directly: below about a
 # thousand terms it is faster than the dozen array operations of _fsum_rows
@@ -379,7 +379,11 @@ class _Kernel:
         return (v_surv * survival + paid).reshape(-1, a.shape[0]).T
 
 
-_Objective = Callable[..., np.ndarray]
+class _Objective(NamedTuple):
+    """values(rows, a, d) of an objective, and screen(a, d) -> (estimates, radii)."""
+
+    values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    screen: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _sum_margin(n: int) -> float:
@@ -396,7 +400,7 @@ def _sum_margin(n: int) -> float:
 
 
 def _objective(kernel: _Kernel, price: bool) -> _Objective:
-    """Vectorised objective f(rows, a, d) on a kernel.
+    """Vectorised objective values(rows, a, d) on a kernel, with its screen.
 
     price=False gives G on path rows[i] at (a[i], d[i]), through the
     paired route in blocks of at most _BLOCK_PAIRS points.  price=True
@@ -407,32 +411,49 @@ def _objective(kernel: _Kernel, price: bool) -> _Objective:
     values come from the prefix-tree route in blocks of at most
     _TREE_PAIRS (point, path) pairs.  Memory stays flat.
 
-    f(rows, a, d, estimate=True) gives two rows, estimates and radii: a
-    price block of finite terms with sum|terms| >= 2**-900 gets numpy's
-    sums, radius ``_sum_margin`` * sum|terms|; other points values, radius 0.
+    screen(a, d) takes candidates of shape (groups, n), or (1, n) when
+    every group shares them, and gives estimates and radii that bound
+    their values.  Paths get values, radius 0: a shared row walks the
+    prefix tree when the kernel holds every path, else the paired route
+    serves.  A price block of finite terms with sum|terms| >= 2**-900 gets
+    numpy's sums, radius ``_sum_margin`` * sum|terms|; others values.
     """
     q = kernel.q
     step = max(1, _TREE_PAIRS // q.shape[0]) if price else _BLOCK_PAIRS
-    margin = _sum_margin(q.shape[0])
 
-    def f(rows: np.ndarray, a: np.ndarray, d: np.ndarray, estimate: bool = False):
-        out = np.zeros((1 + estimate, a.shape[0]))
+    def values(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        out = np.zeros(a.shape[0])
         for i in range(0, a.shape[0], step):
             s = slice(i, i + step)
-            if not price:
-                out[0, s] = kernel.values(rows[s], a[s], d[s])
-                continue
-            x = q * kernel.every_path(a[s], d[s])
-            if estimate:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    est, mag = x.sum(axis=1), np.abs(x).sum(axis=1)
-                if 2.0**-900 <= mag.min() and mag.max() < math.inf and np.isfinite(est).all():
-                    out[:, s] = est, margin * mag
-                    continue
-            out[0, s] = _fsum_rows(x)
-        return out if estimate else out[0]
+            if price:
+                out[s] = _fsum_rows(q * kernel.every_path(a[s], d[s]))
+            else:
+                out[s] = kernel.values(rows[s], a[s], d[s])
+        return out
 
-    return f
+    def screen(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if not price:
+            if a.shape[0] == 1 and q.shape[0] == 1 << kernel.T:
+                v = kernel.every_path(a[0], d[0]).T
+            else:
+                rows, a, d = np.broadcast_arrays(np.arange(q.shape[0])[:, None], a, d)
+                v = values(rows.ravel(), a.ravel(), d.ravel()).reshape(rows.shape)
+            return v, np.zeros_like(v)
+        shape = a.shape
+        a, d = a.ravel(), d.ravel()
+        est, rad = np.zeros((2, a.shape[0]))
+        for i in range(0, a.shape[0], step):
+            s = slice(i, i + step)
+            x = q * kernel.every_path(a[s], d[s])
+            with np.errstate(over="ignore", invalid="ignore"):
+                v, mag = x.sum(axis=1), np.abs(x).sum(axis=1)
+            if 2.0**-900 <= mag.min() and mag.max() < math.inf and np.isfinite(v).all():
+                est[s], rad[s] = v, _sum_margin(q.shape[0]) * mag
+            else:
+                est[s] = _fsum_rows(x)
+        return est.reshape(shape), rad.reshape(shape)
+
+    return _Objective(values, screen)
 
 
 def _by_group(objectives: Sequence[_Objective], which: np.ndarray) -> _Objective:
@@ -440,21 +461,30 @@ def _by_group(objectives: Sequence[_Objective], which: np.ndarray) -> _Objective
     if len(objectives) == 1:
         return objectives[0]
 
-    def f(rows: np.ndarray, a: np.ndarray, d: np.ndarray, estimate: bool = False):
+    def values(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         kind = which[rows]
-        out = np.zeros((1 + estimate, a.shape[0]))
+        out = np.zeros(a.shape[0])
         for k in np.unique(kind).tolist():
             sel = np.flatnonzero(kind == k)
-            out[:, sel] = objectives[k](np.zeros_like(sel), a[sel], d[sel], estimate)
-        return out if estimate else out[0]
+            out[sel] = objectives[k].values(np.zeros_like(sel), a[sel], d[sel])
+        return out
 
-    return f
+    def screen(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = np.zeros((2, which.shape[0], a.shape[1]))
+        for k in np.unique(which).tolist():
+            sel = np.flatnonzero(which == k)
+            # a shared row is screened once per kind
+            pick = slice(None) if a.shape[0] == 1 else sel
+            out[:, sel] = objectives[k].screen(a[pick], d[pick])
+        return out[0], out[1]
+
+    return _Objective(values, screen)
 
 
 def _at(f: _Objective, a: float, d: float) -> float:
     """Scalar value of a vectorised objective on its first problem."""
     one = np.zeros(1, dtype=np.intp)
-    return float(f(one, np.array([a], dtype=float), np.array([d], dtype=float))[0])
+    return float(f.values(one, np.array([a], dtype=float), np.array([d], dtype=float))[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -586,49 +616,38 @@ def _latin_starts(k: int, ndim: int) -> list[tuple[float, ...]]:
 
 
 def _first_best(
-    f: _Objective,
-    groups: int,
-    n: int,
-    points: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    sign: float,
-    every: Callable | None = None,
+    f: _Objective, groups: int, a: np.ndarray, d: np.ndarray, sign: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per group, the index and value of the first best of its n candidate points.
+    """Per group, the index and value of the first best of its candidate points.
 
-    The index is np.argmin's of sign * values: the first of ties, or the
-    first nan.  points(rows) gives groups rows' candidates as (a, d) arrays
-    of shape (rows, n).  every(a, d), when given, is every group's objective
-    at shared points, shape (points, groups): group 0's points go through
-    it in blocks of at most _TREE_PAIRS pairs, with a running first best.
-    Otherwise f gets chunks of about _BLOCK_PAIRS points and may estimate
-    (``_objective``); only contenders, whose sign * estimate - radius
-    reaches their group's least sign * estimate + radius, are then
-    evaluated exactly, as no other can win.
+    Group g's candidates are (a[g, j], d[g, j]), shape (groups, n), or one
+    row (1, n) that every group shares.  The index is np.argmin's of
+    sign * values: the first of ties, or the first nan.  Column tiles of
+    at most _TREE_PAIRS (point, group) pairs go through f.screen, and a
+    running first best carries across tiles, an earlier tile keeping ties.
+    Only contenders, whose sign * estimate - radius reaches the lesser of
+    their group's running best and the tile's least sign * estimate +
+    radius, are then evaluated exactly: every other estimate lies above an
+    exact value already in hand, so it cannot win.
     """
+    group = np.arange(groups)
     best, val = np.zeros(groups, dtype=np.intp), np.full(groups, np.inf)
-    if every is not None:
-        a, d = (x[0] for x in points(np.zeros(1, dtype=np.intp)))
-        step = max(1, _TREE_PAIRS // groups)
-        for i in range(0, n, step):
-            v = sign * every(a[i : i + step], d[i : i + step])
-            j = np.argmin(v, axis=0)
-            m = v[j, np.arange(groups)]
-            new = (m < val) | (np.isnan(m) & ~np.isnan(val))
-            best[new], val[new] = j[new] + i, m[new]
-        return best, sign * val
-    chunk = max(1, _BLOCK_PAIRS // n)
-    for g in range(0, groups, chunk):
-        rows = np.arange(g, min(g + chunk, groups))
-        a, d = points(rows)
-        owner = np.repeat(rows[:, None], n, axis=1)
-        est, rad = f(owner.ravel(), a.ravel(), d.ravel(), estimate=True).reshape(2, -1, n)
-        v = sign * est
-        with np.errstate(over="ignore"):
-            redo = (rad > 0) & (v - rad <= (v + rad).min(axis=1, keepdims=True))
-        v[redo] = sign * f(owner[redo], a[redo], d[redo])
-        # every estimate left in v lies above its group's least value
-        best[rows] = np.argmin(v, axis=1)
-        val[rows] = v[np.arange(rows.size), best[rows]]
+    step = max(1, _TREE_PAIRS // groups)
+    for i in range(0, a.shape[1], step):
+        s = slice(i, i + step)
+        est, rad = f.screen(a[:, s], d[:, s])
+        v = sign * np.broadcast_to(est, (groups, est.shape[1]))
+        redo = np.broadcast_to(rad > 0, v.shape)
+        if redo.any():
+            with np.errstate(over="ignore"):
+                least = np.minimum(val[:, None], (v + rad).min(axis=1, keepdims=True))
+                redo = redo & (v - rad <= least)
+            at = (np.broadcast_to(x, v.shape)[redo] for x in (group[:, None], a[:, s], d[:, s]))
+            v[redo] = sign * f.values(*at)
+        j = np.argmin(v, axis=1)
+        m = v[group, j]
+        new = (m < val) | (np.isnan(m) & ~np.isnan(val))
+        best[new], val[new] = j[new] + i, m[new]
     return best, sign * val
 
 
@@ -640,22 +659,21 @@ def _optimize_ad(
     cfg: OptimizerConfig,
     maximize: bool,
     extra_points: Sequence[tuple[float, float]] = (),
-    every: Callable | None = None,
 ) -> list[tuple[float, float, float]]:
     """Optimize a smooth objective over an (a, d) rectangle, per group.
 
-    `f(rows, a, d)` gives the objective of problem group rows[i] at
+    `f.values(rows, a, d)` gives the objective of problem group rows[i] at
     (a[i], d[i]); a group is one path of the robust search, or one
     single-model price.  a_iv and d_iv are a (lo, hi) interval shared by
     every group or one per group, shape (groups, 2); the free axes (those
     with hi > lo) must be the same in every group.  Each group's
     candidates are its rectangle's corners and midpoint, the caller's
-    extras, the best point of the dense grid (grid, hybrid) and the
+    extras, the points of the dense grid (grid, hybrid) and the
     Nelder-Mead results (nelder_mead, hybrid) from the Latin starts and
-    the group's best point of a coarse screen.  The searches of every
-    group run in one lockstep `minimize`; `every` (``_first_best``)
-    serves the fixed points, grid and screen if all rectangles are equal.
-    Returns, per group, the first best candidate as (value, a, d) floats.
+    the group's best point of a coarse screen.  ``_first_best`` screens
+    the other candidates, one row per group or one shared row if all
+    rectangles are equal; every group's searches run in one lockstep
+    `minimize`.  Returns, per group, the first best as (value, a, d).
     """
     sign = -1.0 if maximize else 1.0
     # per group, axis (a, d) and end (lo, hi)
@@ -663,14 +681,16 @@ def _optimize_ad(
         [np.broadcast_to(np.asarray(iv, dtype=float), (groups, 2)) for iv in (a_iv, d_iv)],
         axis=1,
     )
-    same = (ends == ends[0]).all()
-    every = every if same else None
     lo, hi = ends[..., 0], ends[..., 1]
     width = hi - lo
     spans = hi > lo
     if not (spans == spans[0]).all():
         raise ValueError("every group must have the same free axes")
     free = np.flatnonzero(spans[0]).tolist()
+    # the group of each row of the candidate arrays: one row that every
+    # group shares when all rectangles are equal
+    owners = np.arange(1 if (ends == ends[0]).all() else groups)
+    every_group = np.arange(groups)
 
     def to_point(z: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # unit-cube coordinates z of groups g to (a, d)
@@ -680,50 +700,28 @@ def _optimize_ad(
             pts[i] = pts[i] + z[:, k] * width[g, i]
         return pts[0], pts[1]
 
-    (a_lo, d_lo), (a_hi, d_hi) = lo.T, hi.T
-    fixed = [
-        (a_lo, d_lo),
-        (a_lo, d_hi),
-        (a_hi, d_lo),
-        (a_hi, d_hi),
-        (0.5 * (a_lo + a_hi), 0.5 * (d_lo + d_hi)),
-    ]
-    for a, d in extra_points:
-        fixed.append((
-            np.minimum(np.maximum(a, a_lo), a_hi), np.minimum(np.maximum(d, d_lo), d_hi)
-        ))
-    fixed = np.stack([np.stack(pair, axis=1) for pair in fixed], axis=1)
-    every_group = np.arange(groups)
-    # per group, the first best of each kind of candidate, in this order
-    i, value = _first_best(
-        f, groups, fixed.shape[1], lambda g: np.moveaxis(fixed[g], 2, 0), sign, every
-    )
-    candidates, values = [fixed[every_group, i][:, None]], [value[:, None]]
-
+    # each row's fixed points, axis (a, d) by point: the corners (lo, lo),
+    # (lo, hi), (hi, lo) and (hi, hi), the midpoint, then the extras
+    # clipped to the rectangle
+    low, high = lo[owners, :, None], hi[owners, :, None]
+    corners = np.where([[0, 0, 1, 1], [0, 1, 0, 1]], high, low)
+    extras = np.minimum(np.maximum(np.reshape(extra_points, (-1, 2)).T, low), high)
+    a, d = np.moveaxis(np.concatenate((corners, 0.5 * (low + high), extras), axis=2), 1, 0)
     if free and cfg.method in ("grid", "hybrid"):
         n = cfg.grid_points_per_dim
-        # each group's grid axes, shape (groups, n), or (groups, 1) if fixed;
-        # one row broadcast to every group when all rectangles are equal
-        r = slice(1) if same else slice(None)
+        # each row's grid axes, shape (rows, n), or (rows, 1) if fixed, then
+        # their meshgrid with indexing="ij", flattened
         a_grid, d_grid = (
-            np.broadcast_to(
-                np.linspace(lo[r, i], hi[r, i], n, axis=1) if i in free else lo[r, i : i + 1],
-                (groups, n if i in free else 1),
-            )
+            np.linspace(low[:, i, 0], high[:, i, 0], n, axis=1) if i in free else low[:, i]
             for i in (0, 1)
         )
-        n_d = d_grid.shape[1]
-
-        def grid(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # a meshgrid with indexing="ij", flattened, per group
-            aa = np.repeat(a_grid[rows], n_d, axis=1)
-            return aa, np.tile(d_grid[rows], a_grid.shape[1])
-
-        k, value = _first_best(f, groups, a_grid.shape[1] * n_d, grid, sign, every)
-        i, j = np.divmod(k, n_d)
-        grid_best = np.stack((a_grid[every_group, i], d_grid[every_group, j]), axis=1)
-        candidates.append(grid_best[:, None, :])
-        values.append(value[:, None])
+        a = np.concatenate((a, np.repeat(a_grid, d_grid.shape[1], axis=1)), axis=1)
+        d = np.concatenate((d, np.tile(d_grid, a_grid.shape[1])), axis=1)
+    # per group, the first best of the fixed points and the grid, then of
+    # each Nelder-Mead run, in this order
+    i, value = _first_best(f, groups, a, d, sign)
+    a, d = (np.broadcast_to(x, (groups, x.shape[1]))[every_group, i] for x in (a, d))
+    candidates, values = [np.stack((a, d), axis=1)[:, None]], [value[:, None]]
 
     failed = np.zeros(groups, dtype=bool)
     if free and cfg.method in ("nelder_mead", "hybrid"):
@@ -734,12 +732,9 @@ def _optimize_ad(
         axes = [np.linspace(0.0, 1.0, n_screen)] * len(free)
         mesh = np.meshgrid(*axes, indexing="ij") if len(free) == 2 else axes
         zz = np.stack([m.ravel() for m in mesh], axis=1)
-
-        def screen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            a, d = to_point(np.tile(zz, (rows.size, 1)), np.repeat(rows, zz.shape[0]))
-            return a.reshape(rows.size, -1), d.reshape(rows.size, -1)
-
-        screened = zz[_first_best(f, groups, zz.shape[0], screen, sign, every)[0]]
+        a, d = to_point(np.tile(zz, (owners.size, 1)), np.repeat(owners, zz.shape[0]))
+        i, _ = _first_best(f, groups, a.reshape(owners.size, -1), d.reshape(owners.size, -1), sign)
+        screened = zz[i]
         x0 = np.concatenate(
             (np.broadcast_to(starts, (groups, *starts.shape)), screened[:, None, :]),
             axis=1,
@@ -748,7 +743,7 @@ def _optimize_ad(
 
         def fun(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
             g = rows // per_group
-            return sign * f(g, *to_point(z, g))
+            return sign * f.values(g, *to_point(z, g))
 
         res = minimize(
             fun,
@@ -761,7 +756,7 @@ def _optimize_ad(
         g = np.repeat(every_group, per_group)
         polished = np.stack(to_point(res.x, g), axis=1)
         candidates.append(polished.reshape(groups, per_group, 2))
-        values.append(f(g, polished[:, 0], polished[:, 1]).reshape(groups, per_group))
+        values.append(f.values(g, polished[:, 0], polished[:, 1]).reshape(groups, per_group))
         failed = ~res.converged.reshape(groups, per_group).any(axis=1)
 
     cand, vals = np.concatenate(candidates, axis=1), np.concatenate(values, axis=1)
@@ -793,7 +788,7 @@ def conditional_values(
     kernel = _Kernel(prices, q, theta.b, theta.c, spec, benefit, market)
     rows = np.arange(q.shape[0])
     a, d = np.full(rows.shape, theta.a), np.full(rows.shape, theta.d)
-    return _objective(kernel, price=False)(rows, a, d)
+    return _objective(kernel, price=False).values(rows, a, d)
 
 
 def conditional_value(
@@ -834,8 +829,6 @@ def _pathwise_optima(
         cfg,
         maximize=True,
         extra_points=[(t.a, t.d) for t in extra_thetas],
-        # the prefix tree needs the price array of every path
-        every=kernel.every_path if q.shape[0] == 1 << market.T else None,
     )
     return [(value, Theta(a, b, c, d)) for value, a, d in optima]
 
@@ -933,6 +926,10 @@ def sup_classical_batch(
     cfg: OptimizerConfig,
 ) -> list[tuple[float, Theta]]:
     """``sup_classical`` of each (box, benefit) pair, bit for bit, in one search."""
+    if len(boxes) != len(benefits):
+        raise ContractError(f"{len(boxes)} boxes but {len(benefits)} benefits")
+    if not boxes:
+        return []
     return _optimize_classical(boxes, benefits, spec, market, cfg, maximize=True)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, outputs, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import rifa
 from rifa.cli import SWEEP_AXES, _swept_configs, canonical_json, main, parse_config
-from rifa.errors import ConfigurationError
+from rifa.errors import ConfigurationError, ContractError
 from rifa.robust_eval import sup_classical, sup_classical_batch
 
 from conftest import PAPER_CFG
@@ -448,6 +449,29 @@ def test_batched_sweep_without_free_axis(write_config):
         sup_classical(box, config.copula, benefit, *args[1:]) for box, benefit in steps
     ]
     assert _hexes(batched) == _hexes(single)
+
+
+def test_batched_sweep_checks_its_pairs(write_config):
+    """Boxes and benefits pair up one to one; an empty batch has no optima."""
+    config = parse_config(write_config(_paper_config("independence", None, "nelder_mead")))
+    box, benefit = config.theta_box, config.benefit
+    box2, benefit2 = _swept_configs(config, "a", 60.0)[0], _swept_configs(config, "K", 95.0)[1]
+    args = (config.copula, config.market, config.optimizer)
+    for boxes, benefits in (([box, box2, box], [benefit, benefit2]), ([box, box2], [benefit])):
+        with pytest.raises(ContractError, match="boxes but"):
+            sup_classical_batch(boxes, benefits, *args)
+    assert sup_classical_batch([], [], *args) == []
+
+
+def test_run_config_counts_reject_bools(write_config, base_config_doc):
+    """seed and premium reject bools; a numpy integer seed is stored as int."""
+    config = parse_config(write_config(base_config_doc))
+    for field in ("seed", "premium"):
+        with pytest.raises(ConfigurationError, match=field):
+            dataclasses.replace(config, **{field: True})
+    seeded = dataclasses.replace(config, seed=np.int64(3))
+    assert seeded.seed == 3 and type(seeded.seed) is int
+    assert canonical_json(seeded) == canonical_json(dataclasses.replace(config, seed=3))
 
 
 SWEEP_PAPER_A = (

@@ -28,6 +28,16 @@ def test_risk_neutral_probs_reference_market(market_paper):
     assert q_d == pytest.approx(0.25, abs=1e-15)
 
 
+def test_market_steps_are_integers():
+    """T rejects bools and floats, and stores numpy integers as int."""
+    for bad in (True, False, 2.0, "2"):
+        with pytest.raises(ConfigurationError, match="T must be"):
+            MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=bad)
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=np.int64(4))
+    assert market.T == 4 and type(market.T) is int
+    assert market == MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=4)
+
+
 def test_market_validation_rejects_bad_orderings():
     with pytest.raises(ConfigurationError):
         MarketParams(s0=-1.0, u=0.1, v=-0.1, r=0.05, T=2)

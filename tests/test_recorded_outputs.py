@@ -1,0 +1,79 @@
+"""CLI runs through every screening route, replayed against recorded bytes.
+
+``recorded_outputs.json`` holds the exit code and stdout of each run below,
+recorded on a known-good commit with
+
+    PYTHONPATH=src python tests/test_recorded_outputs.py --record
+
+The runs cover what ``test_bench_reference.py`` does not: ``check`` on
+``paper.cfg`` (the classical sup and inf), sweeps along d, b and K (shared
+rectangles, one kernel or one per step), and ``price`` on a T=6 Clayton(2)
+config with the grid and the hybrid method.  Each test runs one of them
+in-process and compares the bytes.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+import pytest
+
+from rifa.cli import main
+
+HERE = pathlib.Path(__file__).resolve().parent
+RECORDED = HERE / "recorded_outputs.json"
+PAPER_CFG = HERE.parent / "paper.cfg"
+
+
+def _clayton_t6(method):
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    doc["market"]["T"] = 6
+    doc["copula"] = {"family": "clayton", "param": 2.0}
+    doc["optimizer"].update(method=method, grid_points=16)
+    return doc
+
+
+def _sweep(axis, lo, hi, steps):
+    return ["sweep", "--axis", axis, "--lo", lo, "--hi", hi, "--steps", steps]
+
+
+# name: (config document, or None for paper.cfg; command and its options)
+RUNS = {
+    "check": (None, ["check"]),
+    "sweep_d": (None, _sweep("d", "1e4", "1e5", "7")),
+    "sweep_b": (None, _sweep("b", "0.02", "0.03", "5")),
+    "sweep_K": (None, _sweep("K", "90", "110", "5")),
+    "price_clayton_t6_grid": (_clayton_t6("grid"), ["price"]),
+    "price_clayton_t6_hybrid": (_clayton_t6("hybrid"), ["price"]),
+}
+
+
+def _run(name, directory):
+    """(exit code, stdout) of one run, in-process."""
+    doc, (command, *options) = RUNS[name]
+    path = PAPER_CFG
+    if doc is not None:
+        path = pathlib.Path(directory) / f"{name}.cfg"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, "--config", str(path), *options])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_cli_output_matches_recording(name, tmp_path):
+    recorded = json.loads(RECORDED.read_text(encoding="utf-8"))[name]
+    assert _run(name, tmp_path) == (recorded["exit_code"], recorded["stdout"])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_recorded_outputs.py --record")
+    with tempfile.TemporaryDirectory() as directory:
+        runs = {name: _run(name, directory) for name in RUNS}
+    doc = {name: {"exit_code": code, "stdout": text} for name, (code, text) in runs.items()}
+    RECORDED.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

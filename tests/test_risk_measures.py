@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from rifa.copulas import CopulaSpec
 from rifa.errors import ContractError, ResourceError
+from rifa.hazards import Theta
+from rifa.lattice import path_arrays
 from rifa.risk_measures import (
     ORACLE_BLOCK_LIMIT,
     CondRiskValue,
@@ -16,6 +19,7 @@ from rifa.risk_measures import (
     entropic_sup,
     two_step,
 )
+from rifa.robust_eval import classical_price, conditional_values, robust_price
 
 
 def _random_space(rng, max_atoms_per_block=ORACLE_BLOCK_LIMIT):
@@ -322,3 +326,52 @@ def test_two_step_on_lattice_claim(market_small, benefit_paper, independence):
     composed = two_step(space, q, inner)
     direct = classical_price(theta, independence, benefit_paper, market_small)
     assert composed == pytest.approx(direct, abs=1e-12)
+
+
+_FAMILIES = [
+    CopulaSpec("independence"),
+    CopulaSpec("clayton", 2.0),
+    CopulaSpec("gumbel", 1.8),
+    CopulaSpec("frank", -2.0),
+]
+
+
+@pytest.mark.parametrize("spec", _FAMILIES, ids=[c.family for c in _FAMILIES])
+def test_qp_evaluation_dominates_two_step_evaluations(
+    spec, market_small, benefit_paper, box_paper, optimizer_default
+):
+    """The robust price bounds every two-step price that agrees on the priors.
+
+    The priors are the distinct per-path optima of ``robust_price`` and 8
+    points drawn in the box.  Atom (path p, prior k) has weight q_p / K,
+    one block per path, and outcome x = -G(p, prior k).  AVaR at
+    lambda = 1/(2K) is each path's largest value over the priors, so it
+    meets the robust price exactly; at lambda = 1 it is the mean of the
+    priors' single-model prices.  Entropic balls lie in between.
+    """
+    report = robust_price(box_paper, spec, benefit_paper, market_small, optimizer_default)
+    rng = np.random.default_rng(4)
+    edges = (box_paper.a, box_paper.b, box_paper.c, box_paper.d)
+    drawn = [Theta(*(rng.uniform(lo, hi) for lo, hi in edges)) for _ in range(8)]
+    priors = list(dict.fromkeys(opt.theta for opt in report.per_path)) + drawn
+    K = len(priors)
+    prices, q = path_arrays(market_small)
+    G = np.stack(
+        [conditional_values(prices, q, t, spec, benefit_paper, market_small) for t in priors],
+        axis=1,
+    )
+    paths = range(len(q))
+    atoms = tuple((f"p{p}k{k}", float(q[p]) / K) for p in paths for k in range(K))
+    space = FiniteCondSpace(atoms, tuple(tuple(range(p * K, (p + 1) * K)) for p in paths))
+    x = -G.ravel()
+
+    def price(rho):
+        return two_step(space, q, rho)
+
+    assert price(cond_avar(space, x, 1.0 / (2 * K))) == report.robust_price
+    classical = [classical_price(t, spec, benefit_paper, market_small) for t in priors]
+    assert price(cond_avar(space, x, 1.0)) == pytest.approx(
+        math.fsum(classical) / K, rel=1e-12, abs=0.0
+    )
+    for c in (0.01, 0.5, 5.0):
+        assert price(entropic_sup(space, x, c)) <= report.robust_price

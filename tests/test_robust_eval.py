@@ -1,6 +1,8 @@
 """Robust valuation: path values, box optima, domination, determinism."""
 
 import dataclasses
+import gc
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -25,6 +27,7 @@ from rifa.robust_eval import (
     OptimizerConfig,
     PathOptimum,
     _Kernel,
+    _Objective,
     _at,
     _by_group,
     _first_best,
@@ -371,9 +374,9 @@ def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
     assert every.shape[0] > _TREE_PAIRS
     paired = kernel.values(every, aa, dd).tolist()
     assert kernel.every_path(a, d).ravel().tolist() == paired
-    assert _objective(kernel, price=False)(every, aa, dd).tolist() == paired
+    assert _objective(kernel, price=False).values(every, aa, dd).tolist() == paired
     price = _objective(kernel, price=True)
-    assert price(rows, a, d).tolist() == [_at(price, x, y) for x, y in zip(a, d)]
+    assert price.values(rows, a, d).tolist() == [_at(price, x, y) for x, y in zip(a, d)]
 
 
 def _hexes(values):
@@ -406,9 +409,9 @@ def test_tree_route_equals_paired_route(spec, T, surrender):
     assert _hexes(tree) == _hexes(paired)
 
 
-def _shared(a, d):
-    """A points function of _first_best giving every group the points (a, d)."""
-    return lambda rows: (np.tile(a, (rows.size, 1)), np.tile(d, (rows.size, 1)))
+def _tiled(a, d, rows):
+    """The candidates (a, d) as that many equal rows; one row is shared by every group."""
+    return np.tile(a, (rows, 1)), np.tile(d, (rows, 1))
 
 
 _SCREEN = np.linspace(0.0, 1.0, 17)
@@ -418,22 +421,28 @@ _SCREEN_A, _SCREEN_D = (
 )
 
 
+def _refuse(route):
+    return mock.patch.object(_Kernel, route, side_effect=AssertionError(route))
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
 @pytest.mark.parametrize("T", [4, 8, 10])
 @pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
 def test_tree_route_first_best_equals_paired_route(spec, T, sign):
     """Shared screen points pick the same point and value per path on both routes.
 
-    At T = 8 and 10 the 289 points of the screen span several blocks of
-    the tree, and T=4 also checks against one matrix of every value.
+    A shared row walks the prefix tree, and the same points tiled per path
+    take the paired route.  At T = 8 and 10 the 289 points of the screen
+    span several tiles, and T=4 also checks against one matrix of every value.
     """
     market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
     prices, q = path_arrays(market)
     kernel = _Kernel(prices, q, 0.02, 0.01, spec, BenefitSpec(100.0, 0.01, 0.1), market)
     f, n = _objective(kernel, price=False), _SCREEN_A.size
-    points = _shared(_SCREEN_A, _SCREEN_D)
-    tree = _first_best(f, len(q), n, points, sign, kernel.every_path)
-    paired = _first_best(f, len(q), n, points, sign)
+    with _refuse("values"):
+        tree = _first_best(f, len(q), *_tiled(_SCREEN_A, _SCREEN_D, 1), sign)
+    with _refuse("every_path"):
+        paired = _first_best(f, len(q), *_tiled(_SCREEN_A, _SCREEN_D, len(q)), sign)
     assert tree[0].tolist() == paired[0].tolist()
     assert _hexes(tree[1]) == _hexes(paired[1])
     assert (n > _TREE_PAIRS // len(q)) == (T > 4)
@@ -449,15 +458,15 @@ def test_first_best_of_a_flat_objective_is_the_first_point(sign):
     prices, q = path_arrays(market)
     benefit = BenefitSpec(K=100.0, r_G=0.01, l=0.1, surrender=False)
     kernel = _Kernel(prices, q, 0.02, 0.01, CopulaSpec("independence"), benefit, market)
-    points, n = _shared(_SCREEN_A, _SCREEN_D), _SCREEN_A.size
     paths, price = _objective(kernel, price=False), _objective(kernel, price=True)
-    for f, groups, every in (
-        (paths, len(q), kernel.every_path),
-        (paths, len(q), None),
+    for f, groups, rows in (
+        (paths, len(q), 1),
+        (paths, len(q), len(q)),
         # three single-model prices: every point is a contender
-        (price, 3, None),
+        (price, 3, 1),
+        (price, 3, 3),
     ):
-        best, _ = _first_best(f, groups, n, points, sign, every)
+        best, _ = _first_best(f, groups, *_tiled(_SCREEN_A, _SCREEN_D, rows), sign)
         assert best.tolist() == [0] * groups
 
 
@@ -475,27 +484,35 @@ _NAN_VALUES = np.array(
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
 def test_first_best_handles_nan_and_ties_as_argmin(sign):
-    """Injected nan, inf and exact ties give np.argmin's index on both routes.
+    """Injected nan, inf and exact ties give np.argmin's index on every route.
 
-    Blocks of one or two points make the tree route carry its running best
-    across blocks.
+    Point a of group g has value _NAN_VALUES[a, g].  The screen gives exact
+    values, or finite values off by 0.1 with radius 0.25, so that the
+    contenders are evaluated exactly.  Tiles of one or two points make the
+    running best carry across tiles.
     """
     values = _NAN_VALUES
     n, groups = values.shape
 
-    def every(a, d):
-        return values[a.astype(np.intp)]
+    def exact_values(rows, a, d):
+        return values[a.astype(np.intp), rows]
 
-    def f(rows, a, d, estimate=False):
-        out = values[a.astype(np.intp), rows]
-        return np.stack((out, np.zeros_like(out))) if estimate else out
+    def exact(a, d):
+        v = values[a.astype(np.intp), np.arange(groups)[:, None]]
+        return v, np.zeros_like(v)
 
-    points = _shared(np.arange(n, dtype=float), np.zeros(n))
+    def estimated(a, d):
+        v, _ = exact(a, d)
+        finite = np.isfinite(v)
+        return np.where(finite, v + 0.1, v), np.where(finite, 0.25, 0.0)
+
     expect = np.argmin(sign * values, axis=0)
     for pairs in (groups, 2 * groups, _TREE_PAIRS):
         with mock.patch.object(robust_eval, "_TREE_PAIRS", pairs):
-            for route in (every, None):
-                best, value = _first_best(f, groups, n, points, sign, route)
+            for screen, rows in itertools.product((exact, estimated), (1, groups)):
+                f = _Objective(exact_values, screen)
+                a, d = _tiled(np.arange(n, dtype=float), np.zeros(n), rows)
+                best, value = _first_best(f, groups, a, d, sign)
                 assert best.tolist() == expect.tolist()
                 assert _hexes(value) == _hexes(values[expect, np.arange(groups)])
 
@@ -661,7 +678,8 @@ def test_certified_first_best_equals_exact_argmin(entries, shape, seed, ties, nu
     Blocks of the given entries carry positive path weights, mixed signs,
     zeros, exact ties (copied points), near ties (a copy with one term
     moved by one ulp) and non-finite terms; two groups go through
-    ``_by_group``.  Blocks of at most 64 pairs split a group's points.
+    ``_by_group``.  Blocks of at most 64 pairs split a group's points, and
+    tiles of 1 or 3 points carry the running best across tiles.
     """
     points, paths = shape
     rng = np.random.default_rng(seed)
@@ -679,7 +697,6 @@ def test_certified_first_best_equals_exact_argmin(entries, shape, seed, ties, nu
     with mock.patch.object(robust_eval, "_TREE_PAIRS", 64):
         objectives = [_objective(_Rows(q, b), price=True) for b in blocks]
     f = _by_group(objectives, np.arange(2))
-    at = _shared(np.arange(points, dtype=float), np.zeros(points))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for sign in (1.0, -1.0):
@@ -692,11 +709,16 @@ def test_certified_first_best_equals_exact_argmin(entries, shape, seed, ties, nu
                     picks.append((k, float(v[k]).hex()))
                 return picks
 
-            def certified():
-                best, value = _first_best(f, 2, points, at, sign)
+            def certified(rows):
+                a, d = _tiled(np.arange(points, dtype=float), np.zeros(points), rows)
+                best, value = _first_best(f, 2, a, d, sign)
                 return list(zip(best.tolist(), _hexes(value)))
 
-            assert _argmin_or_error(certified) == _argmin_or_error(exact)
+            expect = _argmin_or_error(exact)
+            # tiles of 1, 3 and every point, of a shared row or one per group
+            for pairs, rows in itertools.product((2, 6, _TREE_PAIRS), (1, 2)):
+                with mock.patch.object(robust_eval, "_TREE_PAIRS", pairs):
+                    assert _argmin_or_error(lambda: certified(rows)) == expect
 
 
 def test_screen_contenders_are_few(market_paper, benefit_paper, independence):
@@ -705,16 +727,15 @@ def test_screen_contenders_are_few(market_paper, benefit_paper, independence):
     boxes = [dataclasses.replace(box, a=(a, a)) for a in np.linspace(50.0, 350.0, 31)]
     real, screens = robust_eval._first_best, []
 
-    def spy(f, groups, n, points, sign, every=None):
+    def spy(f, groups, a, d, sign):
         exact = []
 
-        def counted(rows, a, d, estimate=False):
-            if not estimate:
-                exact.append(a.size)
-            return f(rows, a, d, estimate)
+        def counted(rows, a, d):
+            exact.append(a.size)
+            return f.values(rows, a, d)
 
-        out = real(counted, groups, n, points, sign, every)
-        screens.append((groups * n, sum(exact)))
+        out = real(_Objective(counted, f.screen), groups, a, d, sign)
+        screens.append((groups * a.shape[1], sum(exact)))
         return out
 
     with mock.patch.object(robust_eval, "_first_best", spy):
@@ -725,6 +746,31 @@ def test_screen_contenders_are_few(market_paper, benefit_paper, independence):
     [_, (screened, contenders)] = screens
     assert screened == 31 * 289
     assert contenders < 0.02 * screened
+
+
+def test_searches_free_their_kernels_without_the_cycle_collector(
+    market_paper, benefit_paper, box_paper
+):
+    """No reference cycle holds a kernel: its arrays go when its search returns.
+
+    With the cycle collector off, kernels kept alive by a cycle would stay
+    until a full collection, on top of the next stage's peak memory.
+    """
+    spec, cfg = CopulaSpec("clayton", 2.0), OptimizerConfig(method="hybrid", grid_points_per_dim=8)
+    boxes = [box_paper, dataclasses.replace(box_paper, b=(0.025, 0.03))]
+
+    def kernels():
+        return sum(isinstance(o, _Kernel) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = kernels()
+        evaluate(box_paper, spec, benefit_paper, market_paper, cfg)
+        sup_classical_batch(boxes, [benefit_paper] * 2, spec, market_paper, cfg)
+        assert kernels() == before
+    finally:
+        gc.enable()
 
 
 def test_grid_search_memory_is_flat_in_points(benefit_paper, independence):
