@@ -10,7 +10,6 @@ an arbitrage detector/constructor, and a batch CLI.
 
 from rifa.arbitrage_lab import (
     ArbitragePair,
-    InsuranceStrategy,
     PortfolioSample,
     VerificationReport,
     Verdict,
@@ -89,7 +88,6 @@ __all__ = [
     "EvaluationReport",
     "FiniteCondSpace",
     "HazardPath",
-    "InsuranceStrategy",
     "MarketParams",
     "NumericalError",
     "OptimizerConfig",

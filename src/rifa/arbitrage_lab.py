@@ -48,7 +48,6 @@ from .robust_eval import (
 __all__ = [
     "COMPARISON_BAND",
     "Verdict",
-    "InsuranceStrategy",
     "ArbitragePair",
     "PortfolioSample",
     "VerificationReport",
@@ -62,12 +61,14 @@ __all__ = [
 # numerical slack applied to the strict/non-strict premium comparisons
 COMPARISON_BAND = 1e-9
 
-VERDICT_STATUSES = ("NRIFA_by_i", "NRIFA_by_ii", "RIFA_exists")
-
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of the no-arbitrage characterization for one premium.
+
+    Stores the premium, the robust price, the box infimum of the
+    classical price and its attaining point argmin_outer; the rest is
+    derived from them:
 
     margin_i  = inf_classical - premium; condition (i) holds when this
                 is >= -COMPARISON_BAND
@@ -79,51 +80,37 @@ class Verdict:
     the non-strict side without asserting strict profitability.
     """
 
-    status: str
     premium: float
     robust_price: float
     inf_classical: float
-    margin_i: float
-    margin_ii: float
-    theta_prime: Theta | None
-    boundary_case: bool
+    argmin_outer: Theta
 
-    def __post_init__(self):
-        if self.status not in VERDICT_STATUSES:
-            raise ContractError(f"unknown verdict status {self.status!r}")
-        if self.status != _status(self.margin_i, self.margin_ii):
-            raise ContractError(
-                f"status {self.status} inconsistent with margins "
-                f"({self.margin_i}, {self.margin_ii})"
-            )
-        if (self.theta_prime is None) != (self.status == "NRIFA_by_i"):
-            raise ContractError("theta_prime must witness exactly the failure of (i)")
+    @property
+    def margin_i(self) -> float:
+        return self.inf_classical - self.premium
+
+    @property
+    def margin_ii(self) -> float:
+        return self.robust_price - self.premium
+
+    @property
+    def status(self) -> str:
+        """Condition (i) first, then condition (ii)."""
+        if self.margin_i >= -COMPARISON_BAND:
+            return "NRIFA_by_i"
+        return "NRIFA_by_ii" if self.margin_ii > COMPARISON_BAND else "RIFA_exists"
+
+    @property
+    def theta_prime(self) -> Theta | None:
+        return None if self.status == "NRIFA_by_i" else self.argmin_outer
+
+    @property
+    def boundary_case(self) -> bool:
+        return self.status == "RIFA_exists" and abs(self.margin_ii) <= COMPARISON_BAND
 
     @property
     def is_nrifa(self) -> bool:
         return self.status != "RIFA_exists"
-
-
-@dataclass(frozen=True, slots=True)
-class InsuranceStrategy:
-    """Descriptor of the limiting insurance allocation.
-
-    Equal-weight averaging over the first n clients with total mass
-    gamma; the schedule lists the pool sizes used when the pair is
-    simulated.
-    """
-
-    kind: str = "equal_weight"
-    gamma: float = 1.0
-    n_schedule: tuple[int, ...] = (100, 1000, 10000, 100000)
-
-    def __post_init__(self):
-        if self.kind != "equal_weight":
-            raise ContractError(f"unsupported insurance strategy {self.kind!r}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ContractError("allocation mass must be positive")
-        # a frozen dataclass must hold the tuple, or hash() fails on a list
-        object.__setattr__(self, "n_schedule", _check_schedule(self.n_schedule))
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,9 +128,7 @@ class ArbitragePair:
     claim_values: tuple[float, ...]
     holdings: tuple[np.ndarray, ...]
     cost: float
-    shortfall: float
     strict_case: bool
-    insurance: InsuranceStrategy
 
     def __post_init__(self):
         n = len(self.claim_values)
@@ -157,12 +142,12 @@ class ArbitragePair:
         for t, h in enumerate(self.holdings):
             if len(h) != 1 << t:
                 raise ContractError(f"holding level {t} must have {1 << t} nodes")
-        if not math.isclose(
-            self.shortfall, self.premium - self.cost, abs_tol=1e-12
-        ):
-            raise ContractError("shortfall must equal premium - cost")
         if self.shortfall < -COMPARISON_BAND:
             raise ContractError("hedge cost exceeds the premium")
+
+    @property
+    def shortfall(self) -> float:
+        return self.premium - self.cost
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +182,12 @@ class PortfolioSample:
 
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
-    """Summary of a Monte-Carlo check of one arbitrage pair."""
+    """Summary of a Monte-Carlo check of one arbitrage pair.
+
+    The check passes when no payoff fell below its error budget
+    (worst_violation is 0) and, if strict profit is required, some
+    model's mean payoff is positive (strict_ok).
+    """
 
     n_clients: int
     trials: int
@@ -206,15 +196,14 @@ class VerificationReport:
     min_payoff: float
     worst_violation: float
     strict_required: bool
-    strict_ok: bool
-    passed: bool
 
+    @property
+    def strict_ok(self) -> bool:
+        return (not self.strict_required) or max(self.mean_payoffs) > 0.0
 
-def _status(margin_i: float, margin_ii: float) -> str:
-    """Verdict status: condition (i) first, then condition (ii)."""
-    cond_i = margin_i >= -COMPARISON_BAND
-    cond_ii = margin_ii > COMPARISON_BAND
-    return "NRIFA_by_i" if cond_i else "NRIFA_by_ii" if cond_ii else "RIFA_exists"
+    @property
+    def passed(self) -> bool:
+        return self.worst_violation >= 0.0 and self.strict_ok
 
 
 def _check_request(
@@ -282,19 +271,7 @@ def nrifa_check(
     """
     _check_request(premium, report, box, market)
     inf_val, theta_min = inf_classical(box, spec, benefit, market, cfg)
-    margin_i = inf_val - premium
-    margin_ii = report.robust_price - premium
-    status = _status(margin_i, margin_ii)
-    return Verdict(
-        status=status,
-        premium=premium,
-        robust_price=report.robust_price,
-        inf_classical=inf_val,
-        margin_i=margin_i,
-        margin_ii=margin_ii,
-        theta_prime=None if status == "NRIFA_by_i" else theta_min,
-        boundary_case=(status == "RIFA_exists" and abs(margin_ii) <= COMPARISON_BAND),
-    )
+    return Verdict(premium, report.robust_price, inf_val, theta_min)
 
 
 def construct_arbitrage(
@@ -325,9 +302,7 @@ def construct_arbitrage(
         claim_values=claim.values,
         holdings=tuple(holdings),
         cost=cost,
-        shortfall=premium - cost,
         strict_case=premium > report.robust_price + COMPARISON_BAND,
-        insurance=InsuranceStrategy(),
     )
 
 
@@ -536,8 +511,6 @@ def verify_arbitrage(
             if payoff < -budget:
                 worst_violation = min(worst_violation, payoff + budget)
         means.append(float(np.mean(payoffs)))
-    strict_ok = (not pair.strict_case) or max(means) > 0.0
-    passed = worst_violation >= 0.0 and strict_ok
     report = VerificationReport(
         n_clients=n_clients,
         trials=trials,
@@ -546,10 +519,8 @@ def verify_arbitrage(
         min_payoff=min_payoff,
         worst_violation=worst_violation,
         strict_required=pair.strict_case,
-        strict_ok=strict_ok,
-        passed=passed,
     )
-    if not passed:
+    if not report.passed:
         detail = (
             f"payoff violated the LLN budget by {-worst_violation}"
             if worst_violation < 0.0

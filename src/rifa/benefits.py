@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rifa.errors import ConfigurationError
-from rifa.lattice import MarketParams, Path
+from rifa.lattice import MarketParams, Path, _real
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +39,8 @@ class BenefitSpec:
     surrender: bool = True
 
     def __post_init__(self):
+        for name in ("K", "r_G", "l"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.K < 0.0 or not math.isfinite(self.K):
             raise ConfigurationError(f"K must be finite and nonnegative, got {self.K}")
         if self.r_G <= -1.0 or not math.isfinite(self.r_G):

@@ -32,7 +32,7 @@ from .errors import (
     ResourceError,
 )
 from .hazards import ParamBox, Theta
-from .lattice import MarketParams, _is_int
+from .lattice import MarketParams, _is_int, _real
 from .arbitrage_lab import lln_rms, nrifa_check, simulate_portfolio
 from .robust_eval import OptimizerConfig, evaluate, sup_classical_batch
 
@@ -65,11 +65,8 @@ class RunConfig:
 
     def __post_init__(self):
         if self.premium is not None:
-            if not (
-                _is_number(self.premium)
-                and math.isfinite(self.premium)
-                and self.premium >= 0.0
-            ):
+            object.__setattr__(self, "premium", _real("premium", self.premium))
+            if not (math.isfinite(self.premium) and self.premium >= 0.0):
                 raise ConfigurationError(f"premium must be >= 0, got {self.premium}")
         if self.seed is not None:
             if not (_is_int(self.seed) and self.seed >= 0):
@@ -83,10 +80,6 @@ class RunConfig:
 _CONFIG_KEYS = {"grid_points_per_dim": "grid_points"}
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _value(label: str, kind, v):
     """A config value checked against, and converted to, its field's type."""
     if v is None and kind in (float | None, int | None):
@@ -96,13 +89,11 @@ def _value(label: str, kind, v):
     if kind in (int, int | None) and (isinstance(v, bool) or not isinstance(v, int)):
         raise ConfigurationError(f"{label} must be an integer, got {v!r}")
     if kind in (float, float | None):
-        if not _is_number(v):
-            raise ConfigurationError(f"{label} must be a number, got {v!r}")
-        return float(v)
+        return _real(label, v)
     if kind == tuple[float, float]:
-        if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
+        if not (isinstance(v, list) and len(v) == 2):
             raise ConfigurationError(f"{label} must be [lo, hi], got {v!r}")
-        return float(v[0]), float(v[1])
+        return _real(label, v[0]), _real(label, v[1])
     return v
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from rifa.errors import ConfigurationError, ContractError, NumericalError
 from rifa.hazards import Theta, gompertz_cdf, surrender_cdf
-from rifa.lattice import Path
+from rifa.lattice import Path, _real
 
 FAMILIES = ("independence", "clayton", "gumbel", "frank")
 
@@ -64,6 +64,8 @@ class CopulaSpec:
             if self.param is not None:
                 raise ConfigurationError("independence copula takes no parameter")
             return
+        if self.param is not None:
+            object.__setattr__(self, "param", _real("param", self.param))
         if self.param is None or not math.isfinite(self.param):
             raise ConfigurationError(f"{self.family} copula requires a finite parameter")
         if self.family == "clayton" and self.param <= 0.0:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from rifa.errors import ConfigurationError, ContractError
-from rifa.lattice import Path
+from rifa.lattice import Path, _real
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,6 +40,8 @@ class Theta:
     d: float
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0.0 <= self.a < math.inf:
             raise ConfigurationError(f"a must be nonnegative and finite, got {self.a}")
         if not 0.0 < self.b < math.inf:
@@ -65,7 +67,8 @@ class ParamBox:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            lo, hi = getattr(self, name)
+            lo, hi = (_real(name, x) for x in getattr(self, name))
+            object.__setattr__(self, name, (lo, hi))
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
                 raise ConfigurationError(
                     f"interval for {name} must be ordered and finite, got [{lo}, {hi}]"

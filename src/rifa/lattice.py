@@ -41,6 +41,13 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _real(name: str, x) -> float:
+    """x as a float: Python and numpy reals pass, bool (an int) does not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} must be a real number, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True, slots=True)
 class MarketParams:
     """Static description of the binomial market.
@@ -59,6 +66,8 @@ class MarketParams:
     T: int
 
     def __post_init__(self):
+        for name in ("s0", "u", "v", "r"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0.0 < self.s0 < math.inf:
             raise ConfigurationError(f"s0 must be positive and finite, got {self.s0}")
         if not _is_int(self.T) or self.T < 1:

@@ -41,7 +41,7 @@ from rifa.benefits import BenefitSpec, payoff_table
 from rifa.copulas import CopulaSpec, _survival_array, SLICE_TOL
 from rifa.errors import ConfigurationError, ContractError, NumericalError
 from rifa.hazards import ParamBox, Theta
-from rifa.lattice import MarketParams, Path, _is_int, path_arrays
+from rifa.lattice import MarketParams, Path, _is_int, _real, path_arrays
 
 OPTIMIZER_METHODS = ("nelder_mead", "grid", "hybrid")
 
@@ -82,7 +82,8 @@ class OptimizerConfig:
             if not _is_int(n) or n < least:
                 raise ConfigurationError(f"{name} must be an integer >= {least}, got {n!r}")
             object.__setattr__(self, name, int(n))
-        if isinstance(self.tolerance, bool) or not 0.0 < self.tolerance < math.inf:
+        object.__setattr__(self, "tolerance", _real("tolerance", self.tolerance))
+        if not 0.0 < self.tolerance < math.inf:
             raise ConfigurationError("tolerance must be positive and finite")
 
 
@@ -104,27 +105,27 @@ class EvaluationReport:
     per_path:      the per-path optima, ascending path index
     sup_classical: best single-model price over the box (None if not run)
     argmax_outer:  parameter point attaining sup_classical
-    delta:         robust_price - sup_classical (None if not run)
+    delta:         robust_price - sup_classical (None if not run), derived
     """
 
     robust_price: float
     per_path: tuple[PathOptimum, ...]
     sup_classical: float | None = None
     argmax_outer: Theta | None = None
-    delta: float | None = None
 
     def __post_init__(self):
-        if self.sup_classical is not None:
-            if self.delta is None or not math.isclose(
-                self.delta, self.robust_price - self.sup_classical, abs_tol=1e-12
-            ):
-                raise NumericalError("delta must equal robust_price - sup_classical")
-            # pathwise domination makes the robust price an upper bound
-            if self.delta < -1e-9:
-                raise NumericalError(
-                    f"robust price {self.robust_price} below classical supremum "
-                    f"{self.sup_classical}"
-                )
+        # pathwise domination makes the robust price an upper bound
+        if self.sup_classical is not None and self.delta < -1e-9:
+            raise NumericalError(
+                f"robust price {self.robust_price} below classical supremum "
+                f"{self.sup_classical}"
+            )
+
+    @property
+    def delta(self) -> float | None:
+        if self.sup_classical is None:
+            return None
+        return self.robust_price - self.sup_classical
 
 
 # (point, path) pairs per block of the paired route: each (pairs, T+1)
@@ -693,8 +694,8 @@ def _optimize_ad(
     every_group = np.arange(groups)
 
     def to_point(z: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # unit-cube coordinates z of groups g to (a, d)
-        z = np.clip(z, 0.0, 1.0)
+        # unit-cube coordinates z of groups g to (a, d); every z given here
+        # (screen grid, clipped simplex vertices, minimize's x) is in the cube
         pts = [lo[g, 0], lo[g, 1]]
         for k, i in enumerate(free):
             pts[i] = pts[i] + z[:, k] * width[g, i]
@@ -756,7 +757,12 @@ def _optimize_ad(
         g = np.repeat(every_group, per_group)
         polished = np.stack(to_point(res.x, g), axis=1)
         candidates.append(polished.reshape(groups, per_group, 2))
-        values.append(f.values(g, polished[:, 0], polished[:, 1]).reshape(groups, per_group))
+        # minimize evaluated every x; its fun is the least of the final
+        # simplex, nan if any vertex is nan, so those x are evaluated again
+        value = sign * res.fun
+        redo = np.flatnonzero(~np.isfinite(value))
+        value[redo] = f.values(g[redo], *polished[redo].T)
+        values.append(value.reshape(groups, per_group))
         failed = ~res.converged.reshape(groups, per_group).any(axis=1)
 
     cand, vals = np.concatenate(candidates, axis=1), np.concatenate(values, axis=1)
@@ -977,5 +983,4 @@ def evaluate(
         per_path=robust.per_path,
         sup_classical=sup_val,
         argmax_outer=theta_star,
-        delta=robust.robust_price - sup_val,
     )

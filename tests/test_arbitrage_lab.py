@@ -11,8 +11,8 @@ from rifa import arbitrage_lab
 from rifa.arbitrage_lab import (
     COMPARISON_BAND,
     ArbitragePair,
-    InsuranceStrategy,
     Verdict,
+    _check_schedule,
     _client_payouts,
     _exit_times,
     construct_arbitrage,
@@ -145,30 +145,19 @@ def test_nrifa_check_input_validation(
         _check(90.0, report, shorter, benefit_paper_mod, independence_mod)
 
 
-def test_verdict_dataclass_consistency():
+def test_verdict_derives_margins_and_status():
+    """A verdict stores the prices and the infimum's point; the rest follows."""
     theta = Theta(100.0, 0.02, 0.01, 1e4)
-    with pytest.raises(ContractError):
-        Verdict(
-            status="NRIFA_by_i",
-            premium=100.0,
-            robust_price=90.0,
-            inf_classical=80.0,
-            margin_i=-20.0,
-            margin_ii=-10.0,
-            theta_prime=theta,
-            boundary_case=False,
-        )
-    with pytest.raises(ContractError):
-        Verdict(
-            status="bogus",
-            premium=1.0,
-            robust_price=2.0,
-            inf_classical=1.5,
-            margin_i=0.5,
-            margin_ii=1.0,
-            theta_prime=None,
-            boundary_case=False,
-        )
+    rifa = Verdict(premium=100.0, robust_price=90.0, inf_classical=80.0, argmin_outer=theta)
+    assert (rifa.margin_i, rifa.margin_ii) == (80.0 - 100.0, 90.0 - 100.0)
+    assert rifa.status == "RIFA_exists" and not rifa.is_nrifa
+    assert rifa.theta_prime is theta and not rifa.boundary_case
+    by_i = Verdict(premium=1.0, robust_price=2.0, inf_classical=1.5, argmin_outer=theta)
+    assert by_i.status == "NRIFA_by_i" and by_i.is_nrifa and by_i.theta_prime is None
+    by_ii = Verdict(premium=1.8, robust_price=2.0, inf_classical=1.5, argmin_outer=theta)
+    assert by_ii.status == "NRIFA_by_ii" and by_ii.theta_prime is theta
+    edge = Verdict(premium=2.0, robust_price=2.0, inf_classical=1.5, argmin_outer=theta)
+    assert edge.status == "RIFA_exists" and edge.boundary_case
 
 
 def test_construct_refuses_cheap_premium(
@@ -239,9 +228,7 @@ def test_arbitrage_pair_validation():
             claim_values=(1.0, 2.0, 3.0),  # not a binary path space
             holdings=(np.zeros(1),),
             cost=2.0,
-            shortfall=8.0,
             strict_case=True,
-            insurance=InsuranceStrategy(),
         )
     with pytest.raises(ContractError):
         ArbitragePair(
@@ -249,54 +236,35 @@ def test_arbitrage_pair_validation():
             claim_values=(1.0, 2.0),
             holdings=(np.zeros(2),),  # level 0 must have one node
             cost=2.0,
-            shortfall=8.0,
             strict_case=True,
-            insurance=InsuranceStrategy(),
         )
-    with pytest.raises(ContractError):
-        ArbitragePair(
-            premium=10.0,
-            claim_values=(1.0, 2.0),
-            holdings=(np.zeros(1),),
-            cost=2.0,
-            shortfall=7.0,  # shortfall must equal premium - cost
-            strict_case=True,
-            insurance=InsuranceStrategy(),
-        )
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="exceeds the premium"):
         ArbitragePair(
             premium=1.0,
             claim_values=(1.0, 2.0),
             holdings=(np.zeros(1),),
-            cost=2.0,
-            shortfall=-1.0,  # hedge would cost more than the premium
+            cost=2.0,  # hedge would cost more than the premium
             strict_case=False,
-            insurance=InsuranceStrategy(),
         )
+    pair = ArbitragePair(
+        premium=10.0, claim_values=(1.0, 2.0), holdings=(np.zeros(1),), cost=2.0,
+        strict_case=True,
+    )
+    assert pair.shortfall == 10.0 - 2.0
 
 
-def test_insurance_strategy_validation():
-    with pytest.raises(ContractError):
-        InsuranceStrategy(kind="proportional")
-    with pytest.raises(ContractError):
-        InsuranceStrategy(gamma=0.0)
-    with pytest.raises(ContractError):
-        InsuranceStrategy(n_schedule=(100, 100))
-    with pytest.raises(ContractError):
-        InsuranceStrategy(n_schedule=())
-    with pytest.raises(ContractError):
-        InsuranceStrategy(n_schedule=(True, 10))
-    with pytest.raises(ContractError):
-        InsuranceStrategy(n_schedule=(np.bool_(True), 10))
+def test_schedule_validation():
+    """Pool sizes are strictly increasing positive integers, not bools."""
+    for bad in ((100, 100), (), (True, 10), (np.bool_(True), 10)):
+        with pytest.raises(ContractError):
+            _check_schedule(bad)
 
 
-def test_insurance_strategy_stores_schedule_as_tuple():
+def test_schedule_stored_as_tuple_of_ints():
     """A list or numpy schedule is kept as the tuple of ints, so it hashes."""
-    built = InsuranceStrategy(n_schedule=[10, np.int64(100)])
-    assert type(built.n_schedule) is tuple
-    assert all(type(n) is int for n in built.n_schedule)
-    assert built == InsuranceStrategy(n_schedule=(10, 100))
-    assert hash(built) == hash(InsuranceStrategy(n_schedule=(10, 100)))
+    sched = _check_schedule([10, np.int64(100)])
+    assert sched == (10, 100) and type(sched) is tuple
+    assert all(type(n) is int for n in sched)
 
 
 def test_simulate_portfolio_deterministic(

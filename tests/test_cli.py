@@ -13,7 +13,9 @@ import pytest
 
 import rifa
 from rifa.cli import SWEEP_AXES, _swept_configs, canonical_json, main, parse_config
+from rifa.copulas import CopulaSpec
 from rifa.errors import ConfigurationError, ContractError
+from rifa.hazards import Theta
 from rifa.robust_eval import sup_classical, sup_classical_batch
 
 from conftest import PAPER_CFG
@@ -472,6 +474,47 @@ def test_run_config_counts_reject_bools(write_config, base_config_doc):
     seeded = dataclasses.replace(config, seed=np.int64(3))
     assert seeded.seed == 3 and type(seeded.seed) is int
     assert canonical_json(seeded) == canonical_json(dataclasses.replace(config, seed=3))
+
+
+def _reals(value):
+    """value as a float and as each other real type that holds it exactly."""
+    ints = [int(value), np.int64(value)] if value.is_integer() else []
+    return [value, np.float64(value), *ints]
+
+
+_PAPER = parse_config(str(PAPER_CFG))
+# every real-valued field that is not a box endpoint: (record, field)
+REAL_FIELDS = {
+    **{f"market.{n}": (_PAPER.market, n) for n in ("s0", "u", "v", "r")},
+    **{f"benefit.{n}": (_PAPER.benefit, n) for n in ("K", "r_G", "l")},
+    **{f"theta.{n}": (Theta(100.0, 0.02, 0.01, 1e4), n) for n in "abcd"},
+    "copula.param": (CopulaSpec("clayton", 2.0), "param"),
+    "optimizer.tolerance": (_PAPER.optimizer, "tolerance"),
+    "premium": (_PAPER, "premium"),
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_FIELDS))
+def test_real_fields_reject_bools_and_store_floats(name):
+    """A real-valued field takes Python and numpy reals, stored as float, not bools."""
+    record, field = REAL_FIELDS[name]
+    value = getattr(record, field)
+    with pytest.raises(ConfigurationError, match=field):
+        dataclasses.replace(record, **{field: True})
+    for x in _reals(value):
+        stored = getattr(dataclasses.replace(record, **{field: x}), field)
+        assert type(stored) is float and stored == value
+
+
+@pytest.mark.parametrize("name", "abcd")
+def test_box_endpoints_reject_bools_and_store_floats(name):
+    box = _PAPER.theta_box
+    lo, hi = getattr(box, name)
+    with pytest.raises(ConfigurationError, match=name):
+        dataclasses.replace(box, **{name: (True, hi)})
+    for x in _reals(lo):
+        stored = getattr(dataclasses.replace(box, **{name: (x, np.float64(hi))}), name)
+        assert [type(end) for end in stored] == [float, float] and stored == (lo, hi)
 
 
 SWEEP_PAPER_A = (

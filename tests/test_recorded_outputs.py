@@ -6,9 +6,10 @@ recorded on a known-good commit with
     PYTHONPATH=src python tests/test_recorded_outputs.py --record
 
 The runs cover what ``test_bench_reference.py`` does not: ``check`` on
-``paper.cfg`` (the classical sup and inf), sweeps along d, b and K (shared
-rectangles, one kernel or one per step), and ``price`` on a T=6 Clayton(2)
-config with the grid and the hybrid method.  Each test runs one of them
+``paper.cfg`` (the classical sup and inf) at premiums that give each verdict
+status, one of them the robust price as printed (a boundary case), sweeps
+along d, b and K (shared rectangles, one kernel or one per step), and
+``price`` on a T=6 Clayton(2) config with the grid and the hybrid method.  Each test runs one of them
 in-process and compares the bytes.
 """
 
@@ -36,6 +37,12 @@ def _clayton_t6(method):
     return doc
 
 
+def _premium(premium):
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    doc["premium"] = premium
+    return doc
+
+
 def _sweep(axis, lo, hi, steps):
     return ["sweep", "--axis", axis, "--lo", lo, "--hi", hi, "--steps", steps]
 
@@ -43,6 +50,10 @@ def _sweep(axis, lo, hi, steps):
 # name: (config document, or None for paper.cfg; command and its options)
 RUNS = {
     "check": (None, ["check"]),
+    "check_60": (_premium(60.0), ["check"]),
+    "check_100": (_premium(100.0), ["check"]),
+    # paper.cfg's robust price to 12 digits, within the comparison band
+    "check_boundary": (_premium(95.6138435374), ["check"]),
     "sweep_d": (None, _sweep("d", "1e4", "1e5", "7")),
     "sweep_b": (None, _sweep("b", "0.02", "0.03", "5")),
     "sweep_K": (None, _sweep("K", "90", "110", "5")),

@@ -837,11 +837,14 @@ def test_optimizer_config_rejects_boolean_tolerance():
 
 
 def test_report_validation_rejects_bad_delta():
+    """A robust price below the classical supremum breaks pathwise domination."""
     opt = PathOptimum(0, 1.0, 5.0, THETAS[0])
-    with pytest.raises(Exception):
-        EvaluationReport(
-            robust_price=5.0, per_path=(opt,), sup_classical=4.0, delta=0.5
-        )
+    with pytest.raises(NumericalError, match="below classical supremum"):
+        EvaluationReport(robust_price=5.0, per_path=(opt,), sup_classical=5.0 + 1e-8)
+    # within the 1e-9 slack the report stands; delta is derived, not stored
+    near = EvaluationReport(robust_price=5.0, per_path=(opt,), sup_classical=5.0 + 5e-10)
+    assert near.delta == 5.0 - (5.0 + 5e-10)
+    assert EvaluationReport(robust_price=5.0, per_path=(opt,)).delta is None
 
 
 def test_copula_changes_the_price(market_small, benefit_paper):
@@ -955,6 +958,31 @@ def test_nonconvergence_raises_with_best_value(market_small, benefit_paper, inde
         pathwise_esssup(path, box, independence, benefit_paper, market_small, cfg)
     assert robust.value.best_value == single.value.best_value
     assert math.isfinite(single.value.best_value)
+
+
+def test_nan_in_final_simplex_keeps_the_polished_value(
+    monkeypatch, market_small, benefit_paper, independence
+):
+    """A run whose final simplex holds a nan still offers its best vertex.
+
+    minimize's fun is the least value of each final simplex, so a nan vertex
+    makes it nan, while x is the best vertex, which the sort keeps ahead of
+    any nan.  The search then evaluates that x again: marking fun nan on
+    every other run leaves the per-path and the classical optima as they are.
+    """
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    cfg = OptimizerConfig(multistarts=3)
+    expected = evaluate(box, independence, benefit_paper, market_small, cfg)
+    real = robust_eval.minimize
+
+    def nan_runs(fun, x0, maxiter, xatol, fatol):
+        res = real(fun, x0, maxiter, xatol, fatol)
+        value = res.fun.copy()
+        value[::2] = np.nan
+        return dataclasses.replace(res, fun=value)
+
+    monkeypatch.setattr(robust_eval, "minimize", nan_runs)
+    assert evaluate(box, independence, benefit_paper, market_small, cfg) == expected
 
 
 def test_max_iters_allows_that_many_iterations(
