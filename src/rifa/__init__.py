@@ -25,7 +25,6 @@ from rifa.copulas import (
     CopulaSpec,
     copula_eval,
     joint_survival,
-    sample_pair,
     sample_pairs,
     surrender_slice_prob,
     survival_transform,
@@ -38,10 +37,8 @@ from rifa.errors import (
     VerificationError,
 )
 from rifa.hazards import (
-    HazardPath,
     ParamBox,
     Theta,
-    cox_cdf,
     gompertz_cdf,
     surrender_cdf,
 )
@@ -87,7 +84,6 @@ __all__ = [
     "CopulaSpec",
     "EvaluationReport",
     "FiniteCondSpace",
-    "HazardPath",
     "MarketParams",
     "NumericalError",
     "OptimizerConfig",
@@ -109,7 +105,6 @@ __all__ = [
     "conditional_value",
     "construct_arbitrage",
     "copula_eval",
-    "cox_cdf",
     "discounted_payoffs",
     "entropic_sup",
     "enumerate_paths",
@@ -125,7 +120,6 @@ __all__ = [
     "pathwise_esssup",
     "risk_neutral_probs",
     "robust_price",
-    "sample_pair",
     "sample_pairs",
     "simulate_portfolio",
     "strategy_gain",

@@ -142,8 +142,6 @@ class ArbitragePair:
         for t, h in enumerate(self.holdings):
             if len(h) != 1 << t:
                 raise ContractError(f"holding level {t} must have {1 << t} nodes")
-        if self.shortfall < -COMPARISON_BAND:
-            raise ContractError("hedge cost exceeds the premium")
 
     @property
     def shortfall(self) -> float:
@@ -290,7 +288,9 @@ def construct_arbitrage(
     premium - cost plus a vanishing sampling error.
     """
     _check_request(premium, report, box, market)
-    if premium < report.robust_price - COMPARISON_BAND:
+    # the verdict's rule, by the same expressions as its margin_ii
+    margin_ii = report.robust_price - premium
+    if margin_ii > COMPARISON_BAND:
         raise ContractError(
             f"premium {premium} is below the robust price "
             f"{report.robust_price}; no arbitrage exists"
@@ -302,20 +302,16 @@ def construct_arbitrage(
         claim_values=claim.values,
         holdings=tuple(holdings),
         cost=cost,
-        strict_case=premium > report.robust_price + COMPARISON_BAND,
+        strict_case=margin_ii < -COMPARISON_BAND,
     )
 
 
-def _exit_times(
-    cdf: np.ndarray, draws: np.ndarray, mask: np.ndarray | None = None
-) -> np.ndarray:
+def _exit_times(cdf: np.ndarray, draws: np.ndarray, mask: np.ndarray) -> np.ndarray:
     # Generalized inverse: the smallest t with CDF(t) >= draw, T+1 when none.
     # The CDF is nondecreasing, so that t is 1 plus the number of levels
     # CDF(1..T) strictly below the draw, counted one level at a time: each
-    # comparison goes into `mask` (bool, shaped like draws, new when not
-    # given) and is added through its int8 view, skipping a buffered cast.
-    if mask is None:
-        mask = np.empty(draws.shape, bool)
+    # comparison goes into `mask` (bool, shaped like draws) and is added
+    # through its int8 view, skipping a buffered cast.
     hits = mask.view(np.int8)
     tau = np.ones(draws.shape, np.int8)
     for level in cdf[1:]:
@@ -329,24 +325,21 @@ def _client_payouts(
     tau_surrender: np.ndarray,
     survival_pay: float,
     surrender_pays: np.ndarray,
-    index: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    index: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
     # One lookup per client in table[td, ts] = pays[ts] if td > min(ts, T)
     # else 0.0, where pays = (surrender_pays[0..T], survival_pay): a client
     # alive at min(tau_surrender, T) is paid the surrender leg (zero at T)
     # or, at T+1, the survival leg.  The flat index is formed in `index`,
-    # int16 when not given (int8 would wrap once T >= 10): int8 exit times
-    # need T+1 <= 127, so the largest index, (T+1)(T+2) + T+1, is below
-    # 128**2.  take copies an int16 index to intp; an intp `index` does not.
-    # The payouts go to `out` when given, by take's mode="clip", which
-    # writes there directly: exit times in 1..T+1 keep indices in range.
+    # int16: int8 would wrap once T >= 10, and int8 exit times need
+    # T+1 <= 127, so the largest index, (T+1)(T+2) + T+1, is below 128**2.
+    # The payouts go to `out` by take's mode="clip", which writes there
+    # directly: exit times in 1..T+1 keep indices in range.
     T = len(surrender_pays) - 1
     pays = np.append(surrender_pays, survival_pay)
     t = np.arange(T + 2)
     table = np.where(t[:, None] > np.minimum(t, T), pays, 0.0)
-    if index is None:
-        index = np.empty(tau_death.shape, np.int16)
     np.multiply(tau_death, T + 2, out=index, dtype=index.dtype)
     index += tau_surrender
     return table.ravel().take(index, out=out, mode="clip")

@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_CONFIG
-    except (NumericalError, ResourceError) as exc:
+    except (NumericalError, ResourceError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_NUMERICAL
     sys.stdout.write(output)

@@ -1,9 +1,10 @@
 """Dependence between death and surrender times: copula families.
 
 Supported families: independence, Clayton (param > 0), Gumbel
-(param >= 1) and Frank (param != 0).  Gumbel at 1 and Frank near 0
-degenerate to independence and are evaluated through an exact product
-branch rather than the generic formula, which would be 0/0 there.
+(param >= 1) and Frank (param != 0 with exp(-param) finite, so
+param >= about -709.78).  Gumbel at 1 and Frank near 0 degenerate to
+independence and are evaluated through an exact product branch rather
+than the generic formula, which would be 0/0 there.
 
 The joint law of the two decrement times is specified on the survival
 scale: with marginal survival functions ubar, vbar the joint survival
@@ -72,8 +73,15 @@ class CopulaSpec:
             raise ConfigurationError(f"clayton parameter must be > 0, got {self.param}")
         if self.family == "gumbel" and self.param < 1.0:
             raise ConfigurationError(f"gumbel parameter must be >= 1, got {self.param}")
-        if self.family == "frank" and self.param == 0.0:
-            raise ConfigurationError("frank parameter must be nonzero")
+        if self.family == "frank":
+            if self.param == 0.0:
+                raise ConfigurationError("frank parameter must be nonzero")
+            try:
+                math.expm1(-self.param)
+            except OverflowError:
+                raise ConfigurationError(
+                    f"frank parameter {self.param} is too negative: exp(-param) overflows"
+                ) from None
 
     @property
     def is_independence(self) -> bool:
@@ -262,8 +270,19 @@ def sample_pairs(
         delta = spec.param
         g1 = math.expm1(-delta)
         gu = np.expm1(-delta * u)
-        gv = w * g1 / (np.exp(-delta * u) - w * gu)
-        np.log1p(gv, out=w)
+        y = w * g1 / (np.exp(-delta * u) - w * gu)
+        # log(1 + y) by log1p, except where y <= -1/2 or is not finite: near
+        # -1, where strong positive dependence takes it, y has lost its
+        # digits and may round to -1 or beyond.  There the same quantity is
+        # the log of 1 + y = (w e^-delta + (1-w) e^(-delta u)) / (w + (1-w)
+        # e^(-delta u)), a ratio of positive sums
+        near = ~((y > -0.5) & (y < np.inf))
+        wn = w[near]
+        tail = np.log1p(-wn) - delta * u[near]
+        log_wn = np.log(wn)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log1p(y, out=w)
+        w[near] = np.logaddexp(log_wn - delta, tail) - np.logaddexp(log_wn, tail)
         np.negative(w, out=w)
         w /= delta
         return u, w
@@ -286,9 +305,3 @@ def sample_pairs(
     np.add(lo, hi, out=w)
     w *= 0.5
     return u, w
-
-
-def sample_pair(spec: CopulaSpec, rng: np.random.Generator) -> tuple[float, float]:
-    """One (U, V) draw with uniform marginals and the given copula."""
-    u, v = sample_pairs(spec, 1, rng)
-    return float(u[0]), float(v[0])

@@ -92,22 +92,6 @@ class ParamBox:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class HazardPath:
-    """Accumulated hazard along one scenario: Lambda_0 .. Lambda_T.
-
-    Must start at zero and be nondecreasing.
-    """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.values or self.values[0] != 0.0:
-            raise ConfigurationError("accumulated hazard must start at 0")
-        if any(b < a for a, b in zip(self.values, self.values[1:])):
-            raise ConfigurationError("accumulated hazard must be nondecreasing")
-
-
 def gompertz_cdf(theta: Theta, t: int) -> float:
     """P(death time <= t): F(t) = 1 - exp(-sum_{s<t} b*exp(c*s)).
 
@@ -134,14 +118,3 @@ def surrender_cdf(path: Path, theta: Theta, t: int, enabled: bool = True) -> flo
         return 0.0
     load = sum((theta.a - s) ** 2 for s in path.prices[:t]) / theta.d
     return -math.expm1(-load)
-
-
-def cox_cdf(gamma: float, hazard: HazardPath, t: int) -> float:
-    """Generic Cox decrement CDF 1 - exp(-gamma * Lambda_t)."""
-    if gamma <= 0.0:
-        raise ConfigurationError(f"gamma must be positive, got {gamma}")
-    if t < 0 or t >= len(hazard.values):
-        raise ContractError(
-            f"t must lie in [0, {len(hazard.values) - 1}], got {t}"
-        )
-    return -math.expm1(-gamma * hazard.values[t])

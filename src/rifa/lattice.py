@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,17 +118,6 @@ class Claim:
             raise ContractError(f"claim must cover 2**T paths, got {n} values")
         if not all(math.isfinite(x) for x in self.values):
             raise ContractError("claim values must all be finite")
-
-    @classmethod
-    def from_mapping(cls, values: Mapping[int, float], T: int) -> "Claim":
-        """Build from a path-index mapping; every index must be present."""
-        n = 1 << T
-        missing = [i for i in range(n) if i not in values]
-        if missing:
-            raise ContractError(
-                f"claim missing {len(missing)} of {n} paths (first: {missing[0]})"
-            )
-        return cls(tuple(float(values[i]) for i in range(n)))
 
 
 def risk_neutral_probs(market: MarketParams) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Arbitrage decisions, explicit constructions, and pool simulation."""
 
 import math
+import pathlib
 import tracemalloc
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from rifa.arbitrage_lab import (
     verify_arbitrage,
 )
 from rifa.benefits import BenefitSpec, discounted_payoffs, payoff_table
+from rifa.cli import parse_config
 from rifa.copulas import CopulaSpec, joint_survival, sample_pairs
 from rifa.errors import ConfigurationError, ContractError, VerificationError
 from rifa.hazards import ParamBox, Theta, gompertz_cdf, surrender_cdf
@@ -41,6 +43,7 @@ from rifa.robust_eval import (
     evaluate,
 )
 
+PAPER_CFG = pathlib.Path(__file__).resolve().parents[1] / "paper.cfg"
 BOX = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
 CFG = OptimizerConfig(multistarts=3)
 
@@ -221,6 +224,41 @@ def test_claim_values_come_from_report(
     assert pair.claim_values == tuple(opt.value for opt in report.per_path)
 
 
+def _band_edges(robust):
+    """Premiums at robust -/+ the band, their float neighbours, and robust."""
+    edges = []
+    for edge in (robust - COMPARISON_BAND, robust + COMPARISON_BAND):
+        edges += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    return edges + [robust]
+
+
+def test_construct_arbitrage_follows_the_verdict_at_the_band_edge():
+    """construct_arbitrage refuses exactly the premiums the verdict calls NRIFA_by_ii.
+
+    On paper.cfg's box and optimizer, T = 2..6 and K in {80, 90, 100, 110},
+    at premiums on either edge of the comparison band; the verdict is built
+    with an infimum of 0, so condition (i) fails and (ii) alone decides.
+    """
+    cfg = parse_config(str(PAPER_CFG))
+    box = cfg.theta_box
+    for T in range(2, 7):
+        market = replace(cfg.market, T=T)
+        for K in (80.0, 90.0, 100.0, 110.0):
+            benefit = replace(cfg.benefit, K=K)
+            report = evaluate(box, cfg.copula, benefit, market, cfg.optimizer)
+            for premium in _band_edges(report.robust_price):
+                verdict = Verdict(premium, report.robust_price, 0.0, box.corner_low())
+                case = (T, K, premium)
+                if verdict.status == "NRIFA_by_ii":
+                    with pytest.raises(ContractError, match="no arbitrage exists"):
+                        construct_arbitrage(premium, report, box, cfg.copula, benefit, market)
+                    assert report.robust_price - premium > COMPARISON_BAND, case
+                    continue
+                pair = construct_arbitrage(premium, report, box, cfg.copula, benefit, market)
+                assert report.robust_price - premium <= COMPARISON_BAND, case
+                assert pair.strict_case == (not verdict.boundary_case), case
+
+
 def test_arbitrage_pair_validation():
     with pytest.raises(ContractError):
         ArbitragePair(
@@ -237,14 +275,6 @@ def test_arbitrage_pair_validation():
             holdings=(np.zeros(2),),  # level 0 must have one node
             cost=2.0,
             strict_case=True,
-        )
-    with pytest.raises(ContractError, match="exceeds the premium"):
-        ArbitragePair(
-            premium=1.0,
-            claim_values=(1.0, 2.0),
-            holdings=(np.zeros(1),),
-            cost=2.0,  # hedge would cost more than the premium
-            strict_case=False,
         )
     pair = ArbitragePair(
         premium=10.0, claim_values=(1.0, 2.0), holdings=(np.zeros(1),), cost=2.0,
@@ -365,8 +395,17 @@ def test_simulate_portfolio_accepts_numpy_integers(
     assert type(from_numpy[0].n_schedule[0]) is int
 
 
+def _payouts(tau_death, tau_surrender, survival_pay, surrender_pays, dtype=np.int16):
+    """_client_payouts with a fresh index of the given dtype and a fresh out."""
+    n = len(tau_death)
+    return _client_payouts(
+        tau_death, tau_surrender, survival_pay, surrender_pays,
+        np.empty(n, dtype), np.empty(n),
+    )
+
+
 def _allocating_trials(theta, spec, benefit, market, sched, trials, seed, premium):
-    """Oracle for simulate_portfolio: every array of every trial is new."""
+    """Oracle for simulate_portfolio: every buffer of every trial is new."""
     prices, q = path_arrays(market)
     survival, surrender = payoff_table(benefit, market, prices)
     g = conditional_values(prices, q, theta, spec, benefit, market)
@@ -381,9 +420,9 @@ def _allocating_trials(theta, spec, benefit, market, sched, trials, seed, premiu
             [surrender_cdf(path, theta, t, benefit.surrender) for t in range(T + 1)]
         )
         u, v = sample_pairs(spec, sched[-1], rng)
-        tau1 = _exit_times(death_cdf, u)
-        tau2 = _exit_times(surr_cdf, v)
-        x = _client_payouts(tau1, tau2, survival[i], surrender[i])
+        tau1 = _exit_times(death_cdf, u, np.empty(u.shape, bool))
+        tau2 = _exit_times(surr_cdf, v, np.empty(v.shape, bool))
+        x = _payouts(tau1, tau2, survival[i], surrender[i])
         cum = np.cumsum(x)
         values = [float(premium - cum[n - 1] / n).hex() for n in sched]
         trials_out.append((
@@ -499,7 +538,7 @@ def test_client_payouts_follow_per_client_rule(market_small_mod, surrender):
     survival_pay, surrender_pays = discounted_payoffs(benefit, market_small_mod, path)
     pairs = [(t1, t2) for t1 in range(1, T + 2) for t2 in range(1, T + 2)]
     tau_death, tau_surrender = np.array(pairs, dtype=np.int16).T
-    got = _client_payouts(tau_death, tau_surrender, survival_pay, surrender_pays)
+    got = _payouts(tau_death, tau_surrender, survival_pay, surrender_pays)
     for x, (t1, t2) in zip(got, pairs):
         assert x == _payout_rule(t1, t2, T, survival_pay, surrender_pays), (t1, t2)
 
@@ -514,7 +553,7 @@ def test_client_payouts_at_lattice_cap(dtype):
     survival_pay = 1000.0
     pairs = [(t1, t2) for t1 in range(1, T + 2) for t2 in range(1, T + 2)]
     tau_death, tau_surrender = np.array(pairs, dtype=dtype).T
-    got = _client_payouts(tau_death, tau_surrender, survival_pay, surrender_pays)
+    got = _payouts(tau_death, tau_surrender, survival_pay, surrender_pays)
     for x, (t1, t2) in zip(got, pairs):
         assert x == _payout_rule(t1, t2, T, survival_pay, surrender_pays), (t1, t2)
 
@@ -526,17 +565,13 @@ def test_client_payouts_int16_index_equals_intp(T):
     surrender_pays[T] = 0.0
     pairs = [(t1, t2) for t1 in range(1, T + 2) for t2 in range(1, T + 2)]
     tau_death, tau_surrender = np.array(pairs, dtype=np.int8).T
-    n = len(pairs)
-    expect = _client_payouts(
-        tau_death, tau_surrender, 1000.0, surrender_pays, np.empty(n, np.intp)
-    )
-    for index in (np.empty(n, np.int16), None):
-        got = _client_payouts(tau_death, tau_surrender, 1000.0, surrender_pays, index)
-        assert got.tobytes() == expect.tobytes()
+    expect = _payouts(tau_death, tau_surrender, 1000.0, surrender_pays, np.intp)
+    got = _payouts(tau_death, tau_surrender, 1000.0, surrender_pays, np.int16)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_client_payouts_write_into_out_without_a_copy():
-    """With out=, the payouts keep their bits and no payout-sized temporary is made."""
+    """The payouts go into out with their bits, and no payout-sized temporary is made."""
     rng = np.random.default_rng(3)
     T, n = 8, 100_000
     surrender_pays = rng.random(T + 1)
@@ -549,7 +584,7 @@ def test_client_payouts_write_into_out_without_a_copy():
     index, out = np.empty(n, dtype=np.intp), np.empty(n)
     tracemalloc.start()
     try:
-        got = _client_payouts(tau_death, tau_surrender, 7.5, surrender_pays, index, out=out)
+        got = _client_payouts(tau_death, tau_surrender, 7.5, surrender_pays, index, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -590,10 +625,9 @@ def test_exit_times_equal_searchsorted(cdf):
         [0.0],
     ))
     expect = _searchsorted_exit_times(cdf, draws)
-    for mask in (None, np.empty(draws.shape, bool)):
-        got = _exit_times(cdf, draws, mask)
-        assert got.dtype == np.int8
-        assert np.array_equal(got, expect)
+    got = _exit_times(cdf, draws, np.empty(draws.shape, bool))
+    assert got.dtype == np.int8
+    assert np.array_equal(got, expect)
 
 
 def test_exit_time_marginals_match_cdfs(

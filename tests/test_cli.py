@@ -125,6 +125,35 @@ def test_cli_reports_resource_errors_as_exit_3(write_config, base_config_doc, ca
     assert err.startswith("error:")
 
 
+def test_cli_rejects_frank_parameter_beyond_float_range(
+    write_config, base_config_doc, capsys
+):
+    base_config_doc["copula"] = {"family": "frank", "param": -1000.0}
+    code, out, err = run_cli(["price", "--config", write_config(base_config_doc)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_cli_reports_memory_errors_as_exit_3(
+    write_config, base_config_doc, capsys, monkeypatch
+):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.setattr("rifa.cli.simulate_portfolio", out_of_memory)
+    path = write_config(base_config_doc)
+    code, out, err = run_cli(["simulate", "--config", path, "--n-max", "100"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
+
+
+def test_package_exports_resolve():
+    """Every name in rifa.__all__ is an attribute of the package."""
+    missing = [name for name in rifa.__all__ if not hasattr(rifa, name)]
+    assert missing == []
+    assert len(set(rifa.__all__)) == len(rifa.__all__)
+
+
 def test_price_echo_config(write_config, base_config_doc, capsys):
     path = write_config(base_config_doc)
     code, out, _ = run_cli(["price", "--config", path, "--echo-config"], capsys)

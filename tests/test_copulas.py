@@ -16,7 +16,6 @@ from rifa.copulas import (
     _clayton,
     copula_eval,
     joint_survival,
-    sample_pair,
     sample_pairs,
     surrender_slice_prob,
     survival_transform,
@@ -53,6 +52,9 @@ def test_spec_validation():
         CopulaSpec("frank", 0.0)
     with pytest.raises(ConfigurationError):
         CopulaSpec("frank", math.inf)
+    with pytest.raises(ConfigurationError, match="overflows"):
+        CopulaSpec("frank", -1000.0)  # expm1(1000) overflows
+    CopulaSpec("frank", -709.0)
 
 
 def test_is_independence_degeneracies():
@@ -292,7 +294,11 @@ def test_sampler_dependence_sign(spec, sign):
     assert sign * corr > 0.2
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+# Frank 40 draws near y = -1, where log1p(y) alone left [0, 1]
+SAMPLER_SPECS = SPECS + [CopulaSpec("frank", 40.0)]
+
+
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=lambda s: f"{s.family}-{s.param}")
 def test_sampler_matches_copula_cdf(spec):
     """Empirical P(U<=u, V<=v) tracks C(u, v) at interior checkpoints."""
     # distinct stream per family so one unlucky draw block cannot fail all
@@ -308,10 +314,15 @@ def test_sampler_matches_copula_cdf(spec):
         assert abs(emp - exact) <= band
 
 
-def test_sample_pair_scalar_wrapper(independence):
-    rng = np.random.default_rng(3)
-    u, v = sample_pair(independence, rng)
-    assert 0.0 <= u <= 1.0 and 0.0 <= v <= 1.0
+@pytest.mark.parametrize("delta", [36.0, 40.0, 100.0, 1000.0])
+def test_frank_draws_stay_in_unit_square_at_strong_dependence(delta):
+    """Near y = -1 the conditional inverse still gives finite draws in [0, 1]."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, v = sample_pairs(CopulaSpec("frank", delta), 100_000, np.random.default_rng(1))
+    for x in (u, v):
+        assert np.isfinite(x).all()
+        assert x.min() >= 0.0 and x.max() <= 1.0
 
 
 def test_sampler_is_deterministic():

@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rifa.errors import ConfigurationError, ContractError
-from rifa.hazards import (
-    HazardPath,
-    ParamBox,
-    Theta,
-    cox_cdf,
-    gompertz_cdf,
-    surrender_cdf,
-)
+from rifa.hazards import ParamBox, Theta, gompertz_cdf, surrender_cdf
 from rifa.lattice import enumerate_paths
 
 
@@ -126,43 +119,15 @@ def test_surrender_cdf_bounds_check(market_small):
         surrender_cdf(path, theta, -1)
 
 
-def test_hazard_path_validation():
-    HazardPath((0.0, 0.5, 0.5, 1.2))
-    with pytest.raises(ConfigurationError):
-        HazardPath((0.1, 0.5))
-    with pytest.raises(ConfigurationError):
-        HazardPath((0.0, 0.5, 0.4))
-    with pytest.raises(ConfigurationError):
-        HazardPath(())
-
-
-def test_cox_cdf_matches_direct_formula():
-    hazard = HazardPath((0.0, 0.3, 0.8, 1.7))
-    for t, lam in enumerate(hazard.values):
-        assert cox_cdf(1.0, hazard, t) == pytest.approx(
-            1.0 - math.exp(-lam), rel=1e-14
-        )
-        assert cox_cdf(2.5, hazard, t) == pytest.approx(
-            1.0 - math.exp(-2.5 * lam), rel=1e-14
-        )
-    with pytest.raises(ConfigurationError):
-        cox_cdf(0.0, hazard, 1)
-    with pytest.raises(ContractError):
-        cox_cdf(1.0, hazard, 4)
-
-
 def test_gompertz_is_a_cox_model():
-    """The Gompertz CDF equals the generic Cox form with the matching loads."""
+    """The Gompertz CDF is the Cox form 1 - exp(-Lambda_t) of its loads."""
     theta = Theta(a=100.0, b=0.02, c=0.03, d=1e4)
     T = 8
     lams = [0.0]
     for t in range(T):
         lams.append(lams[-1] + theta.b * math.exp(theta.c * t))
-    hazard = HazardPath(tuple(lams))
-    for t in range(T + 1):
-        assert gompertz_cdf(theta, t) == pytest.approx(
-            cox_cdf(1.0, hazard, t), rel=1e-13
-        )
+    for t, lam in enumerate(lams):
+        assert gompertz_cdf(theta, t) == pytest.approx(-math.expm1(-lam), rel=1e-13)
 
 
 @settings(max_examples=60, deadline=None)

@@ -189,8 +189,7 @@ def test_claim_validation():
         Claim((1.0, 2.0, 3.0))  # not a power of two
     with pytest.raises(ContractError):
         Claim((1.0, math.inf))
-    claim = Claim.from_mapping({0: 1.0, 1: 2.0}, T=1)
-    assert claim.values == (1.0, 2.0)
+    assert Claim((1.0, 2.0)).values == (1.0, 2.0)
 
 
 def test_superhedge_replicates_random_claims():

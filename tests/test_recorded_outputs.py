@@ -9,7 +9,8 @@ The runs cover what ``test_bench_reference.py`` does not: ``check`` on
 ``paper.cfg`` (the classical sup and inf) at premiums that give each verdict
 status, one of them the robust price as printed (a boundary case), sweeps
 along d, b and K (shared rectangles, one kernel or one per step), and
-``price`` on a T=6 Clayton(2) config with the grid and the hybrid method.  Each test runs one of them
+``price`` on a T=6 Clayton(2) config with the grid and the hybrid method, and
+``price`` on paper.cfg at T=10.  Each test runs one of them
 in-process and compares the bytes.
 """
 
@@ -37,6 +38,12 @@ def _clayton_t6(method):
     return doc
 
 
+def _horizon(T):
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    doc["market"]["T"] = T
+    return doc
+
+
 def _premium(premium):
     doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
     doc["premium"] = premium
@@ -59,6 +66,8 @@ RUNS = {
     "sweep_K": (None, _sweep("K", "90", "110", "5")),
     "price_clayton_t6_grid": (_clayton_t6("grid"), ["price"]),
     "price_clayton_t6_hybrid": (_clayton_t6("hybrid"), ["price"]),
+    # T=10: date sums of 8 or more terms take numpy's 8-accumulator order
+    "price_t10": (_horizon(10), ["price"]),
 }
 
 
