@@ -152,18 +152,22 @@ class ArbitragePair:
 class PortfolioSample:
     """One simulated client pool on one drawn market path.
 
-    tau_death / tau_surrender hold per-client exit times as int8, one
-    byte per client each, with T+1 standing for survival beyond the
-    horizon.  portfolio_values[i] is the average of (premium - benefit)
-    over the first n_schedule[i] clients; payout_std is the per-client
-    benefit standard deviation over the full pool, feeding the
-    verification error budget.
+    exit_cells[j] = (T+2)*tau_death + tau_surrender codes client j's two
+    exit times, each in 1..T+1 with T+1 standing for survival beyond the
+    horizon T; it is the client's index into the path's flat payout
+    table.  The cells take the smallest unsigned type that holds
+    (T+1)(T+3): one byte per client through T = 14, two beyond.  The
+    tau_death / tau_surrender properties decode them into fresh int8
+    arrays on each access.  portfolio_values[i] is the average of
+    (premium - benefit) over the first n_schedule[i] clients; payout_std
+    is the per-client benefit standard deviation over the full pool,
+    feeding the verification error budget.
     """
 
     trial: int
     path_index: int
-    tau_death: np.ndarray
-    tau_surrender: np.ndarray
+    exit_cells: np.ndarray
+    T: int
     n_schedule: tuple[int, ...]
     portfolio_values: tuple[float, ...]
     premium: float
@@ -173,9 +177,16 @@ class PortfolioSample:
     def __post_init__(self):
         if len(self.portfolio_values) != len(self.n_schedule):
             raise ContractError("one portfolio value per schedule entry required")
-        n_max = self.n_schedule[-1]
-        if len(self.tau_death) != n_max or len(self.tau_surrender) != n_max:
+        if len(self.exit_cells) != self.n_schedule[-1]:
             raise ContractError("client draws must cover the largest pool size")
+
+    @property
+    def tau_death(self) -> np.ndarray:
+        return (self.exit_cells // (self.T + 2)).astype(np.int8)
+
+    @property
+    def tau_surrender(self) -> np.ndarray:
+        return (self.exit_cells % (self.T + 2)).astype(np.int8)
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,43 +317,31 @@ def construct_arbitrage(
     )
 
 
-def _exit_times(cdf: np.ndarray, draws: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    # Generalized inverse: the smallest t with CDF(t) >= draw, T+1 when none.
-    # The CDF is nondecreasing, so that t is 1 plus the number of levels
-    # CDF(1..T) strictly below the draw, counted one level at a time: each
+def _count_levels(
+    cdf: np.ndarray, draws: np.ndarray, mask: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    # Adds to `out` the number of levels CDF(1..T) strictly below each draw.
+    # The CDF is nondecreasing, so 1 plus that count is the generalized
+    # inverse: the smallest t with CDF(t) >= draw, T+1 when none.  Each
     # comparison goes into `mask` (bool, shaped like draws) and is added
-    # through its int8 view, skipping a buffered cast.
-    hits = mask.view(np.int8)
-    tau = np.ones(draws.shape, np.int8)
+    # through its uint8 view, skipping a buffered cast for uint8 `out`.
+    hits = mask.view(np.uint8)
     for level in cdf[1:]:
         np.greater(draws, level, out=mask)
-        tau += hits
-    return tau
+        out += hits
+    return out
 
 
-def _client_payouts(
-    tau_death: np.ndarray,
-    tau_surrender: np.ndarray,
-    survival_pay: float,
-    surrender_pays: np.ndarray,
-    index: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    # One lookup per client in table[td, ts] = pays[ts] if td > min(ts, T)
-    # else 0.0, where pays = (surrender_pays[0..T], survival_pay): a client
-    # alive at min(tau_surrender, T) is paid the surrender leg (zero at T)
-    # or, at T+1, the survival leg.  The flat index is formed in `index`,
-    # int16: int8 would wrap once T >= 10, and int8 exit times need
-    # T+1 <= 127, so the largest index, (T+1)(T+2) + T+1, is below 128**2.
-    # The payouts go to `out` by take's mode="clip", which writes there
-    # directly: exit times in 1..T+1 keep indices in range.
+def _payout_table(survival_pay: float, surrender_pays: np.ndarray) -> np.ndarray:
+    # The flat (T+2)**2 table of payouts by exit cell (T+2)*td + ts:
+    # table[td, ts] = pays[ts] if td > min(ts, T) else 0.0, where
+    # pays = (surrender_pays[0..T], survival_pay).  A client alive at
+    # min(tau_surrender, T) is paid the surrender leg (zero at T) or, at
+    # T+1, the survival leg.
     T = len(surrender_pays) - 1
     pays = np.append(surrender_pays, survival_pay)
     t = np.arange(T + 2)
-    table = np.where(t[:, None] > np.minimum(t, T), pays, 0.0)
-    np.multiply(tau_death, T + 2, out=index, dtype=index.dtype)
-    index += tau_surrender
-    return table.ravel().take(index, out=out, mode="clip")
+    return np.where(t[:, None] > np.minimum(t, T), pays, 0.0).ravel()
 
 
 def _portfolio_trials(
@@ -357,7 +356,13 @@ def _portfolio_trials(
 ) -> Iterator[PortfolioSample]:
     """Yield `simulate_portfolio`'s samples one trial at a time.
 
-    The arguments must already have passed `_check_run`.
+    The arguments must already have passed `_check_run`.  A trial counts
+    each client's exit times straight into its exit cell: the death
+    levels below u, then (T+2)*tau_death + 1, then the surrender levels
+    below v.  Its payouts are one `take` of the drawn path's payout table
+    at the cells.  The table, (T+2)**2 floats, is rebuilt each trial
+    rather than kept per path, so that memory does not grow with the
+    number of distinct paths drawn.
     """
     prices, q = path_arrays(market)
     survival, surrender = payoff_table(benefit, market, prices)
@@ -365,11 +370,11 @@ def _portfolio_trials(
     T = market.T
     n_max = sched[-1]
     death_cdf = np.array([gompertz_cdf(theta, t) for t in range(T + 1)])
+    cell_dtype = np.min_scalar_type((T + 1) * (T + 3))
     # One workspace for every trial: beyond numpy's own temporaries, a
-    # trial allocates only the two exit-time arrays its sample keeps.
+    # trial allocates only the exit cells its sample keeps.
     draws = (np.empty(n_max), np.empty(n_max))
     mask = np.empty(n_max, bool)
-    index = np.empty(n_max, np.int16)
     # surrender levels per drawn path, from the same scalar calls: they are
     # compared exactly, and np.expm1 may differ from math.expm1 in the last bit
     surr_cdfs: dict[int, np.ndarray] = {}
@@ -382,10 +387,13 @@ def _portfolio_trials(
                 [surrender_cdf(path, theta, t, benefit.surrender) for t in range(T + 1)]
             )
         u, v = sample_pairs(spec, n_max, rng, out=draws)
-        tau1 = _exit_times(death_cdf, u, mask)
-        tau2 = _exit_times(surr_cdfs[i], v, mask)
-        # u is spent: it takes the payouts, then their running sums
-        x = _client_payouts(tau1, tau2, survival[i], surrender[i], index, out=u)
+        cells = _count_levels(death_cdf, u, mask, np.zeros(n_max, cell_dtype))
+        cells *= T + 2
+        cells += T + 3  # (T+2)*tau_death + 1, as tau_death is 1 + the count
+        _count_levels(surr_cdfs[i], v, mask, cells)
+        # u is spent: it takes the payouts, then their running sums.  take's
+        # mode="clip" writes to u directly; the cells are all in range.
+        x = _payout_table(survival[i], surrender[i]).take(cells, out=u, mode="clip")
         # np.std's operations in its order (numpy 2.x _var), with the
         # deviations in v, which is spent too
         np.subtract(x, np.add.reduce(x) / n_max, out=v)
@@ -395,8 +403,8 @@ def _portfolio_trials(
         yield PortfolioSample(
             trial=k,
             path_index=i,
-            tau_death=tau1,
-            tau_surrender=tau2,
+            exit_cells=cells,
+            T=T,
             n_schedule=sched,
             portfolio_values=tuple(premium - cum[n - 1] / n for n in sched),
             premium=premium,
@@ -424,13 +432,16 @@ def simulate_portfolio(
     levels below the draw.  Per-trial generators are derived
     from (seed, trial), so results are reproducible and independent of
     any execution order.  `trials` and `seed` may be Python or numpy
-    integers, not bools.  All trials of a call run in one workspace for
-    the draws, the level comparisons, the int16 payout index, the payouts
-    and their deviations from the mean (in the spent draw buffers); the
-    surrender levels are computed once per drawn path.  Apart from
-    numpy's short-lived temporaries (take's intp copy of the index, the
-    copula's), a trial allocates only the two exit-time arrays its sample
-    keeps, so no two samples share memory.
+    integers, not bools.  Each sample keeps one exit cell per client, the
+    client's index into its path's payout table: one byte through T = 14,
+    two beyond; its tau_death / tau_surrender properties decode the cells.
+    All trials of a call run in one workspace for the draws, the level
+    comparisons, the payouts and their deviations from the mean (in the
+    spent draw buffers); the surrender levels are computed once per
+    drawn path.  Apart from short-lived temporaries (the path's payout
+    table, take's intp copy of the cells, the copula's), a trial
+    allocates only the exit cells its sample keeps, so no two samples
+    share memory.
     """
     sched, trials, seed = _check_run(n_schedule, trials, seed)
     return list(

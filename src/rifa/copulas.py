@@ -147,7 +147,25 @@ def _eval_array(spec: CopulaSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     g1 = math.expm1(-delta)
     gu = np.expm1(-delta * u)
     gv = np.expm1(-delta * v)
-    return -np.log1p(gu * gv / g1) / delta
+    y = gu * gv / g1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.log1p(y) / delta
+    # Near y = -1, where strong positive dependence takes it, 1 + y cancels
+    # and y may round to -1 or beyond.  Where y <= -1/2 (so delta > 0),
+    # with w = min(u, v) and z = max(u, v),
+    #   1 + y = e^(-delta w) * ratio,
+    #   ratio = (-expm1(-delta z) - e^(-delta (z-w)) expm1(-delta (1-z)))
+    #           / -expm1(-delta),
+    # whose terms are all nonnegative, so C = w - log(ratio) / delta keeps
+    # its digits.  Elsewhere the direct form stays, bit for bit.
+    near = y <= -0.5
+    if near.any():
+        w = np.minimum(u, v)
+        z = np.maximum(u, v)
+        edge = np.exp(-delta * (z - w)) * np.expm1(-delta * (1.0 - z))
+        ratio = (-np.expm1(-delta * z) - edge) / -g1
+        out = np.where(near, w - np.log(ratio) / delta, out)
+    return out
 
 
 def copula_eval(spec: CopulaSpec, u: float, v: float) -> float:

@@ -14,8 +14,8 @@ from rifa.arbitrage_lab import (
     ArbitragePair,
     Verdict,
     _check_schedule,
-    _client_payouts,
-    _exit_times,
+    _count_levels,
+    _payout_table,
     construct_arbitrage,
     lln_rms,
     nrifa_check,
@@ -370,8 +370,9 @@ def _fingerprint(samples):
         (
             s.trial,
             s.path_index,
-            s.tau_death.tobytes(),
-            s.tau_surrender.tobytes(),
+            s.exit_cells.dtype.str,
+            s.exit_cells.tobytes(),
+            s.T,
             s.n_schedule,
             [float(x).hex() for x in s.portfolio_values],
             s.conditional_value.hex(),
@@ -395,13 +396,24 @@ def test_simulate_portfolio_accepts_numpy_integers(
     assert type(from_numpy[0].n_schedule[0]) is int
 
 
-def _payouts(tau_death, tau_surrender, survival_pay, surrender_pays, dtype=np.int16):
-    """_client_payouts with a fresh index of the given dtype and a fresh out."""
-    n = len(tau_death)
-    return _client_payouts(
-        tau_death, tau_surrender, survival_pay, surrender_pays,
-        np.empty(n, dtype), np.empty(n),
-    )
+def _cell_dtype(T):
+    return np.min_scalar_type((T + 1) * (T + 3))
+
+
+def _cells(tau_death, tau_surrender, T, dtype):
+    """Exit cells (T+2)*tau_death + tau_surrender, formed in intp."""
+    return ((T + 2) * np.asarray(tau_death, np.intp) + tau_surrender).astype(dtype)
+
+
+def _payouts(tau_death, tau_surrender, survival_pay, surrender_pays, dtype=None):
+    """Payouts as a trial takes them, from cells of the given dtype.
+
+    The default is the cell dtype simulate_portfolio uses at this horizon.
+    """
+    T = len(surrender_pays) - 1
+    cells = _cells(tau_death, tau_surrender, T, dtype or _cell_dtype(T))
+    table = _payout_table(survival_pay, surrender_pays)
+    return table.take(cells, out=np.empty(len(cells)), mode="clip")
 
 
 def _allocating_trials(theta, spec, benefit, market, sched, trials, seed, premium):
@@ -420,13 +432,14 @@ def _allocating_trials(theta, spec, benefit, market, sched, trials, seed, premiu
             [surrender_cdf(path, theta, t, benefit.surrender) for t in range(T + 1)]
         )
         u, v = sample_pairs(spec, sched[-1], rng)
-        tau1 = _exit_times(death_cdf, u, np.empty(u.shape, bool))
-        tau2 = _exit_times(surr_cdf, v, np.empty(v.shape, bool))
-        x = _payouts(tau1, tau2, survival[i], surrender[i])
+        tau1 = _searchsorted_exit_times(death_cdf, u)
+        tau2 = _searchsorted_exit_times(surr_cdf, v)
+        cells = _cells(tau1, tau2, T, _cell_dtype(T))
+        x = _payouts(tau1, tau2, survival[i], surrender[i], np.intp)
         cum = np.cumsum(x)
         values = [float(premium - cum[n - 1] / n).hex() for n in sched]
         trials_out.append((
-            k, i, tau1.tobytes(), tau2.tobytes(), sched, values,
+            k, i, cells.dtype.str, cells.tobytes(), T, sched, values,
             float(g[i]).hex(), float(np.std(x)).hex(),
         ))
     return trials_out
@@ -456,10 +469,46 @@ def test_trial_workspace_matches_allocating_oracle(
         run = (theta, spec, benefit_paper_mod, market, (7, 50, 300), trials, 5, 80.0)
         samples = simulate_portfolio(*run[:5], trials=trials, seed=run[6], premium=run[7])
         assert _fingerprint(samples) == _allocating_trials(*run)
-        arrays = [a for s in samples for a in (s.tau_death, s.tau_surrender)]
+        arrays = [s.exit_cells for s in samples]
         for j, a in enumerate(arrays):
             for b in arrays[j + 1:]:
                 assert not np.shares_memory(a, b)
+
+
+def test_samples_keep_one_exit_cell_per_client(benefit_paper_mod, independence_mod):
+    """A T=8 run keeps trials * n_max bytes of exit data, plus a fixed slack.
+
+    The cells are one byte per client through T = 14 and two from T = 15,
+    and decode to the exit times they code.
+    """
+    theta = Theta(150.0, 0.025, 0.03, 2e4)
+    trials, n_max = 20, 100_000
+
+    def run(T, n):
+        market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
+        return simulate_portfolio(
+            theta, independence_mod, benefit_paper_mod, market, [n],
+            trials=trials, seed=2,
+        )
+
+    run(8, n_max)  # first-call set-up is not the samples'
+    tracemalloc.start()
+    try:
+        samples = run(8, n_max)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == trials
+    assert kept <= trials * n_max + 64 * 1024
+    cases = [(8, np.uint8, samples), (14, np.uint8, run(14, 1_000)),
+             (15, np.uint16, run(15, 1_000))]
+    for T, dtype, runs in cases:
+        for s in runs:
+            assert s.exit_cells.dtype == dtype and s.T == T
+            tau1, tau2 = s.tau_death, s.tau_surrender
+            assert tau1.dtype == tau2.dtype == np.int8
+            assert 1 <= tau1.min() and max(tau1.max(), tau2.max()) <= T + 1
+            assert np.array_equal(_cells(tau1, tau2, T, dtype), s.exit_cells)
 
 
 def test_portfolio_values_recomputable_from_exit_times(
@@ -545,7 +594,7 @@ def test_client_payouts_follow_per_client_rule(market_small_mod, surrender):
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16], ids=["int8", "int16"])
 def test_client_payouts_at_lattice_cap(dtype):
-    """Every exit pair at T = MAX_LATTICE_STEPS, where int8 flat indices wrap."""
+    """Every exit pair at T = MAX_LATTICE_STEPS, where one-byte cells would wrap."""
     T = MAX_LATTICE_STEPS
     # distinct legs, and no surrender payout at the horizon itself
     surrender_pays = 1.0 + np.arange(T + 1) / 64.0
@@ -559,19 +608,21 @@ def test_client_payouts_at_lattice_cap(dtype):
 
 
 @pytest.mark.parametrize("T", [MAX_LATTICE_STEPS, 125])
-def test_client_payouts_int16_index_equals_intp(T):
-    """An int16 index gives the intp index's payouts up to T+1 = 126 (int8 exit times)."""
+def test_client_payouts_uint16_cells_equal_intp(T):
+    """uint16 cells give the intp cells' payouts up to T+1 = 126 (int8 exit times)."""
+    assert _cell_dtype(T) == np.uint16
     surrender_pays = 1.0 + np.arange(T + 1) / 64.0
     surrender_pays[T] = 0.0
     pairs = [(t1, t2) for t1 in range(1, T + 2) for t2 in range(1, T + 2)]
     tau_death, tau_surrender = np.array(pairs, dtype=np.int8).T
     expect = _payouts(tau_death, tau_surrender, 1000.0, surrender_pays, np.intp)
-    got = _payouts(tau_death, tau_surrender, 1000.0, surrender_pays, np.int16)
+    got = _payouts(tau_death, tau_surrender, 1000.0, surrender_pays)
     assert got.tobytes() == expect.tobytes()
 
 
 def test_client_payouts_write_into_out_without_a_copy():
-    """The payouts go into out with their bits, and no payout-sized temporary is made."""
+    """The payouts go into out with their bits; take's intp copy of the cells is
+    its only temporary."""
     rng = np.random.default_rng(3)
     T, n = 8, 100_000
     surrender_pays = rng.random(T + 1)
@@ -581,16 +632,17 @@ def test_client_payouts_write_into_out_without_a_copy():
         _payout_rule(t1, t2, T, 7.5, surrender_pays)
         for t1, t2 in zip(tau_death.tolist(), tau_surrender.tolist())
     ]
-    index, out = np.empty(n, dtype=np.intp), np.empty(n)
+    cells = _cells(tau_death, tau_surrender, T, _cell_dtype(T))
+    table, out = _payout_table(7.5, surrender_pays), np.empty(n)
     tracemalloc.start()
     try:
-        got = _client_payouts(tau_death, tau_surrender, 7.5, surrender_pays, index, out)
+        got = table.take(cells, out=out, mode="clip")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got is out
     assert [x.hex() for x in out.tolist()] == [float(x).hex() for x in expect]
-    assert peak < out.nbytes
+    assert peak < n * np.dtype(np.intp).itemsize + cells.nbytes
 
 
 def _searchsorted_exit_times(cdf, draws):
@@ -625,9 +677,9 @@ def test_exit_times_equal_searchsorted(cdf):
         [0.0],
     ))
     expect = _searchsorted_exit_times(cdf, draws)
-    got = _exit_times(cdf, draws, np.empty(draws.shape, bool))
-    assert got.dtype == np.int8
-    assert np.array_equal(got, expect)
+    counts = np.zeros(draws.shape, np.uint8)
+    assert _count_levels(cdf, draws, np.empty(draws.shape, bool), counts) is counts
+    assert np.array_equal(1 + counts, expect)
 
 
 def test_exit_time_marginals_match_cdfs(
@@ -914,8 +966,8 @@ def test_verify_arbitrage_holds_one_model_of_samples(
         Theta(300.0, 0.03, 0.05, 9e4),
     ]
     trials, n_clients = 200, 10_000
-    # two one-byte exit times per client and trial
-    one_model = 2 * trials * n_clients
+    # one exit-cell byte per client and trial
+    one_model = trials * n_clients
     tracemalloc.start()
     try:
         verify_arbitrage(

@@ -5,12 +5,17 @@ recorded on a known-good commit with
 
     PYTHONPATH=src python tests/test_recorded_outputs.py --record
 
+which adds only the runs missing from the file and exits non-zero, writing
+nothing, if a recorded run's bytes differ; to re-record a run on purpose,
+delete its entry first.
+
 The runs cover what ``test_bench_reference.py`` does not: ``check`` on
 ``paper.cfg`` (the classical sup and inf) at premiums that give each verdict
 status, one of them the robust price as printed (a boundary case), sweeps
 along d, b and K (shared rectangles, one kernel or one per step), and
 ``price`` on a T=6 Clayton(2) config with the grid and the hybrid method, and
-``price`` on paper.cfg at T=10.  Each test runs one of them
+``price`` on paper.cfg at T=10, and ``simulate`` with Clayton(2) at T=14 and
+T=15, either side of the one-byte exit cell.  Each test runs one of them
 in-process and compares the bytes.
 """
 
@@ -38,9 +43,11 @@ def _clayton_t6(method):
     return doc
 
 
-def _horizon(T):
+def _horizon(T, copula=None):
     doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
     doc["market"]["T"] = T
+    if copula is not None:
+        doc["copula"] = copula
     return doc
 
 
@@ -53,6 +60,9 @@ def _premium(premium):
 def _sweep(axis, lo, hi, steps):
     return ["sweep", "--axis", axis, "--lo", lo, "--hi", hi, "--steps", steps]
 
+
+CLAYTON_2 = {"family": "clayton", "param": 2.0}
+_SIMULATE = ["simulate", "--n-max", "1000", "--trials", "8"]
 
 # name: (config document, or None for paper.cfg; command and its options)
 RUNS = {
@@ -68,6 +78,9 @@ RUNS = {
     "price_clayton_t6_hybrid": (_clayton_t6("hybrid"), ["price"]),
     # T=10: date sums of 8 or more terms take numpy's 8-accumulator order
     "price_t10": (_horizon(10), ["price"]),
+    # the largest horizon whose exit cells fit one byte, and the first past it
+    "simulate_clayton_t14": (_horizon(14, CLAYTON_2), _SIMULATE),
+    "simulate_clayton_t15": (_horizon(15, CLAYTON_2), _SIMULATE),
 }
 
 
@@ -90,10 +103,28 @@ def test_cli_output_matches_recording(name, tmp_path):
     assert _run(name, tmp_path) == (recorded["exit_code"], recorded["stdout"])
 
 
+def _record():
+    """Add the runs missing from the recording; refuse if a recorded run moved."""
+    doc = json.loads(RECORDED.read_text(encoding="utf-8")) if RECORDED.exists() else {}
+    moved = []
+    with tempfile.TemporaryDirectory() as directory:
+        for name in RUNS:
+            code, text = _run(name, directory)
+            entry = {"exit_code": code, "stdout": text}
+            if name not in doc:
+                doc[name] = entry
+                print(f"recorded {name}")
+            elif doc[name] != entry:
+                moved.append(name)
+    if moved:
+        sys.exit(
+            f"output differs from the recording for: {', '.join(moved)}; "
+            "delete an entry to re-record it"
+        )
+    RECORDED.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_recorded_outputs.py --record")
-    with tempfile.TemporaryDirectory() as directory:
-        runs = {name: _run(name, directory) for name in RUNS}
-    doc = {name: {"exit_code": code, "stdout": text} for name, (code, text) in runs.items()}
-    RECORDED.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    _record()
