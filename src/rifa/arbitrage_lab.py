@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -449,23 +449,26 @@ def simulate_portfolio(
     )
 
 
-def lln_rms(samples: Sequence[PortfolioSample]) -> tuple[np.ndarray, np.ndarray]:
+def lln_rms(samples: Iterable[PortfolioSample]) -> tuple[np.ndarray, np.ndarray]:
     """Root-mean-square gap to the conditional limit per pool size.
 
     Returns (rms_error, mean_value) arrays over the common schedule; the
     error of a trial at pool size n is the difference between the
     realized average and its conditional limit premium - G(path, theta).
+    `samples` may be a one-shot iterable: it is read once, in order,
+    keeping only each trial's pool values and conditional limit.
     """
-    if not samples:
-        raise ContractError("need at least one sample")
-    sched = samples[0].n_schedule
-    errs = np.zeros((len(samples), len(sched)))
-    vals = np.zeros_like(errs)
-    for i, s in enumerate(samples):
-        if s.n_schedule != sched:
+    vals, limits = [], []
+    for s in samples:
+        if vals and s.n_schedule != sched:
             raise ContractError("samples mix different schedules")
-        vals[i] = s.portfolio_values
-        errs[i] = vals[i] - (s.premium - s.conditional_value)
+        sched = s.n_schedule
+        vals.append(s.portfolio_values)
+        limits.append(s.premium - s.conditional_value)
+    if not vals:
+        raise ContractError("need at least one sample")
+    vals = np.array(vals)
+    errs = vals - np.array(limits)[:, None]
     return np.sqrt(np.mean(errs * errs, axis=0)), vals.mean(axis=0)
 
 
@@ -501,7 +504,7 @@ def verify_arbitrage(
     min_payoff = math.inf
     worst_violation = 0.0
     for j, theta in enumerate(thetas):
-        payoffs = []
+        payoffs = np.empty(trials)
         # Trials are read as they are drawn and none is kept, so memory
         # does not grow with the trial count.
         for s in _portfolio_trials(
@@ -509,7 +512,7 @@ def verify_arbitrage(
         ):
             path = Path.from_row(prices, q, s.path_index)
             payoff = s.portfolio_values[-1] + strategy_gain(market, holdings, path)
-            payoffs.append(payoff)
+            payoffs[s.trial] = payoff
             min_payoff = min(min_payoff, payoff)
             budget = 5.0 * s.payout_std / math.sqrt(n_clients)
             if payoff < -budget:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .hazards import ParamBox, Theta
 from .lattice import MarketParams, _is_int, _real
-from .arbitrage_lab import lln_rms, nrifa_check, simulate_portfolio
+from .arbitrage_lab import _check_run, _portfolio_trials, lln_rms, nrifa_check
 from .robust_eval import OptimizerConfig, evaluate, sup_classical_batch
 
 __all__ = [
@@ -282,19 +282,16 @@ def _cmd_simulate(args) -> tuple[str, int]:
         raise ConfigurationError(f"--trials must be >= 1, got {args.trials}")
     box = asdict(config.theta_box)
     theta = Theta(**{name: 0.5 * (lo + hi) for name, (lo, hi) in box.items()})
-    samples = simulate_portfolio(
-        theta,
-        config.copula,
-        config.benefit,
-        config.market,
-        _decade_schedule(args.n_max),
-        args.trials,
-        config.seed,
-        premium=config.premium,
+    sched, trials, seed = _check_run(
+        _decade_schedule(args.n_max), args.trials, config.seed
     )
-    rms, mean_v = lln_rms(samples)
+    # trials are read as drawn and none is kept: memory does not grow with --trials
+    rms, mean_v = lln_rms(_portfolio_trials(
+        theta, config.copula, config.benefit, config.market, sched, trials, seed,
+        config.premium,
+    ))
     rows = ["n,rms_error,mean_V"]
-    for n, r, m in zip(samples[0].n_schedule, rms, mean_v):
+    for n, r, m in zip(sched, rms, mean_v):
         rows.append(f"{n},{_fmt(float(r))},{_fmt(float(m))}")
     return "\n".join(rows) + "\n", _EXIT_OK
 

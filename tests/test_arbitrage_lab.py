@@ -743,8 +743,6 @@ def test_lln_rms_decays(market_small_mod, benefit_paper_mod, independence_mod):
 
 
 def test_lln_rms_validation(market_small_mod, benefit_paper_mod, independence_mod):
-    with pytest.raises(ContractError):
-        lln_rms([])
     theta = Theta(150.0, 0.025, 0.03, 2e4)
     a = simulate_portfolio(
         theta, independence_mod, benefit_paper_mod, market_small_mod,
@@ -754,8 +752,27 @@ def test_lln_rms_validation(market_small_mod, benefit_paper_mod, independence_mo
         theta, independence_mod, benefit_paper_mod, market_small_mod,
         [20], trials=1, seed=1,
     )
-    with pytest.raises(ContractError):
-        lln_rms(a + b)
+    # a list, and a one-shot generator
+    for wrap in (list, lambda samples: (s for s in samples)):
+        with pytest.raises(ContractError, match="at least one sample"):
+            lln_rms(wrap([]))
+        with pytest.raises(ContractError, match="mix different schedules"):
+            lln_rms(wrap(a + b))
+
+
+def test_lln_rms_reads_a_generator_as_a_list(
+    market_small_mod, benefit_paper_mod, independence_mod
+):
+    """A one-shot generator gives the list's result, bit for bit."""
+    samples = simulate_portfolio(
+        Theta(150.0, 0.025, 0.03, 2e4), independence_mod, benefit_paper_mod,
+        market_small_mod, [100, 1000, 3000], trials=9, seed=4, premium=80.0,
+    )
+
+    def hexes(result):
+        return [[x.hex() for x in a.tolist()] for a in result]
+
+    assert hexes(lln_rms(s for s in samples)) == hexes(lln_rms(samples))
 
 
 def test_degenerate_pool_has_exactly_zero_error(independence_mod):

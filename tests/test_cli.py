@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,9 +139,11 @@ def test_cli_reports_memory_errors_as_exit_3(
     write_config, base_config_doc, capsys, monkeypatch
 ):
     def out_of_memory(*args, **kwargs):
+        # a generator: the error comes while lln_rms reads the trials
         raise MemoryError("Unable to allocate 72.8 TiB")
+        yield
 
-    monkeypatch.setattr("rifa.cli.simulate_portfolio", out_of_memory)
+    monkeypatch.setattr("rifa.cli._portfolio_trials", out_of_memory)
     path = write_config(base_config_doc)
     code, out, err = run_cli(["simulate", "--config", path, "--n-max", "100"], capsys)
     assert (code, out) == (3, "")
@@ -642,6 +645,26 @@ def test_simulate_output_is_pinned(family, param, write_config, base_config_doc,
     argv = ["simulate", "--config", write_config(doc), "--n-max", "1000",
             "--trials", "8"]
     assert run_cli(argv, capsys) == (0, SIMULATE_PINNED[family, param], "")
+
+
+def test_cli_simulate_memory_does_not_grow_with_trials(capsys):
+    """Trials are read as drawn: 10x the trials adds less than one trial's cells."""
+    n_max = 100_000
+
+    def peak(trials):
+        argv = ["simulate", "--config", str(PAPER_CFG), "--n-max", str(n_max),
+                "--trials", str(trials)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(1)  # first-call set-up is not a trial's
+    # one exit-cell byte per client
+    assert peak(200) - peak(20) < n_max
 
 
 def test_simulate_requires_premium_and_seed(write_config, base_config_doc, capsys):

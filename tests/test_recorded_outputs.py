@@ -14,8 +14,9 @@ The runs cover what ``test_bench_reference.py`` does not: ``check`` on
 status, one of them the robust price as printed (a boundary case), sweeps
 along d, b and K (shared rectangles, one kernel or one per step), and
 ``price`` on a T=6 Clayton(2) config with the grid and the hybrid method, and
-``price`` on paper.cfg at T=10, and ``simulate`` with Clayton(2) at T=14 and
-T=15, either side of the one-byte exit cell.  Each test runs one of them
+``price`` on paper.cfg at T=10, ``simulate`` with Clayton(2) at T=14 and
+T=15, either side of the one-byte exit cell, and ``simulate`` at T=8 with
+each other family: paper.cfg's independence, Frank(-2) and Gumbel(1.8).  Each test runs one of them
 in-process and compares the bytes.
 """
 
@@ -81,6 +82,10 @@ RUNS = {
     # the largest horizon whose exit cells fit one byte, and the first past it
     "simulate_clayton_t14": (_horizon(14, CLAYTON_2), _SIMULATE),
     "simulate_clayton_t15": (_horizon(15, CLAYTON_2), _SIMULATE),
+    # the other three families at paper.cfg's T=8
+    "simulate": (None, _SIMULATE),
+    "simulate_frank": (_horizon(8, {"family": "frank", "param": -2.0}), _SIMULATE),
+    "simulate_gumbel": (_horizon(8, {"family": "gumbel", "param": 1.8}), _SIMULATE),
 }
 
 
