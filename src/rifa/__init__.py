@@ -4,8 +4,8 @@ The package prices benefits whose payout is contingent both on a binomial
 market and on policyholder decrement times (death, surrender) whose law is
 only known up to a parameter box.  The headline quantity is the worst-case
 premium over that box, computed pathwise on the market lattice.  On top of
-the pricing core sit risk-measure utilities on finite conditional spaces,
-an arbitrage detector/constructor, and a batch CLI.
+the pricing core sit an arbitrage detector/constructor, with a lazy
+Monte Carlo stream of client pools to verify it, and a batch CLI.
 """
 
 from rifa.arbitrage_lab import (
@@ -16,7 +16,7 @@ from rifa.arbitrage_lab import (
     construct_arbitrage,
     lln_rms,
     nrifa_check,
-    simulate_portfolio,
+    portfolio_trials,
     verify_arbitrage,
 )
 from rifa.benefits import BenefitSpec, discounted_payoffs, guarantee_value
@@ -52,14 +52,6 @@ from rifa.lattice import (
     strategy_gain,
     superhedge,
 )
-from rifa.risk_measures import (
-    CondRiskValue,
-    FiniteCondSpace,
-    avar_robust_oracle,
-    cond_avar,
-    entropic_sup,
-    two_step,
-)
 from rifa.robust_eval import (
     EvaluationReport,
     OptimizerConfig,
@@ -78,12 +70,10 @@ __all__ = [
     "ArbitragePair",
     "BenefitSpec",
     "Claim",
-    "CondRiskValue",
     "ConfigurationError",
     "ContractError",
     "CopulaSpec",
     "EvaluationReport",
-    "FiniteCondSpace",
     "MarketParams",
     "NumericalError",
     "OptimizerConfig",
@@ -97,16 +87,13 @@ __all__ = [
     "VerificationError",
     "VerificationReport",
     "Verdict",
-    "avar_robust_oracle",
     "binomial_call",
     "canonical_json",
     "classical_price",
-    "cond_avar",
     "conditional_value",
     "construct_arbitrage",
     "copula_eval",
     "discounted_payoffs",
-    "entropic_sup",
     "enumerate_paths",
     "evaluate",
     "gompertz_cdf",
@@ -118,10 +105,10 @@ __all__ = [
     "nrifa_check",
     "parse_config",
     "pathwise_esssup",
+    "portfolio_trials",
     "risk_neutral_probs",
     "robust_price",
     "sample_pairs",
-    "simulate_portfolio",
     "strategy_gain",
     "sup_classical",
     "sup_classical_batch",
@@ -129,7 +116,6 @@ __all__ = [
     "surrender_cdf",
     "surrender_slice_prob",
     "survival_transform",
-    "two_step",
     "verify_arbitrage",
 ]
 

@@ -13,8 +13,8 @@ When both fail the premium is too high and an explicit arbitrage
 exists: hedge the pathwise worst-case claim in the complete market and
 average the premium-minus-benefit balance over an ever larger pool of
 conditionally independent clients.  The Monte-Carlo half of the module
-simulates such pools and verifies the constructed pair within an
-explicit law-of-large-numbers error budget.
+streams such pools one trial at a time (`portfolio_trials`) and verifies
+the constructed pair within an explicit law-of-large-numbers error budget.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ __all__ = [
     "VerificationReport",
     "nrifa_check",
     "construct_arbitrage",
-    "simulate_portfolio",
+    "portfolio_trials",
     "lln_rms",
     "verify_arbitrage",
 ]
@@ -156,18 +156,16 @@ class PortfolioSample:
     exit times, each in 1..T+1 with T+1 standing for survival beyond the
     horizon T; it is the client's index into the path's flat payout
     table.  The cells take the smallest unsigned type that holds
-    (T+1)(T+3): one byte per client through T = 14, two beyond.  The
-    tau_death / tau_surrender properties decode them into fresh int8
-    arrays on each access.  portfolio_values[i] is the average of
-    (premium - benefit) over the first n_schedule[i] clients; payout_std
-    is the per-client benefit standard deviation over the full pool,
-    feeding the verification error budget.
+    (T+1)(T+3): one byte per client through T = 14, two beyond.
+    portfolio_values[i] is the average of (premium - benefit) over the
+    first n_schedule[i] clients; payout_std is the per-client benefit
+    standard deviation over the full pool, feeding the verification error
+    budget.
     """
 
     trial: int
     path_index: int
     exit_cells: np.ndarray
-    T: int
     n_schedule: tuple[int, ...]
     portfolio_values: tuple[float, ...]
     premium: float
@@ -179,14 +177,6 @@ class PortfolioSample:
             raise ContractError("one portfolio value per schedule entry required")
         if len(self.exit_cells) != self.n_schedule[-1]:
             raise ContractError("client draws must cover the largest pool size")
-
-    @property
-    def tau_death(self) -> np.ndarray:
-        return (self.exit_cells // (self.T + 2)).astype(np.int8)
-
-    @property
-    def tau_surrender(self) -> np.ndarray:
-        return (self.exit_cells % (self.T + 2)).astype(np.int8)
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,26 +334,37 @@ def _payout_table(survival_pay: float, surrender_pays: np.ndarray) -> np.ndarray
     return np.where(t[:, None] > np.minimum(t, T), pays, 0.0).ravel()
 
 
-def _portfolio_trials(
+def portfolio_trials(
     theta: Theta,
     spec: CopulaSpec,
     benefit: BenefitSpec,
     market: MarketParams,
-    sched: tuple[int, ...],
+    n_schedule: Sequence[int],
     trials: int,
     seed: int,
-    premium: float,
+    premium: float = 0.0,
 ) -> Iterator[PortfolioSample]:
-    """Yield `simulate_portfolio`'s samples one trial at a time.
+    """Simulate equal-weight client pools under one hazard model, lazily.
 
-    The arguments must already have passed `_check_run`.  A trial counts
-    each client's exit times straight into its exit cell: the death
-    levels below u, then (T+2)*tau_death + 1, then the surrender levels
-    below v.  Its payouts are one `take` of the drawn path's payout table
-    at the cells.  The table, (T+2)**2 floats, is rebuilt each trial
-    rather than kept per path, so that memory does not grow with the
-    number of distinct paths drawn.
+    The arguments are checked on the call: `trials` and `seed` may be
+    Python or numpy integers, not bools.  The returned iterator draws one
+    trial per step.  A trial draws a market path from the risk-neutral
+    weights, then a pool of conditionally independent clients: one copula
+    draw per client, mapped to its exit cell by counting the CDF levels
+    below it (the death levels below u, then (T+2)*tau_death + 1, then the
+    surrender levels below v).  Its payouts are one `take` of the drawn
+    path's payout table at the cells.  Per-trial generators are derived
+    from (seed, trial), so results are reproducible.
+
+    All trials share one workspace for the draws and the level
+    comparisons, and the surrender levels are computed once per drawn
+    path.  The payout table, (T+2)**2 floats, is rebuilt each trial, so
+    memory does not grow with the number of distinct paths drawn.  Apart
+    from short-lived temporaries (the table, take's intp copy of the
+    cells, the copula's), a trial allocates only the exit cells its
+    sample keeps, so no two samples share memory.
     """
+    sched, trials, seed = _check_run(n_schedule, trials, seed)
     prices, q = path_arrays(market)
     survival, surrender = payoff_table(benefit, market, prices)
     g = conditional_values(prices, q, theta, spec, benefit, market)
@@ -371,14 +372,13 @@ def _portfolio_trials(
     n_max = sched[-1]
     death_cdf = np.array([gompertz_cdf(theta, t) for t in range(T + 1)])
     cell_dtype = np.min_scalar_type((T + 1) * (T + 3))
-    # One workspace for every trial: beyond numpy's own temporaries, a
-    # trial allocates only the exit cells its sample keeps.
     draws = (np.empty(n_max), np.empty(n_max))
     mask = np.empty(n_max, bool)
     # surrender levels per drawn path, from the same scalar calls: they are
     # compared exactly, and np.expm1 may differ from math.expm1 in the last bit
     surr_cdfs: dict[int, np.ndarray] = {}
-    for k in range(trials):
+
+    def trial(k: int) -> PortfolioSample:
         rng = np.random.default_rng([seed, k])
         i = int(rng.choice(q.shape[0], p=q))
         if i not in surr_cdfs:
@@ -400,11 +400,10 @@ def _portfolio_trials(
         np.square(v, out=v)
         payout_std = float(np.sqrt(np.add.reduce(v) / n_max))
         cum = np.cumsum(x, out=x)
-        yield PortfolioSample(
+        return PortfolioSample(
             trial=k,
             path_index=i,
             exit_cells=cells,
-            T=T,
             n_schedule=sched,
             portfolio_values=tuple(premium - cum[n - 1] / n for n in sched),
             premium=premium,
@@ -412,41 +411,7 @@ def _portfolio_trials(
             payout_std=payout_std,
         )
 
-
-def simulate_portfolio(
-    theta: Theta,
-    spec: CopulaSpec,
-    benefit: BenefitSpec,
-    market: MarketParams,
-    n_schedule: Sequence[int],
-    trials: int,
-    seed: int,
-    premium: float = 0.0,
-) -> list[PortfolioSample]:
-    """Simulate equal-weight client pools under one hazard model.
-
-    Each trial draws a market path from the risk-neutral weights, then a
-    pool of conditionally independent clients: one copula draw per
-    client mapped through the generalized inverses of the path's
-    marginal exit-time distributions, each taken by counting the CDF
-    levels below the draw.  Per-trial generators are derived
-    from (seed, trial), so results are reproducible and independent of
-    any execution order.  `trials` and `seed` may be Python or numpy
-    integers, not bools.  Each sample keeps one exit cell per client, the
-    client's index into its path's payout table: one byte through T = 14,
-    two beyond; its tau_death / tau_surrender properties decode the cells.
-    All trials of a call run in one workspace for the draws, the level
-    comparisons, the payouts and their deviations from the mean (in the
-    spent draw buffers); the surrender levels are computed once per
-    drawn path.  Apart from short-lived temporaries (the path's payout
-    table, take's intp copy of the cells, the copula's), a trial
-    allocates only the exit cells its sample keeps, so no two samples
-    share memory.
-    """
-    sched, trials, seed = _check_run(n_schedule, trials, seed)
-    return list(
-        _portfolio_trials(theta, spec, benefit, market, sched, trials, seed, premium)
-    )
+    return map(trial, range(trials))
 
 
 def lln_rms(samples: Iterable[PortfolioSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -495,7 +460,8 @@ def verify_arbitrage(
         raise ContractError("pair must come from construct_arbitrage")
     if not thetas:
         raise ContractError("need at least one model to sample")
-    # validated here, before the first model: the trials below are lazy
+    # validated before the first model: the payoff buffer and the later
+    # models' seeds are formed from them
     sched, trials, seed = _check_run([n_clients], trials, seed)
     n_clients = sched[0]
     prices, q = path_arrays(market)
@@ -507,7 +473,7 @@ def verify_arbitrage(
         payoffs = np.empty(trials)
         # Trials are read as they are drawn and none is kept, so memory
         # does not grow with the trial count.
-        for s in _portfolio_trials(
+        for s in portfolio_trials(
             theta, spec, benefit, market, sched, trials, seed + 7919 * j, premium
         ):
             path = Path.from_row(prices, q, s.path_index)

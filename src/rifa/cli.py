@@ -33,7 +33,7 @@ from .errors import (
 )
 from .hazards import ParamBox, Theta
 from .lattice import MarketParams, _is_int, _real
-from .arbitrage_lab import _check_run, _portfolio_trials, lln_rms, nrifa_check
+from .arbitrage_lab import lln_rms, nrifa_check, portfolio_trials
 from .robust_eval import OptimizerConfig, evaluate, sup_classical_batch
 
 __all__ = [
@@ -282,13 +282,11 @@ def _cmd_simulate(args) -> tuple[str, int]:
         raise ConfigurationError(f"--trials must be >= 1, got {args.trials}")
     box = asdict(config.theta_box)
     theta = Theta(**{name: 0.5 * (lo + hi) for name, (lo, hi) in box.items()})
-    sched, trials, seed = _check_run(
-        _decade_schedule(args.n_max), args.trials, config.seed
-    )
+    sched = _decade_schedule(args.n_max)
     # trials are read as drawn and none is kept: memory does not grow with --trials
-    rms, mean_v = lln_rms(_portfolio_trials(
-        theta, config.copula, config.benefit, config.market, sched, trials, seed,
-        config.premium,
+    rms, mean_v = lln_rms(portfolio_trials(
+        theta, config.copula, config.benefit, config.market, sched, args.trials,
+        config.seed, config.premium,
     ))
     rows = ["n,rms_error,mean_V"]
     for n, r, m in zip(sched, rms, mean_v):

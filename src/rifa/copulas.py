@@ -140,8 +140,20 @@ def _eval_array(spec: CopulaSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             x = -np.log(uc)
             y = -np.log(vc)
-        out = np.exp(-((x**beta + y**beta) ** (1.0 / beta)))
-        return np.where(zero, 0.0, out)
+        with np.errstate(over="ignore"):
+            power_sum = x**beta + y**beta
+        root = power_sum ** (1.0 / beta)
+        # At large beta the power sum overflows, or underflows below the
+        # normal range and loses its digits.  There the same root is
+        # m * (1 + (w/m)^beta)^(1/beta) with m = max(x, y), w = min(x, y),
+        # whose base lies in [1, 2]; elsewhere the direct form stays, bit for bit.
+        lost = (power_sum < np.finfo(float).tiny) | (power_sum == np.inf)
+        if lost.any():
+            m = np.maximum(x, y)
+            # x = y = 0 gives ratio 0, not 0/0
+            ratio = np.minimum(x, y) / np.where(m > 0.0, m, 1.0)
+            root = np.where(lost, m * (1.0 + ratio**beta) ** (1.0 / beta), root)
+        return np.where(zero, 0.0, np.exp(-root))
     # frank
     delta = spec.param
     g1 = math.expm1(-delta)
@@ -259,8 +271,9 @@ def sample_pairs(
     or into two new arrays when it is None; the draws are the same
     either way.  Clipping and the Clayton inverse run in place, so with
     `out` independence allocates nothing and Clayton only its u**-alpha
-    factor; Frank and Gumbel keep their temporaries.  Buffers that share
-    memory raise ContractError: the second block would overwrite the first.
+    factor and a mask; Frank and Gumbel keep their temporaries.  Buffers
+    that share memory raise ContractError: the second block would
+    overwrite the first.
     """
     if out is None:
         out = (np.empty(n), np.empty(n))
@@ -280,9 +293,18 @@ def sample_pairs(
         alpha = spec.param
         w **= -alpha / (alpha + 1.0)
         w -= 1.0
-        w *= u**-alpha
-        w += 1.0
+        with np.errstate(over="ignore"):
+            scaled = u**-alpha
+            scaled *= w
+        # At large alpha and small u the scaled term overflows, and the form
+        # above would give v = 0.  There v = u * (u**alpha + w**(-alpha/(alpha+1))
+        # - 1)**(-1/alpha), the same value with u**alpha in place of u**-alpha.
+        far = np.flatnonzero(scaled == np.inf)
+        u_far = u[far]
+        v_far = u_far * (u_far**alpha + w[far]) ** (-1.0 / alpha)
+        np.add(scaled, 1.0, out=w)
         w **= -1.0 / alpha
+        w[far] = v_far
         return u, w
     if spec.family == "frank":
         delta = spec.param

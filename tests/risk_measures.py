@@ -12,6 +12,11 @@ implementations use the fast closed-form solutions (sorted tail fill
 for average value at risk, exponential tilting for the entropic ball);
 independent brute-force oracles for the same quantities live alongside
 them so tests can cross-check the two routes.
+
+No module of the package imports this one.  It lives with the tests as
+the oracle of the dominance theorem: the robust price bounds every
+two-step price over its priors (``test_risk_measures.py``,
+``test_acceptance.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericalError, ResourceError
+from rifa.errors import ContractError, NumericalError, ResourceError
 
 __all__ = [
     "FiniteCondSpace",

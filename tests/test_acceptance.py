@@ -35,7 +35,7 @@ from rifa.lattice import (
     strategy_gain,
     superhedge,
 )
-from rifa.risk_measures import (
+from risk_measures import (
     FiniteCondSpace,
     avar_robust_oracle,
     cond_avar,

@@ -19,7 +19,7 @@ from rifa.arbitrage_lab import (
     construct_arbitrage,
     lln_rms,
     nrifa_check,
-    simulate_portfolio,
+    portfolio_trials,
     verify_arbitrage,
 )
 from rifa.benefits import BenefitSpec, discounted_payoffs, payoff_table
@@ -297,25 +297,35 @@ def test_schedule_stored_as_tuple_of_ints():
     assert all(type(n) is int for n in sched)
 
 
+def _simulate(*args, **kwargs):
+    """Every trial of a portfolio_trials stream, as a list."""
+    return list(portfolio_trials(*args, **kwargs))
+
+
+def _exit_times(sample, T):
+    """The exit times (tau_death, tau_surrender) that a sample's cells code."""
+    return np.divmod(sample.exit_cells, T + 2)
+
+
 def test_simulate_portfolio_deterministic(
     market_small_mod, benefit_paper_mod, independence_mod
 ):
     theta = Theta(150.0, 0.025, 0.03, 2e4)
-    a = simulate_portfolio(
+    a = _simulate(
         theta, independence_mod, benefit_paper_mod, market_small_mod,
         [50, 100], trials=3, seed=11,
     )
-    b = simulate_portfolio(
+    b = _simulate(
         theta, independence_mod, benefit_paper_mod, market_small_mod,
         [50, 100], trials=3, seed=11,
     )
     for sa, sb in zip(a, b):
         assert sa.path_index == sb.path_index
         assert sa.portfolio_values == sb.portfolio_values
-        assert np.array_equal(sa.tau_death, sb.tau_death)
+        assert np.array_equal(sa.exit_cells, sb.exit_cells)
     # trials use independent streams
     assert any(
-        not np.array_equal(a[i].tau_death, a[j].tau_death)
+        not np.array_equal(a[i].exit_cells, a[j].exit_cells)
         for i in range(3)
         for j in range(i + 1, 3)
     )
@@ -326,17 +336,17 @@ def test_simulate_portfolio_validation(
 ):
     theta = Theta(150.0, 0.025, 0.03, 2e4)
     with pytest.raises(ContractError):
-        simulate_portfolio(
+        portfolio_trials(
             theta, independence_mod, benefit_paper_mod, market_small_mod,
             [100, 50], trials=1, seed=1,
         )
     with pytest.raises(ContractError):
-        simulate_portfolio(
+        portfolio_trials(
             theta, independence_mod, benefit_paper_mod, market_small_mod,
             [100], trials=0, seed=1,
         )
     with pytest.raises(ConfigurationError):
-        simulate_portfolio(
+        portfolio_trials(
             theta, independence_mod, benefit_paper_mod, market_small_mod,
             [100], trials=1, seed=-1,
         )
@@ -358,7 +368,7 @@ def test_simulate_portfolio_rejects_booleans(
     """bool is an int subclass, but no count or seed of the API takes one."""
     theta = Theta(150.0, 0.025, 0.03, 2e4)
     with pytest.raises(error):
-        simulate_portfolio(
+        portfolio_trials(
             theta, independence_mod, benefit_paper_mod, market_small_mod,
             schedule, trials=trials, seed=seed,
         )
@@ -372,7 +382,6 @@ def _fingerprint(samples):
             s.path_index,
             s.exit_cells.dtype.str,
             s.exit_cells.tobytes(),
-            s.T,
             s.n_schedule,
             [float(x).hex() for x in s.portfolio_values],
             s.conditional_value.hex(),
@@ -388,8 +397,8 @@ def test_simulate_portfolio_accepts_numpy_integers(
     """numpy counts and seeds give the samples of the equal Python ints."""
     theta = Theta(150.0, 0.025, 0.03, 2e4)
     args = (theta, independence_mod, benefit_paper_mod, market_small_mod)
-    plain = simulate_portfolio(*args, [50, 100], trials=3, seed=11)
-    from_numpy = simulate_portfolio(
+    plain = _simulate(*args, [50, 100], trials=3, seed=11)
+    from_numpy = _simulate(
         *args, [np.int32(50), np.int64(100)], trials=np.int64(3), seed=np.uint32(11)
     )
     assert _fingerprint(from_numpy) == _fingerprint(plain)
@@ -408,7 +417,7 @@ def _cells(tau_death, tau_surrender, T, dtype):
 def _payouts(tau_death, tau_surrender, survival_pay, surrender_pays, dtype=None):
     """Payouts as a trial takes them, from cells of the given dtype.
 
-    The default is the cell dtype simulate_portfolio uses at this horizon.
+    The default is the cell dtype portfolio_trials uses at this horizon.
     """
     T = len(surrender_pays) - 1
     cells = _cells(tau_death, tau_surrender, T, dtype or _cell_dtype(T))
@@ -417,7 +426,7 @@ def _payouts(tau_death, tau_surrender, survival_pay, surrender_pays, dtype=None)
 
 
 def _allocating_trials(theta, spec, benefit, market, sched, trials, seed, premium):
-    """Oracle for simulate_portfolio: every buffer of every trial is new."""
+    """Oracle for portfolio_trials: every buffer of every trial is new."""
     prices, q = path_arrays(market)
     survival, surrender = payoff_table(benefit, market, prices)
     g = conditional_values(prices, q, theta, spec, benefit, market)
@@ -439,7 +448,7 @@ def _allocating_trials(theta, spec, benefit, market, sched, trials, seed, premiu
         cum = np.cumsum(x)
         values = [float(premium - cum[n - 1] / n).hex() for n in sched]
         trials_out.append((
-            k, i, cells.dtype.str, cells.tobytes(), T, sched, values,
+            k, i, cells.dtype.str, cells.tobytes(), sched, values,
             float(g[i]).hex(), float(np.std(x)).hex(),
         ))
     return trials_out
@@ -467,7 +476,7 @@ def test_trial_workspace_matches_allocating_oracle(
     market_t3 = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=3)
     for market, trials in ((market_small_mod, 6), (market_t3, 30)):
         run = (theta, spec, benefit_paper_mod, market, (7, 50, 300), trials, 5, 80.0)
-        samples = simulate_portfolio(*run[:5], trials=trials, seed=run[6], premium=run[7])
+        samples = _simulate(*run[:5], trials=trials, seed=run[6], premium=run[7])
         assert _fingerprint(samples) == _allocating_trials(*run)
         arrays = [s.exit_cells for s in samples]
         for j, a in enumerate(arrays):
@@ -486,7 +495,7 @@ def test_samples_keep_one_exit_cell_per_client(benefit_paper_mod, independence_m
 
     def run(T, n):
         market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
-        return simulate_portfolio(
+        return _simulate(
             theta, independence_mod, benefit_paper_mod, market, [n],
             trials=trials, seed=2,
         )
@@ -504,9 +513,8 @@ def test_samples_keep_one_exit_cell_per_client(benefit_paper_mod, independence_m
              (15, np.uint16, run(15, 1_000))]
     for T, dtype, runs in cases:
         for s in runs:
-            assert s.exit_cells.dtype == dtype and s.T == T
-            tau1, tau2 = s.tau_death, s.tau_surrender
-            assert tau1.dtype == tau2.dtype == np.int8
+            assert s.exit_cells.dtype == dtype
+            tau1, tau2 = _exit_times(s, T)
             assert 1 <= tau1.min() and max(tau1.max(), tau2.max()) <= T + 1
             assert np.array_equal(_cells(tau1, tau2, T, dtype), s.exit_cells)
 
@@ -517,7 +525,7 @@ def test_portfolio_values_recomputable_from_exit_times(
     """Average balances match a hand rebuild from the stored exit times."""
     theta = Theta(150.0, 0.025, 0.03, 2e4)
     premium = 80.0
-    samples = simulate_portfolio(
+    samples = _simulate(
         theta, independence_mod, benefit_paper_mod, market_small_mod,
         [10, 100, 1000], trials=4, seed=3, premium=premium,
     )
@@ -527,12 +535,10 @@ def test_portfolio_values_recomputable_from_exit_times(
         survival_pay, surrender_pays = discounted_payoffs(
             benefit_paper_mod, market_small_mod, paths[s.path_index]
         )
-        for tau in (s.tau_death, s.tau_surrender):
-            assert tau.dtype == np.int8
-            assert tau.nbytes == s.n_schedule[-1]
+        assert s.exit_cells.nbytes == s.n_schedule[-1]
         x = np.array([
             _payout_rule(t1, t2, T, survival_pay, surrender_pays)
-            for t1, t2 in zip(s.tau_death, s.tau_surrender)
+            for t1, t2 in zip(*_exit_times(s, T))
         ])
         for j, n in enumerate(s.n_schedule):
             assert s.portfolio_values[j] == pytest.approx(
@@ -555,7 +561,7 @@ def test_sample_conditional_value_is_scalar_value_on_drawn_path(
 ):
     """Each trial's G, read from the all-path table, is G on its own path."""
     theta = Theta(150.0, 0.025, 0.03, 2e4)
-    samples = simulate_portfolio(
+    samples = _simulate(
         theta, spec, benefit_paper_mod, market_small_mod, [10], trials=12, seed=8
     )
     paths = enumerate_paths(market_small_mod)
@@ -688,20 +694,21 @@ def test_exit_time_marginals_match_cdfs(
     """Empirical exit-time CDFs track the analytic ones, 4 sigma."""
     theta = Theta(120.0, 0.05, 0.2, 5e3)
     n = 200_000
-    samples = simulate_portfolio(
+    samples = _simulate(
         theta, independence_mod, benefit_paper_mod, market_small_mod,
         [n], trials=1, seed=21,
     )
     s = samples[0]
     path = enumerate_paths(market_small_mod)[s.path_index]
     T = market_small_mod.T
+    tau_death, tau_surrender = _exit_times(s, T)
     for t in range(1, T + 1):
         exact1 = gompertz_cdf(theta, t)
-        emp1 = float(np.mean(s.tau_death <= t))
+        emp1 = float(np.mean(tau_death <= t))
         se1 = math.sqrt(exact1 * (1.0 - exact1) / n) + 1e-12
         assert abs(emp1 - exact1) <= 4.0 * se1
         exact2 = surrender_cdf(path, theta, t)
-        emp2 = float(np.mean(s.tau_surrender <= t))
+        emp2 = float(np.mean(tau_surrender <= t))
         se2 = math.sqrt(exact2 * (1.0 - exact2) / n) + 1e-12
         assert abs(emp2 - exact2) <= 4.0 * se2
 
@@ -717,20 +724,21 @@ def test_survival_frequency_matches_joint_law(
     """P(both exits beyond horizon) matches the survival copula, 4 sigma."""
     theta = Theta(120.0, 0.05, 0.2, 5e3)
     n = 200_000
-    s = simulate_portfolio(
+    s = _simulate(
         theta, spec, benefit_paper_mod, market_small_mod, [n], trials=1, seed=33
     )[0]
     path = enumerate_paths(market_small_mod)[s.path_index]
     T = market_small_mod.T
     exact = joint_survival(path, theta, spec, T, T)
-    emp = float(np.mean((s.tau_death > T) & (s.tau_surrender > T)))
+    tau_death, tau_surrender = _exit_times(s, T)
+    emp = float(np.mean((tau_death > T) & (tau_surrender > T)))
     se = math.sqrt(exact * (1.0 - exact) / n)
     assert abs(emp - exact) <= 4.0 * se
 
 
 def test_lln_rms_decays(market_small_mod, benefit_paper_mod, independence_mod):
     theta = Theta(150.0, 0.025, 0.03, 2e4)
-    samples = simulate_portfolio(
+    samples = _simulate(
         theta, independence_mod, benefit_paper_mod, market_small_mod,
         [100, 10000], trials=30, seed=5, premium=80.0,
     )
@@ -744,11 +752,11 @@ def test_lln_rms_decays(market_small_mod, benefit_paper_mod, independence_mod):
 
 def test_lln_rms_validation(market_small_mod, benefit_paper_mod, independence_mod):
     theta = Theta(150.0, 0.025, 0.03, 2e4)
-    a = simulate_portfolio(
+    a = _simulate(
         theta, independence_mod, benefit_paper_mod, market_small_mod,
         [10], trials=1, seed=1,
     )
-    b = simulate_portfolio(
+    b = _simulate(
         theta, independence_mod, benefit_paper_mod, market_small_mod,
         [20], trials=1, seed=1,
     )
@@ -764,7 +772,7 @@ def test_lln_rms_reads_a_generator_as_a_list(
     market_small_mod, benefit_paper_mod, independence_mod
 ):
     """A one-shot generator gives the list's result, bit for bit."""
-    samples = simulate_portfolio(
+    samples = _simulate(
         Theta(150.0, 0.025, 0.03, 2e4), independence_mod, benefit_paper_mod,
         market_small_mod, [100, 1000, 3000], trials=9, seed=4, premium=80.0,
     )
@@ -786,7 +794,7 @@ def test_degenerate_pool_has_exactly_zero_error(independence_mod):
     market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.0, T=4)
     benefit = BenefitSpec(K=float(1 << 20), r_G=0.0, l=0.0, surrender=False)
     theta = Theta(100.0, 5e-324, 1e-3, 1e4)
-    samples = simulate_portfolio(
+    samples = _simulate(
         theta, independence_mod, benefit, market,
         [100, 1000], trials=5, seed=9, premium=50.0,
     )
@@ -931,7 +939,7 @@ def test_verify_arbitrage_validates_before_simulating(
     )
     requested = []
     monkeypatch.setattr(
-        arbitrage_lab, "_portfolio_trials", lambda *args: requested.append(args)
+        arbitrage_lab, "portfolio_trials", lambda *args: requested.append(args)
     )
     with pytest.raises(error):
         verify_arbitrage(
@@ -965,7 +973,7 @@ def test_verify_arbitrage_memory_does_not_grow_with_trials(
             tracemalloc.stop()
 
     peak(1)  # first-call set-up is not a trial's
-    # two one-byte exit times per client
+    # two trials' worth of one-byte exit cells
     assert abs(peak(200) - peak(20)) < 2 * n_clients
 
 

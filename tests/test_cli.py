@@ -135,6 +135,15 @@ def test_cli_rejects_frank_parameter_beyond_float_range(
     assert err.startswith("error:")
 
 
+def test_cli_prices_gumbel_at_large_beta(write_config, capsys):
+    """Gumbel(1000) on paper.cfg prices; its power sum overflowed, and it exited 3."""
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    doc["copula"] = {"family": "gumbel", "param": 1000.0}
+    code, out, err = run_cli(["price", "--config", write_config(doc)], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("robust_price = ")
+
+
 def test_cli_reports_memory_errors_as_exit_3(
     write_config, base_config_doc, capsys, monkeypatch
 ):
@@ -143,7 +152,7 @@ def test_cli_reports_memory_errors_as_exit_3(
         raise MemoryError("Unable to allocate 72.8 TiB")
         yield
 
-    monkeypatch.setattr("rifa.cli._portfolio_trials", out_of_memory)
+    monkeypatch.setattr("rifa.cli.portfolio_trials", out_of_memory)
     path = write_config(base_config_doc)
     code, out, err = run_cli(["simulate", "--config", path, "--n-max", "100"], capsys)
     assert (code, out) == (3, "")

@@ -213,6 +213,37 @@ def test_frank_keeps_its_digits_at_strong_dependence(delta):
     assert scalar == _frank_exact(delta, 0.5, 0.5)
 
 
+def _gumbel_exact(beta, u, v):
+    """Gumbel C(u, v) in 1,000-digit arithmetic, where no power leaves the range."""
+    mpmath = pytest.importorskip("mpmath")
+    if u == 0.0 or v == 0.0:
+        return 0.0
+    with mpmath.workdps(1000):
+        b = mpmath.mpf(beta)
+        x, y = -mpmath.log(mpmath.mpf(u)), -mpmath.log(mpmath.mpf(v))
+        return float(mpmath.exp(-((x**b + y**b) ** (1 / b))))
+
+
+@pytest.mark.parametrize("beta", [100.0, 1000.0])
+def test_gumbel_keeps_its_digits_at_large_beta(beta):
+    """C matches 1,000-digit values to 1e-12 relative, with no warning.
+
+    With x = -log u and y = -log v, x**beta + y**beta overflows near 0 and
+    underflows near 1.  The direct form gave 0 with an overflow warning at
+    the first, and 1 in place of exp(-max(x, y)) at the second.
+    """
+    grid = np.array(
+        [0.0, 1e-300, 1e-9, 1e-3, 0.1, 0.5, 0.9, 0.999, 0.99999, 1.0 - 1e-12, 1.0]
+    )
+    u, v = np.meshgrid(grid, grid)
+    spec = CopulaSpec("gumbel", beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _eval_array(spec, u, v)
+    exact = np.array([_gumbel_exact(beta, a, b) for a, b in zip(u.flat, v.flat)])
+    assert np.allclose(got.ravel(), exact, rtol=1e-12, atol=0.0)
+
+
 def test_gumbel_at_one_is_product():
     spec = CopulaSpec("gumbel", 1.0)
     rng = np.random.default_rng(1)
@@ -352,6 +383,34 @@ def test_frank_draws_stay_in_unit_square_at_strong_dependence(delta):
     for x in (u, v):
         assert np.isfinite(x).all()
         assert x.min() >= 0.0 and x.max() <= 1.0
+
+
+@pytest.mark.parametrize("alpha", [100.0, 500.0])
+def test_clayton_draws_stay_in_unit_square_at_large_alpha(alpha):
+    """Where u**-alpha overflows, the draws still invert the conditional CDF.
+
+    The textbook inverse gave v = 0 there, with overflow warnings.  The
+    draws are checked against dC/du(u, v) = w in 600-digit arithmetic.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n = 100_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, v = sample_pairs(CopulaSpec("clayton", alpha), n, np.random.default_rng(1))
+    for x in (u, v):
+        assert np.isfinite(x).all()
+        assert x.min() >= 0.0 and x.max() <= 1.0
+    rng = np.random.default_rng(1)
+    rng.random(n)  # the u block
+    w = np.clip(rng.random(n), 1e-15, 1.0 - 1e-15)
+    far = np.flatnonzero(u < 10.0 ** (-308.0 / alpha))[:30]
+    assert len(far) > 0
+    with mpmath.workdps(600):
+        a = mpmath.mpf(alpha)
+        for j in far:
+            uj, vj = mpmath.mpf(u[j]), mpmath.mpf(v[j])
+            h = uj ** (-a - 1) * (uj**-a + vj**-a - 1) ** (-1 / a - 1)
+            assert float(h) == pytest.approx(w[j], rel=1e-9)
 
 
 def test_sampler_is_deterministic():

@@ -107,9 +107,12 @@ def test_price_columns_repeat_over_prefixes(T):
         assert np.array_equal(column, np.tile(column[: 1 << t], 1 << (T - t)))
 
 
-def test_lattice_cap_fits_int8_exit_times():
-    # simulate_portfolio stores exit times 0..T+1 as int8
-    assert MAX_LATTICE_STEPS + 1 <= np.iinfo(np.int8).max
+def test_lattice_cap_fits_uint16_exit_cells():
+    # portfolio_trials codes a client's exit times, each in 1..T+1, as the
+    # cell (T+2)*tau_death + tau_surrender <= (T+1)(T+3), in the smallest
+    # unsigned type that holds it; at the cap that is two bytes
+    T = MAX_LATTICE_STEPS
+    assert np.min_scalar_type((T + 1) * (T + 3)) == np.uint16
 
 
 def _ups(market, path):

@@ -10,7 +10,7 @@ from rifa.copulas import CopulaSpec
 from rifa.errors import ContractError, ResourceError
 from rifa.hazards import Theta
 from rifa.lattice import path_arrays
-from rifa.risk_measures import (
+from risk_measures import (
     ORACLE_BLOCK_LIMIT,
     CondRiskValue,
     FiniteCondSpace,
