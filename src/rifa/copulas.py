@@ -253,8 +253,23 @@ def _conditional_gumbel(beta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray
     """dC/du for the Gumbel family, elementwise; u, v in (0, 1)."""
     x = -np.log(u)
     y = -np.log(v)
-    a = x**beta + y**beta
-    return np.exp(-(a ** (1.0 / beta))) / u * x ** (beta - 1.0) * a ** (1.0 / beta - 1.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = x**beta + y**beta
+        xb = x ** (beta - 1.0)
+        out = np.exp(-(a ** (1.0 / beta))) / u * xb * a ** (1.0 / beta - 1.0)
+    # At large beta the power sum a overflows, or a or x^(beta-1) underflows
+    # below the normal range, and the form above fails.  There the root
+    # a^(1/beta) is m * (1 + (min(x, y)/m)^beta)^(1/beta) with m = max(x, y),
+    # as in _eval_array, and x^(beta-1) * a^(1/beta-1) = (x / root)^(beta - 1).
+    # Only those entries are replaced, so the others keep their bits.
+    tiny = np.finfo(float).tiny
+    if min(a.min(), xb.min()) < tiny or a.max() == np.inf:
+        lost = (a < tiny) | (a == np.inf) | (xb < tiny)
+        x, y, u = x[lost], y[lost], u[lost]
+        m = np.maximum(x, y)
+        root = m * (1.0 + (np.minimum(x, y) / m) ** beta) ** (1.0 / beta)
+        out[lost] = np.exp(-root) / u * (x / root) ** (beta - 1.0)
+    return out
 
 
 def sample_pairs(

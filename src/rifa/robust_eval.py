@@ -50,8 +50,8 @@ _XATOL = 1e-8
 # resolution of the pre-multistart screening batch (coarser than any
 # validation grid, so cross-checks against grid oracles stay meaningful)
 _SCREEN_POINTS_PER_DIM = 17
-# scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+# scipy's Nelder-Mead shrink coefficient and initial-simplex steps
+_SIGMA = 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 
 
@@ -509,10 +509,16 @@ class NelderMeadResult:
         return bool(self.converged.all())
 
 
-def _sort_vertices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each problem's vertices in ascending objective order."""
-    ind = np.argsort(fsim, axis=1)
-    return np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
+def _sort_simplex(P: np.ndarray, pairs: Sequence[tuple[int, int]]) -> None:
+    """Sort each problem's vertices in place by a network of vertex pairs.
+
+    P[vertex, coordinates then value, problem]: pair (i, j) swaps where the
+    value at j is less, or at i alone is nan, giving argsort's stable order.
+    """
+    for i, j in pairs:
+        swap = ~(P[i, -1] <= P[j, -1]) & (P[j, -1] == P[j, -1])
+        if swap.any():
+            P[i], P[j] = np.where(swap, P[j], P[i]), np.where(swap, P[i], P[j])
 
 
 def minimize(
@@ -528,83 +534,77 @@ def minimize(
     holds one start per problem, shape (problems, N).  Each problem runs
     scipy 1.17's bounded Nelder-Mead (`scipy.optimize.minimize` with
     method="Nelder-Mead", bounds [0, 1]^N and these maxiter, xatol and
-    fatol) operation for operation: the same simplex, coefficients,
-    clipping, stopping test and vertex sort, so its result does not
-    depend on the rest of the batch.  An iteration makes one call for
-    every reflection, one for every expansion or contraction and, only
-    when some problem shrinks, one for the shrunken vertices.
+    fatol) operation for operation.  The live problems are packed in one
+    array P[vertex, coordinates then value, problem], compacted when some
+    retire, and an insertion-sort network keeps each simplex in argsort's
+    order.  Every operation acts per problem, in scipy's order, so a
+    result does not depend on the rest of the batch.  An iteration makes
+    one call for every reflection, one for every expansion or contraction
+    and, only when some problem shrinks, one for the shrunken vertices.
     """
     x0 = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     m, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    P = np.empty((n + 1, n + 1, m))
+    P[:, :n] = x0.T
     for k in range(n):
-        y = x0[:, k]
-        sim[:, k + 1, k] = np.where(y != 0, (1 + _NONZDELT) * y, _ZDELT)
+        P[k + 1, k] = np.where(x0[:, k] != 0, (1 + _NONZDELT) * x0[:, k], _ZDELT)
     # a step past the upper bound is reflected inside before clipping
-    sim = np.clip(np.where(sim > 1.0, 2.0 - sim, sim), 0.0, 1.0)
-    every = np.arange(m)
-    fsim = fun(np.repeat(every, n + 1), sim.reshape(-1, n)).reshape(m, n + 1)
+    P[:, :n] = np.clip(np.where(P[:, :n] > 1.0, 2.0 - P[:, :n], P[:, :n]), 0.0, 1.0)
+    z = P[:, :n].transpose(0, 2, 1).reshape(-1, n)
+    P[:, n] = fun(np.tile(np.arange(m), n + 1), z).reshape(n + 1, m)
     nfev = m * (n + 1)
-    # scipy sorts the initial simplex twice, which differs from once only
-    # where argsort reorders ties
-    sim, fsim = _sort_vertices(*_sort_vertices(sim, fsim))
+    # an insertion-sort network: after a step without shrink only the new
+    # last vertex can be out of order, and the last n pairs insert it
+    pairs = [(i, i + 1) for j in range(n) for i in range(j, -1, -1)]
+    # scipy sorts the initial simplex twice; the sort is stable, so once is the same
+    _sort_simplex(P, pairs)
+    tol = np.array([xatol] * n + [fatol])[:, None]
 
+    x, fmin = np.empty((m, n)), np.empty(m)
     converged = np.zeros(m, dtype=bool)
-    live = every
+    live = np.arange(m)
     iterations = 1
-    while iterations < maxiter and live.size:
-        s, fs = sim[live], fsim[live]
-        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
-        )
-        converged[live[done]] = True
-        live, s, fs = live[~done], s[~done], fs[~done]
-        if not live.size:
-            break
-
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        xr = np.clip((1 + _RHO) * xbar - _RHO * worst, 0.0, 1.0)
-        fxr = fun(live, xr)
-        expand = fxr < fs[:, 0]
-        keep_r = ~expand & (fxr < fs[:, -2])
-        outside = ~expand & ~keep_r & (fxr < fs[:, -1])
-        inside = ~expand & ~keep_r & ~outside
-        # the three trial kinds never overlap, so one call serves them all
-        xt = np.where(
-            expand[:, None],
-            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
-            np.where(
-                outside[:, None],
-                (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
-                (1 - _PSI) * xbar + _PSI * worst,
-            ),
-        )
-        xt = np.clip(xt, 0.0, 1.0)
-        trial = ~keep_r
-        ft = fxr.copy()
-        ft[trial] = fun(live[trial], xt[trial])
-        take_t = (
-            (expand & (ft < fxr)) | (outside & (ft <= fxr)) | (inside & (ft < fs[:, -1]))
-        )
-        take_r = keep_r | (expand & ~take_t)
-        shrink = trial & ~expand & ~take_t
-        s[take_r, -1], fs[take_r, -1] = xr[take_r], fxr[take_r]
-        s[take_t, -1], fs[take_t, -1] = xt[take_t], ft[take_t]
-        nfev += live.size + int(trial.sum())
-        if shrink.any():
-            best = s[shrink, :1]
-            pts = np.clip(best + _SIGMA * (s[shrink, 1:] - best), 0.0, 1.0)
-            s[shrink, 1:] = pts
-            rows = np.repeat(live[shrink], n)
-            fs[shrink, 1:] = fun(rows, pts.reshape(-1, n)).reshape(-1, n)
-            nfev += rows.size
-        sim[live], fsim[live] = _sort_vertices(s, fs)
+    while live.size:
+        ok = np.logical_and.reduce(np.abs(P[1:] - P[0]) <= tol, axis=(0, 1))
+        out = ok | (iterations >= maxiter)
+        if out.any():
+            gone, done = live[out], P.compress(out, axis=2)
+            converged[gone] = ok[out] & (iterations < maxiter)
+            x[gone], fmin[gone] = done[0, :n].T, done[:, n].min(axis=0)
+            live, P = live[~out], P.compress(~out, axis=2)
+            if not live.size:
+                break
+        f, worst = P[:, n], P[n, :n]
+        xbar = np.add.reduce(P[:n, :n], 0) / n
+        # scipy's trial points are c * xbar + (1 - c) * worst: reflection
+        # c = 2, expansion 3, outside contraction 1.5, inside 0.5
+        r, t = np.empty((2, n + 1, live.size))
+        np.clip(2.0 * xbar - worst, 0.0, 1.0, out=r[:n])
+        r[n] = fun(live, r[:n].T)
+        expand = r[n] < f[0]
+        reflect = ~expand & (r[n] < f[n - 1])
+        outside = ~expand & ~reflect & (r[n] < f[n])
+        c = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))
+        np.clip(c * xbar + (1.0 - c) * worst, 0.0, 1.0, out=t[:n])
+        t[n] = r[n]  # where no trial is made, so that t[n] is defined
+        trial = np.flatnonzero(~reflect)
+        t[n, trial] = fun(live[trial], t[:n].take(trial, axis=1).T)
+        nfev += live.size + trial.size
+        take_t = ~reflect & np.where(outside, t[n] <= r[n], t[n] < np.where(expand, r[n], f[n]))
+        shrink = np.flatnonzero(~reflect & ~expand & ~take_t)
+        if shrink.size:
+            S = P.take(shrink, axis=2)
+            S[1:, :n] = np.clip(S[0, :n] + _SIGMA * (S[1:, :n] - S[0, :n]), 0.0, 1.0)
+            z = S[1:, :n].transpose(0, 2, 1).reshape(-1, n)
+            S[1:, n] = fun(np.tile(live[shrink], n), z).reshape(n, -1)
+            nfev += z.shape[0]
+        P[n] = np.where(take_t, t, r)
+        if shrink.size:
+            P[..., shrink] = S
+        _sort_simplex(P, pairs if shrink.size else pairs[-n:])
         iterations += 1
 
-    return NelderMeadResult(
-        x=sim[:, 0], fun=fsim.min(axis=1), converged=converged, nfev=nfev
-    )
+    return NelderMeadResult(x=x, fun=fmin, converged=converged, nfev=nfev)
 
 
 def _latin_starts(k: int, ndim: int) -> list[tuple[float, ...]]:

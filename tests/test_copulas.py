@@ -14,6 +14,7 @@ from rifa.copulas import (
     _CLAYTON_POW_MAX,
     CopulaSpec,
     _clayton,
+    _conditional_gumbel,
     _eval_array,
     copula_eval,
     joint_survival,
@@ -242,6 +243,35 @@ def test_gumbel_keeps_its_digits_at_large_beta(beta):
         got = _eval_array(spec, u, v)
     exact = np.array([_gumbel_exact(beta, a, b) for a, b in zip(u.flat, v.flat)])
     assert np.allclose(got.ravel(), exact, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [100.0, 1000.0])
+def test_gumbel_sampler_keeps_quiet_at_large_beta(beta):
+    """The bisection's dC/du raises no warning and keeps its digits at large beta.
+
+    With x = -log u and y = -log v, x**beta + y**beta overflowed, which
+    warned in every bisection step of ``rifa simulate`` at Gumbel(100).
+    Draws must lie in [0, 1], and dC/du on a grid of (0, 1) must match
+    1,000-digit values to 1e-11 relative, or lie below the normal range
+    where they do.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.array([1e-15, 1e-9, 1e-3, 0.1, 0.5, 0.9, 0.999, 0.99999, 1.0 - 1e-12])
+    u, v = np.meshgrid(grid, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        draws = sample_pairs(CopulaSpec("gumbel", beta), 20_000, np.random.default_rng(1))
+        got = _conditional_gumbel(beta, u, v)
+    for x in draws:
+        assert np.isfinite(x).all() and x.min() >= 0.0 and x.max() <= 1.0
+    exact = []
+    with mpmath.workdps(1000):
+        b = mpmath.mpf(beta)
+        for uj, vj in zip(u.flat, v.flat):
+            x, y = -mpmath.log(mpmath.mpf(uj)), -mpmath.log(mpmath.mpf(vj))
+            a = x**b + y**b
+            exact.append(float(mpmath.exp(-(a ** (1 / b))) / uj * x ** (b - 1) * a ** (1 / b - 1)))
+    assert np.allclose(got.ravel(), exact, rtol=1e-11, atol=np.finfo(float).tiny)
 
 
 def test_gumbel_at_one_is_product():

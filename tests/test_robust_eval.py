@@ -34,6 +34,7 @@ from rifa.robust_eval import (
     _fsum_rows,
     _objective,
     _row_sum,
+    _sort_simplex,
     classical_price,
     conditional_value,
     conditional_values,
@@ -874,14 +875,43 @@ def _negated_value(kernel, row, free):
     return g
 
 
-@pytest.mark.parametrize("maxiter", [500, 6])
+@pytest.mark.parametrize(
+    "k, pairs", [(2, [(0, 1)]), (3, [(0, 1), (1, 2), (0, 1)])], ids=["1-D", "2-D"]
+)
+def test_sort_network_gives_argsort_order(k, pairs):
+    """minimize's vertex-sort network orders value rows as np.argsort does.
+
+    Rows are every combination of a pool with ties, nan, signed zeros and
+    infinities, then random rows drawn from few values, so that ties and
+    nans are common.  A numpy whose argsort breaks ties otherwise fails
+    here instead of moving printed digits.
+    """
+    pool = [-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan]
+    rng = np.random.default_rng(11)
+    rows = np.concatenate(
+        (
+            np.array(list(itertools.product(pool, repeat=k))),
+            rng.choice([np.nan, -0.0, 0.0, 0.5, 0.5, 2.0], size=(100_000, k)),
+        )
+    )
+    # P[vertex, (index, value), row]: the index row shows the permutation
+    index = np.broadcast_to(np.arange(k, dtype=float), rows.shape)
+    P = np.stack((index, rows)).transpose(2, 0, 1)
+    _sort_simplex(P, pairs)
+    assert np.array_equal(P[:, 0].T, np.argsort(rows, axis=1))
+
+
+@pytest.mark.parametrize("maxiter", [500, 6, "median"])
 @pytest.mark.parametrize("free", [[0, 1], [0], [1]], ids=["a-d", "a", "d"])
 def test_lockstep_nelder_mead_matches_scipy(free, maxiter, market_small, benefit_paper):
     """Every problem of a batch ends exactly where scipy's Nelder-Mead does.
 
     Problems come from the four families on several paths, in 2-D and on
     boxes with d or a fixed.  Without surrender G is flat in (a, d), so
-    every contraction fails and the simplex shrinks.
+    every contraction fails and the simplex shrinks.  The "median" cap is
+    the median of scipy's iteration counts, so it stops some problems after
+    others have converged and left the batch; the same problems in a
+    shuffled order must give the same results.
     """
     prices, q = path_arrays(market_small)
     problems, starts = [], []
@@ -899,19 +929,34 @@ def test_lockstep_nelder_mead_matches_scipy(free, maxiter, market_small, benefit
         calls.append(rows)
         return np.array([problems[r](zi) for r, zi in zip(rows, z)])
 
-    options = {"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-8}
+    def scipy_runs(options):
+        return [
+            optimize.minimize(
+                g, z0, method="Nelder-Mead", bounds=[(0.0, 1.0)] * len(free), options=options
+            )
+            for g, z0 in zip(problems, x0)
+        ]
+
+    options = {"maxiter": 500, "xatol": 1e-8, "fatol": 1e-8}
+    if maxiter == "median":
+        options["maxiter"] = int(np.median([e.nit for e in scipy_runs(options)]))
+    else:
+        options["maxiter"] = maxiter
     res = minimize(fun, x0, **options)
-    expect = [
-        optimize.minimize(
-            g, z0, method="Nelder-Mead", bounds=[(0.0, 1.0)] * len(free), options=options
-        )
-        for g, z0 in zip(problems, x0)
-    ]
+    expect = scipy_runs(options)
     assert res.x.tolist() == [e.x.tolist() for e in expect]
     assert res.fun.tolist() == [e.fun for e in expect]
     assert res.converged.tolist() == [e.success for e in expect]
     assert res.success == all(e.success for e in expect)
     assert res.nfev == sum(e.nfev for e in expect)
+    if maxiter == "median":
+        assert 0 < res.converged.sum() < res.converged.size
+    order = np.random.default_rng(7).permutation(len(problems))
+    shuffled = minimize(lambda rows, z: fun(order[rows], z), x0[order], **options)
+    assert shuffled.x.tolist() == [expect[i].x.tolist() for i in order]
+    assert shuffled.fun.tolist() == [expect[i].fun for i in order]
+    assert shuffled.converged.tolist() == [expect[i].success for i in order]
+    assert shuffled.nfev == res.nfev
     for i, e in enumerate(expect):
         alone = minimize(lambda rows, z: fun(rows + i, z), x0[i : i + 1], **options)
         assert alone.x.tolist() == [e.x.tolist()]
