@@ -169,6 +169,19 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _mean(values: list[float]) -> float:
+    """fsum(values) / len(values), also where that sum overflows a float.
+
+    Scaled by a power of two s <= 1/n, the sum stays finite, and it takes
+    the same bits, times s, wherever both sums are normal.
+    """
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        s = 2.0 ** -(len(values) - 1).bit_length()
+        return math.fsum(v * s for v in values) / len(values) / s
+
+
 def _fmt_theta(theta: Theta) -> str:
     return (
         f"a={_fmt(theta.a)} b={_fmt(theta.b)} c={_fmt(theta.c)} d={_fmt(theta.d)}"
@@ -195,7 +208,7 @@ def _cmd_price(args) -> tuple[str, int]:
         f"per_path_count = {len(values)}",
         f"per_path_min = {_fmt(min(values))}",
         f"per_path_max = {_fmt(max(values))}",
-        f"per_path_mean = {_fmt(math.fsum(values) / len(values))}",
+        f"per_path_mean = {_fmt(_mean(values))}",
     ]
     return "\n".join(lines) + "\n", _EXIT_OK
 

@@ -2,9 +2,10 @@
 
 Supported families: independence, Clayton (param > 0), Gumbel
 (param >= 1) and Frank (param != 0 with exp(-param) finite, so
-param >= about -709.78).  Gumbel at 1 and Frank near 0 degenerate to
-independence and are evaluated through an exact product branch rather
-than the generic formula, which would be 0/0 there.
+param >= about -709.78).  Gumbel at 1 and Clayton and Frank near 0
+degenerate to independence and are evaluated through an exact product
+branch rather than the generic formula, which would be 0/0 (Frank) or
+lose its digits (Clayton) there.
 
 The joint law of the two decrement times is specified on the survival
 scale: with marginal survival functions ubar, vbar the joint survival
@@ -37,6 +38,11 @@ FAMILIES = ("independence", "clayton", "gumbel", "frank")
 # below this magnitude the Frank generator is numerically 0/0; the family
 # converges to independence, so evaluate that branch instead
 _FRANK_INDEP_EPS = 1e-8
+# below this parameter Clayton's u**-alpha is within alpha*|ln u| of 1, so
+# the textbook form keeps few digits, and from about 1e-10 its rounding
+# makes surrender slice masses negative; the family converges to
+# independence, so evaluate that branch instead
+_CLAYTON_INDEP_EPS = 1e-8
 
 # negative joint-event mass beyond this is treated as an implementation
 # error rather than rounding noise
@@ -91,6 +97,8 @@ class CopulaSpec:
         if self.family == "gumbel" and self.param == 1.0:
             return True
         if self.family == "frank" and abs(self.param) < _FRANK_INDEP_EPS:
+            return True
+        if self.family == "clayton" and self.param < _CLAYTON_INDEP_EPS:
             return True
         return False
 

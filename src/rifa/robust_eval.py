@@ -132,9 +132,10 @@ class EvaluationReport:
 # temporary takes 8*(T+1) kB
 _BLOCK_PAIRS = 1 << 10
 # (point, path) pairs per block of the prefix-tree route, and (point, group)
-# pairs per tile of _first_best: each temporary takes 64 kB.  Larger blocks
-# spread a call's fixed cost over more points, at the price of peak memory
-_TREE_PAIRS = 1 << 13
+# pairs per tile of _first_best: each temporary takes 128 kB, 64 points at
+# T = 8.  Larger blocks spread a call's fixed cost over more points, until
+# the temporaries outgrow the L2 cache; memory stays flat in T
+_TREE_PAIRS = 1 << 14
 # blocks of fewer terms are summed by math.fsum directly: below about a
 # thousand terms it is faster than the dozen array operations of _fsum_rows
 _FSUM_DIRECT = 1 << 10
@@ -226,11 +227,12 @@ class _Kernel:
     Two routes give the same values bit for bit: ``values`` at paired
     (path, a, d) points, and ``every_path``, every path at each (a, d)
     point, which walks the lattice's prefix tree and needs the price array
-    to hold all 2**T paths in path-index order.  Each route builds its
-    arrays on first use and keeps only those.
+    to hold all 2**T paths in path-index order.  On the same tree,
+    ``price_estimates`` bounds the q-weighted price from node sums alone.
+    Each route builds its arrays on first use and keeps only those.
     """
 
-    __slots__ = ("T", "spec", "surr_on", "f1", "q", "tt", "source", "rows", "tree")
+    __slots__ = ("T", "spec", "surr_on", "f1", "q", "tt", "source", "rows", "tree", "weights")
 
     def __init__(
         self,
@@ -251,7 +253,7 @@ class _Kernel:
         self.f1 = np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
         self.tt = np.arange(T + 1, dtype=float)
         self.source = (prices, benefit, market)
-        self.rows = self.tree = None
+        self.rows = self.tree = self.weights = None
 
     def _row_arrays(self) -> tuple[np.ndarray, ...]:
         """Payouts and price prefix sums with one row per path.
@@ -338,6 +340,116 @@ class _Kernel:
             slices = np.clip(slices, 0.0, None)
         return v_surv * survival + (slices * v_pay[rows]).sum(axis=-1)
 
+    def _nodes(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Survival to T on the date-T nodes, then the slices of the inner nodes.
+
+        Nodes along the first axis, points along the last: row r < 2**(T-1)
+        is node 2**(T-1) + r, and row 2**(T-1) - 1 + m slice node m of dates
+        1..T-1, the mass of surrendering at that date while alive.  The load
+        depends on a alone, so a block whose points all share a (each step
+        of an a-sweep pins it) forms it once, a column that its d's read.
+        """
+        T, f1 = self.T, self.f1
+        node_t, node_cum1, node_cum2, node_f1, next_f1, up = self.tree[:6]
+        if a.shape[0] > 1 and a[0] == a[-1] and (a == a[0]).all():
+            a = a[:1]
+        load = node_t * np.float_power(a, 2.0) - 2.0 * a * node_cum1 + node_cum2
+        f2 = np.exp(load / -d)
+        half = (1 << T) >> 1
+        out = np.empty((2 * half - 1, d.shape[0]))
+        survival, slices = out[:half], out[half:]
+        if self.spec.is_independence:
+            np.multiply(f1[T], f2[half:], out=survival)
+            np.subtract(f2[up], f2[1:half], out=slices)
+        else:
+            # date 0 is evaluated along with the rest, to keep the layout
+            joint = _survival_array(self.spec, node_f1, f2)
+            upper = _survival_array(self.spec, next_f1, f2[: next_f1.shape[0]])
+            survival[...] = joint[half:]
+            np.subtract(upper[up], joint[1:half], out=slices)
+        if float(slices.min(initial=0.0)) < -SLICE_TOL:
+            raise NumericalError("negative surrender slice mass beyond tolerance")
+        if not self.spec.is_independence:
+            np.clip(slices, 0.0, None, out=slices)
+        return out
+
+    def _price_weights(self) -> tuple[np.ndarray, ...]:
+        """Weights of ``_nodes``' rows in the price, and in its magnitude.
+
+        sum_i q_i * G_i = weights @ _nodes(a, d) in exact arithmetic.  The
+        weight of date-T node r is q * v_surv summed over paths r and
+        r + 2**(T-1), which reach it, and that of slice node m sums, over
+        m's children n, the payout of n times q summed over the paths
+        through n.  The magnitude takes absolute values.  Empty when q or a
+        payout lies outside the range where ``price_estimates``' bound
+        holds: q in [2**-450, 1], payouts 0 or of magnitude in
+        [2**-400, 2**400].
+        """
+        T, q = self.T, self.q
+        gather, pay, v_surv = self.tree[6:]
+        v, pay = v_surv.reshape(-1), pay.reshape(-1)
+        payouts = np.abs(np.concatenate((v, pay)))
+        payouts = payouts[payouts != 0.0]
+        if not (
+            2.0**-450 <= q.min() and q.max() <= 1.0
+            and 2.0**-400 <= payouts.min(initial=1.0)
+            and payouts.max(initial=1.0) <= 2.0**400
+        ):
+            return ()
+        half = (1 << T) >> 1
+        qv = q * v
+        # q summed over the paths through each node of dates 2..T, in the
+        # order of pay's rows: node 2**(t-1) + p holds the paths p mod 2**(t-1)
+        Q = [q.reshape(-1, 1 << (t - 1)).sum(axis=0) for t in range(2, T + 1)]
+        qpay = pay * np.concatenate([np.zeros(0)] + Q)
+        return (
+            np.concatenate((qv[:half] + qv[half:], np.bincount(gather, qpay, minlength=half - 1))),
+            np.concatenate((
+                np.abs(qv[:half]) + np.abs(qv[half:]),
+                np.bincount(gather, np.abs(qpay), minlength=half - 1),
+            )),
+        )
+
+    def price_estimates(
+        self, a: np.ndarray, d: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Estimates of the price sum_i fl(q_i * G_i) at each point, with radii.
+
+        The node sum weights @ _nodes(a, d) (``_price_weights``) replaces
+        the 2**T path terms.  With u = 2**-53 and g_k = ku/(1 - ku): each
+        exact term x_i = fl(q_i * G_i) is within g_(T+1) * m_i of its value
+        in exact arithmetic on the same node values, m_i the sum of the
+        magnitudes of the products it adds up, and the correctly rounded sum
+        adds u; the weights, sums of at most 2**(T-1) weights q and one or two
+        products, are within g_(2**T) of theirs, and a node sum of
+        N = 2**T - 1 terms, in any order, adds g_(N-1).  So the estimate is
+        within g_n * M of the exact price, n = 2**(T+1) + T + 3 and
+        M = sum_i m_i = magnitude weights @ |_nodes(a, d)|, and the computed
+        magnitude A has A >= (1 - g_n) * M, which gives the radius
+        ``_sum_margin(n)`` * A.  Underflowed products, each off by at most
+        2**-1075 and only ever scaled by a q <= 1, fall far inside that
+        margin's slack for A >= 2**-900, and A <= 2**500 with q >= 2**-450
+        keeps every term of the exact sum finite.  None without surrender,
+        where the kernel has no weights or where a point's A leaves
+        [2**-900, 2**500]: the caller then takes the exact price.
+        """
+        if not self.surr_on:
+            return None
+        if self.tree is None:
+            self.tree = self._tree_arrays()
+        if self.weights is None:
+            self.weights = self._price_weights()
+        if not self.weights:
+            return None
+        weights, magnitude = self.weights
+        nodes = self._nodes(a, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = np.einsum("i,ij->j", weights, nodes)
+            mag = np.einsum("i,ij->j", magnitude, np.abs(nodes, out=nodes))
+        if not (2.0**-900 <= mag.min() and mag.max() <= 2.0**500):
+            return None
+        return est, _sum_margin((2 << self.T) + self.T + 3) * mag
+
     def every_path(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         """G on every path at each point: entry [i, r] is G on row r at (a[i], d[i]).
 
@@ -351,32 +463,18 @@ class _Kernel:
         T, f1 = self.T, self.f1
         if self.tree is None:
             self.tree = self._tree_arrays()
-        node_t, node_cum1, node_cum2, node_f1, next_f1, up, gather, pay, v_surv = self.tree
+        gather, pay, v_surv = self.tree[6:]
         if not self.surr_on:
             return np.broadcast_to(v_surv.reshape(-1) * f1[T], (a.shape[0], 1 << T))
-        # nodes along the first axis, points along the last
-        load = node_t * np.float_power(a, 2.0) - 2.0 * a * node_cum1 + node_cum2
-        f2 = np.exp(load / -d)
-        inner = slice(1, (1 << T) >> 1)
-        if self.spec.is_independence:
-            survival = f1[T] * _by_date(f2)[T]
-            slices = f2[up] - f2[inner]
-        else:
-            # date 0 is evaluated along with the rest, to keep the layout
-            joint = _survival_array(self.spec, node_f1, f2)
-            upper = _survival_array(self.spec, next_f1, f2[: next_f1.shape[0]])
-            survival = _by_date(joint)[T]
-            slices = upper[up] - joint[inner]
-        if float(slices.min(initial=0.0)) < -SLICE_TOL:
-            raise NumericalError("negative surrender slice mass beyond tolerance")
-        if not self.spec.is_independence:
-            np.clip(slices, 0.0, None, out=slices)
+        nodes = self._nodes(a, d)
+        half = (1 << T) >> 1
         # each slice times its payout on the next date's nodes (in-range
         # indices: take needs no bounds copy)
-        paid = np.empty_like(f2)
-        np.take(slices, gather, axis=0, out=paid[2:], mode="clip")
+        paid = np.empty((1 << T, a.shape[0]))
+        np.take(nodes[half:], gather, axis=0, out=paid[2:], mode="clip")
         paid[2:] *= pay
         paid = _row_sum(_by_date(paid)[2:])
+        survival = nodes[:half].reshape((2,) * (T - 1) + (-1,))
         return (v_surv * survival + paid).reshape(-1, a.shape[0]).T
 
 
@@ -416,8 +514,8 @@ def _objective(kernel: _Kernel, price: bool) -> _Objective:
     every group shares them, and gives estimates and radii that bound
     their values.  Paths get values, radius 0: a shared row walks the
     prefix tree when the kernel holds every path, else the paired route
-    serves.  A price block of finite terms with sum|terms| >= 2**-900 gets
-    numpy's sums, radius ``_sum_margin`` * sum|terms|; others values.
+    serves.  A price block gets the kernel's node estimates
+    (``_Kernel.price_estimates``) where they are certified, else values.
     """
     q = kernel.q
     step = max(1, _TREE_PAIRS // q.shape[0]) if price else _BLOCK_PAIRS
@@ -445,13 +543,11 @@ def _objective(kernel: _Kernel, price: bool) -> _Objective:
         est, rad = np.zeros((2, a.shape[0]))
         for i in range(0, a.shape[0], step):
             s = slice(i, i + step)
-            x = q * kernel.every_path(a[s], d[s])
-            with np.errstate(over="ignore", invalid="ignore"):
-                v, mag = x.sum(axis=1), np.abs(x).sum(axis=1)
-            if 2.0**-900 <= mag.min() and mag.max() < math.inf and np.isfinite(v).all():
-                est[s], rad[s] = v, _sum_margin(q.shape[0]) * mag
+            tree = kernel.price_estimates(a[s], d[s])
+            if tree is None:
+                est[s] = _fsum_rows(q * kernel.every_path(a[s], d[s]))
             else:
-                est[s] = _fsum_rows(x)
+                est[s], rad[s] = tree
         return est.reshape(shape), rad.reshape(shape)
 
     return _Objective(values, screen)
@@ -695,11 +791,18 @@ def _optimize_ad(
 
     def to_point(z: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # unit-cube coordinates z of groups g to (a, d); every z given here
-        # (screen grid, clipped simplex vertices, minimize's x) is in the cube
-        pts = [lo[g, 0], lo[g, 1]]
-        for k, i in enumerate(free):
-            pts[i] = pts[i] + z[:, k] * width[g, i]
-        return pts[0], pts[1]
+        # (screen grid, clipped simplex vertices, minimize's x) is in the
+        # cube.  A rectangle that every group shares maps with its own
+        # floats, not gathered per point
+        if owners.size == 1:
+            base, scale = lo[0].tolist(), width[0].tolist()
+        else:
+            base, scale = lo[g].T, width[g].T
+        a, d = (
+            base[i] + z[:, free.index(i)] * scale[i] if i in free else np.full(z.shape[0], base[i])
+            for i in (0, 1)
+        )
+        return a, d
 
     # each row's fixed points, axis (a, d) by point: the corners (lo, lo),
     # (lo, hi), (hi, lo) and (hi, hi), the midpoint, then the extras

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rifa
-from rifa.cli import SWEEP_AXES, _swept_configs, canonical_json, main, parse_config
+from rifa.cli import SWEEP_AXES, _mean, _swept_configs, canonical_json, main, parse_config
 from rifa.copulas import CopulaSpec
 from rifa.errors import ConfigurationError, ContractError
 from rifa.hazards import Theta
@@ -142,6 +142,49 @@ def test_cli_prices_gumbel_at_large_beta(write_config, capsys):
     code, out, err = run_cli(["price", "--config", write_config(doc)], capsys)
     assert (code, err) == (0, "")
     assert out.startswith("robust_price = ")
+
+
+def test_cli_prices_clayton_near_zero_as_independence(write_config, capsys):
+    """Clayton(1e-10) on paper.cfg prints independence's bytes; it exited 3.
+
+    Clayton(1e-8) stays on the textbook form, which lies 3e-9 off.
+    """
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    independence = run_cli(["price", "--config", str(PAPER_CFG)], capsys)
+    assert independence[0] == 0
+    doc["copula"] = {"family": "clayton", "param": 1e-10}
+    assert run_cli(["price", "--config", write_config(doc)], capsys) == independence
+    doc["copula"]["param"] = 1e-8
+    code, out, _ = run_cli(["price", "--config", write_config(doc)], capsys)
+    assert code == 0
+    assert parse_report(out)["robust_price"] == "95.6138438186"
+
+
+def test_cli_prices_payouts_whose_path_sum_overflows(write_config, capsys):
+    """K = 1e306: the per-path values sum past the float range, their mean does not.
+
+    price raised OverflowError from fsum and exited 1; check and sweep ran.
+    """
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    doc["benefit"]["K"] = 1e306
+    code, out, err = run_cli(["price", "--config", write_config(doc)], capsys)
+    assert (code, err) == (0, "")
+    report = parse_report(out)
+    lo, mean, hi = (float(report[f"per_path_{k}"]) for k in ("min", "mean", "max"))
+    assert math.isfinite(mean) and lo <= mean <= hi
+    assert report["per_path_mean"] == "8.48418184722e+305"
+
+
+def test_mean_keeps_the_bits_of_a_finite_sum():
+    """_mean is fsum / n wherever the sum is finite, and finite past it."""
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 255, 256, 257):
+        values = (rng.random(n) * 10.0 ** rng.integers(-300, 300)).tolist()
+        assert float.hex(_mean(values)) == float.hex(math.fsum(values) / n)
+    big = [1.7e308, 1.6e308, 1.5e308]
+    with pytest.raises(OverflowError):
+        math.fsum(big)
+    assert float.hex(_mean(big)) == float.hex(math.fsum([x / 4 for x in big]) / 3 * 4)
 
 
 def test_cli_reports_memory_errors_as_exit_3(

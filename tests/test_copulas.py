@@ -65,6 +65,8 @@ def test_is_independence_degeneracies():
     assert CopulaSpec("frank", 1e-9).is_independence
     assert not CopulaSpec("frank", 1e-3).is_independence
     assert not CopulaSpec("clayton", 1e-6).is_independence
+    assert CopulaSpec("clayton", 1e-10).is_independence
+    assert not CopulaSpec("clayton", 1e-8).is_independence
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)

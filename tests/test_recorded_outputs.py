@@ -12,7 +12,9 @@ delete its entry first.
 The runs cover what ``test_bench_reference.py`` does not: ``check`` on
 ``paper.cfg`` (the classical sup and inf) at premiums that give each verdict
 status, one of them the robust price as printed (a boundary case), sweeps
-along d, b and K (shared rectangles, one kernel or one per step), and
+along a (paper.cfg's 31 steps over 50..350, and 7 steps with Clayton(2)),
+where each step's screen points share one a, sweeps along d, b and K
+(shared rectangles, one kernel or one per step), and
 ``price`` on a T=6 Clayton(2) config with the grid and the hybrid method, and
 ``price`` on paper.cfg at T=10, ``simulate`` with Clayton(2) at T=14 and
 T=15, either side of the one-byte exit cell, and ``simulate`` at T=8 with
@@ -72,6 +74,9 @@ RUNS = {
     "check_100": (_premium(100.0), ["check"]),
     # paper.cfg's robust price to 12 digits, within the comparison band
     "check_boundary": (_premium(95.6138435374), ["check"]),
+    # the benchmark's a-sweep, and a Clayton one: each step pins a
+    "sweep_a": (None, _sweep("a", "50", "350", "31")),
+    "sweep_a_clayton": (_horizon(8, CLAYTON_2), _sweep("a", "50", "350", "7")),
     "sweep_d": (None, _sweep("d", "1e4", "1e5", "7")),
     "sweep_b": (None, _sweep("b", "0.02", "0.03", "5")),
     "sweep_K": (None, _sweep("K", "90", "110", "5")),

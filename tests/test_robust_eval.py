@@ -35,6 +35,7 @@ from rifa.robust_eval import (
     _objective,
     _row_sum,
     _sort_simplex,
+    _sum_margin,
     classical_price,
     conditional_value,
     conditional_values,
@@ -360,10 +361,20 @@ def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
     kernel = _Kernel(prices, q, 0.02, 0.01, spec, benefit_paper, market_small)
     rng = np.random.default_rng(7)
     # enough points to span several blocks of the price objective
-    n = 2 * _TREE_PAIRS // len(q) + 3
+    step = _TREE_PAIRS // len(q)
+    n = 2 * step + 3
     a = np.concatenate(([t.a for t in THETAS], rng.uniform(50.0, 340.0, n)))
     d = np.concatenate(([t.d for t in THETAS], rng.uniform(1e4, 1e5, n)))
     rows = rng.integers(len(q), size=a.shape[0])
+    # then runs of equal a: a screen row of 289 points, runs of one, and a
+    # run across a block boundary
+    runs = [289, 1, 1, 5, 1, step + 7, 2, 1]
+    run_a = np.repeat(rng.uniform(50.0, 340.0, len(runs)), runs)
+    start = a.shape[0] + sum(runs[:-3])
+    assert start // step != (start + runs[-3] - 1) // step
+    a = np.concatenate((a, run_a))
+    d = np.concatenate((d, rng.uniform(1e4, 1e5, run_a.shape[0])))
+    rows = np.concatenate((rows, rng.integers(len(q), size=run_a.shape[0])))
     block = kernel.values(rows, a, d)
     for i in range(a.shape[0]):
         single = kernel.values(rows[i : i + 1], a[i : i + 1], d[i : i + 1])
@@ -374,7 +385,12 @@ def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
     aa, dd = np.repeat(a, len(q)), np.repeat(d, len(q))
     assert every.shape[0] > _TREE_PAIRS
     paired = kernel.values(every, aa, dd).tolist()
-    assert kernel.every_path(a, d).ravel().tolist() == paired
+    every_path = kernel.every_path(a, d)
+    assert every_path.ravel().tolist() == paired
+    # a block that shares one a forms its load once, as a column
+    ends = a.shape[0] - run_a.shape[0] + np.cumsum(runs)
+    for lo, hi in zip((ends - runs).tolist(), ends.tolist()):
+        assert kernel.every_path(a[lo:hi], d[lo:hi]).tolist() == every_path[lo:hi].tolist()
     assert _objective(kernel, price=False).values(every, aa, dd).tolist() == paired
     price = _objective(kernel, price=True)
     assert price.values(rows, a, d).tolist() == [_at(price, x, y) for x, y in zip(a, d)]
@@ -382,6 +398,59 @@ def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
 
 def _hexes(values):
     return [float.hex(x) for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_a_sweep_is_the_same_in_any_tile_and_either_screen(spec, benefit_paper):
+    """A 31-step a-sweep gives the same bits in small tiles and on exact sums.
+
+    Each step pins a, so its screen points form one run; with _TREE_PAIRS
+    at 256 the runs split across many blocks and tiles.  With the node
+    estimates turned off the price screen takes the exact prices instead.
+    """
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=6)
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    boxes = [dataclasses.replace(box, a=(a, a)) for a in np.linspace(50.0, 350.0, 31)]
+
+    def sweep():
+        optima = sup_classical_batch(boxes, [benefit_paper] * 31, spec, market, OptimizerConfig())
+        return [(float.hex(v), float.hex(t.a), float.hex(t.d)) for v, t in optima]
+
+    default = sweep()
+    with mock.patch.object(robust_eval, "_TREE_PAIRS", 256):
+        assert sweep() == default
+    with mock.patch.object(_Kernel, "price_estimates", return_value=None):
+        assert sweep() == default
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 8, 9, 10])
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_price_estimates_bound_the_exact_price(spec, T):
+    """The node estimates lie within their radii of the correctly rounded price.
+
+    The points span loads from none to ones that underflow the survival, so
+    some estimates are withdrawn (None) and the rest must hold their bound.
+    """
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
+    prices, q = path_arrays(market)
+    kernel = _Kernel(prices, q, 0.02, 0.01, spec, BenefitSpec(100.0, 0.01, 0.1), market)
+    rng = np.random.default_rng(T)
+    for a, d in (
+        (rng.uniform(0.0, 400.0, 40), np.exp(rng.uniform(0.0, 14.0, 40))),
+        (np.full(17, 120.0), np.linspace(1e4, 1e5, 17)),
+    ):
+        exact = _fsum_rows(q * kernel.every_path(a, d))
+        for i in range(a.shape[0]):
+            out = kernel.price_estimates(a[i : i + 1], d[i : i + 1])
+            if out is not None:
+                est, rad = out
+                assert abs(est[0] - exact[i]) <= rad[0]
+                assert rad[0] < 1e-12 * abs(exact[i])
+    # on the paper's box the estimate always holds
+    assert kernel.price_estimates(*np.array([[50.0, 340.0], [1e4, 1e5]])) is not None
+    # payouts beyond 2**400 leave the bound's range: the screen takes exact prices
+    huge = _Kernel(prices, q, 0.02, 0.01, spec, BenefitSpec(1e306, 0.01, 0.1), market)
+    assert huge.price_estimates(np.array([100.0]), np.array([1e4])) is None
 
 
 @pytest.mark.parametrize("surrender", [True, False], ids=["surrender", "no_surrender"])
@@ -649,6 +718,16 @@ class _Rows:
     def every_path(self, a, d):
         return self.g[a.astype(np.intp)]
 
+    def price_estimates(self, a, d):
+        # numpy's path sums, within _sum_margin of the exact ones in any
+        # order of addition, so the screen's ranking is exercised
+        x = self.q * self.every_path(a, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est, mag = x.sum(axis=1), np.abs(x).sum(axis=1)
+        if 2.0**-900 <= mag.min() and mag.max() < math.inf and np.isfinite(est).all():
+            return est, _sum_margin(x.shape[1]) * mag
+        return None
+
 
 def _argmin_or_error(f):
     """f() as a list, or the class of the error it raises."""
@@ -777,7 +856,7 @@ def test_searches_free_their_kernels_without_the_cycle_collector(
 def test_grid_search_memory_is_flat_in_points(benefit_paper, independence):
     """A T=10 grid search never holds a (points x paths) matrix of values.
 
-    Its 4,096 shared points on 1,024 paths would take 512 blocks of
+    Its 4,096 shared points on 1,024 paths would take 256 blocks of
     _TREE_PAIRS floats.
     """
     market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=10)
