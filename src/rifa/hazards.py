@@ -95,13 +95,17 @@ class ParamBox:
 def gompertz_cdf(theta: Theta, t: int) -> float:
     """P(death time <= t): F(t) = 1 - exp(-sum_{s<t} b*exp(c*s)).
 
-    Nondecreasing in t, b and c; F(0) = 0.
+    Nondecreasing in t, b and c; F(0) = 0.  A load past the float range
+    makes death certain: F(t) = 1.
     """
     if t < 0:
         raise ContractError(f"t must be nonnegative, got {t}")
     if t == 0:
         return 0.0
-    load = theta.b * sum(math.exp(theta.c * s) for s in range(t))
+    try:
+        load = theta.b * sum(math.exp(theta.c * s) for s in range(t))
+    except OverflowError:
+        return 1.0
     return -math.expm1(-load)
 
 
@@ -110,11 +114,15 @@ def surrender_cdf(path: Path, theta: Theta, t: int, enabled: bool = True) -> flo
 
     F(t) = 1 - exp(-(1/d) * sum_{s<t} (a - S_s)**2), a function of the
     price prefix S_0..S_{t-1} only.  With the surrender option disabled
-    the time is infinite and the CDF is identically zero.
+    the time is infinite and the CDF is identically zero.  A load past
+    the float range makes surrender certain: F(t) = 1.
     """
     if t < 0 or t > len(path.prices) - 1:
         raise ContractError(f"t must lie in [0, {len(path.prices) - 1}], got {t}")
     if not enabled or t == 0:
         return 0.0
-    load = sum((theta.a - s) ** 2 for s in path.prices[:t]) / theta.d
+    try:
+        load = sum((theta.a - s) ** 2 for s in path.prices[:t]) / theta.d
+    except OverflowError:
+        return 1.0
     return -math.expm1(-load)

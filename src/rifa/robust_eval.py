@@ -128,7 +128,7 @@ class EvaluationReport:
         return self.robust_price - self.sup_classical
 
 
-# (point, path) pairs per block of the paired route: each (pairs, T+1)
+# (point, path) pairs per block of the paired route: each (T+1, pairs)
 # temporary takes 8*(T+1) kB
 _BLOCK_PAIRS = 1 << 10
 # (point, path) pairs per block of the prefix-tree route, and (point, group)
@@ -224,10 +224,12 @@ class _Kernel:
     The price prefix sums make the surrender hazard an O(1) quadratic in a
     per date, so a value costs O(T) exponentials.
 
-    Two routes give the same values bit for bit: ``values`` at paired
-    (path, a, d) points, and ``every_path``, every path at each (a, d)
-    point, which walks the lattice's prefix tree and needs the price array
-    to hold all 2**T paths in path-index order.  On the same tree,
+    One node routine, ``_nodes``, forms the load, exponentials, copula
+    masses, slice check and clip for two routes, which so give the same
+    values bit for bit: ``values`` at paired (path, a, d) points, each pair
+    a chain of its dates, and ``every_path``, every path at each (a, d)
+    point, on the lattice's prefix tree, which needs the price array to
+    hold all 2**T paths in path-index order.  On the same tree,
     ``price_estimates`` bounds the q-weighted price from node sums alone.
     Each route builds its arrays on first use and keeps only those.
     """
@@ -248,41 +250,44 @@ class _Kernel:
         self.spec = spec
         self.surr_on = benefit.surrender
         self.q = q
-        # death survival P(death > t), t = 0..T
-        loads = b * np.exp(c * np.arange(T, dtype=float))
+        # death survival P(death > t), t = 0..T; a load past the float
+        # range gives survival 0, its limit
+        with np.errstate(over="ignore"):
+            loads = b * np.exp(c * np.arange(T, dtype=float))
         self.f1 = np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
-        self.tt = np.arange(T + 1, dtype=float)
+        self.tt = np.arange(T + 1, dtype=float)[:, None]
         self.source = (prices, benefit, market)
         self.rows = self.tree = self.weights = None
 
     def _row_arrays(self) -> tuple[np.ndarray, ...]:
-        """Payouts and price prefix sums with one row per path.
+        """Payouts and price prefix sums, one column per path.
 
-        Returns (v_surv, v_pay, cum1, cum2): the survival payout, the
-        surrender payouts at interior dates 1..T-1 (under independence
-        times death survival, the only way they enter), and the prefix
-        sums of prices and squared prices over dates 0..T.
+        Returns (v_surv, v_pay, cum1, cum2): the survival payout of each
+        path, the surrender payouts at interior dates 1..T-1 (under
+        independence times death survival, the only way they enter), and
+        the prefix sums of prices and squared prices over dates 0..T, one
+        row per date.
         """
         prices, benefit, market = self.source
         T, f1 = self.T, self.f1
         v_surv, v_pay = payoff_table(benefit, market, prices)
-        v_pay = v_pay[:, 1:T]
+        v_pay = np.ascontiguousarray(v_pay[:, 1:T].T)
         if self.spec.is_independence:
-            v_pay = v_pay * f1[1:T]
-        prices = prices[:, :-1]
-        zero = np.zeros((prices.shape[0], 1))
-        cum1 = np.concatenate((zero, np.cumsum(prices, axis=1)), axis=1)
-        cum2 = np.concatenate((zero, np.cumsum(prices**2, axis=1)), axis=1)
+            v_pay = v_pay * f1[1:T, None]
+        prices = prices[:, :-1].T
+        zero = np.zeros((1, prices.shape[1]))
+        cum1 = np.concatenate((zero, np.cumsum(prices, axis=0)))
+        cum2 = np.concatenate((zero, np.cumsum(prices**2, axis=0)))
         return v_surv, v_pay, cum1, cum2
 
     def _tree_arrays(self) -> tuple:
         """The arrays of ``every_path``, one node per row of the column vectors.
 
         The prefix tree is laid out as in ``_by_date``.  Bit k of a path
-        row is step k+1, so column t of cum1 and cum2, and column t-1 of
-        the payouts, depend only on the row mod 2**(t-1) and mod 2**t:
-        node 2**(t-1) + p takes row p's values of date t, and the payout
-        of date t-1.  Its parent is 2**(t-2) + p mod 2**(t-2), or node 0.
+        column is step k+1, so row t of cum1 and cum2, and row t-1 of the
+        payouts, depend only on the path mod 2**(t-1) and mod 2**t: node
+        2**(t-1) + p takes path p's values of date t, and the payout of
+        date t-1.  Its parent is 2**(t-2) + p mod 2**(t-2), or node 0.
         """
         T, f1 = self.T, self.f1
         v_surv, v_pay, cum1, cum2 = self.rows or self._row_arrays()
@@ -294,89 +299,81 @@ class _Kernel:
         parent = half + row % np.maximum(half, 1)
         return (
             date.astype(float)[:, None],
-            cum1[row, date][:, None],
-            cum2[row, date][:, None],
-            f1[date][:, None],
+            cum1[date, row][:, None],
+            cum2[date, row][:, None],
+            f1[date[1:]][:, None],
             # f1 of the next date on the nodes of dates 0..T-2
             f1[date[: (1 << T) >> 2] + 1][:, None],
             # the parents of dates 1..T-1, and of later nodes as rows of those
             parent[1 : (1 << T) >> 1],
             parent[2:] - 1,
-            v_pay[row[2:], date[2:] - 2][:, None],
+            v_pay[date[2:] - 2, row[2:]][:, None],
             np.ascontiguousarray(v_surv).reshape((2,) * T + (1,)),
         )
 
-    def values(self, rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """G at paired points: entry i is G on path rows[i] at (a[i], d[i]).
-
-        rows, a and d are paired 1-D arrays.  Every operation is
-        elementwise per pair, so a value does not depend on the other
-        pairs of the call.
-        """
-        T, f1 = self.T, self.f1
-        if self.rows is None:
-            self.rows = self._row_arrays()
-        v_surv, v_pay, cum1, cum2 = self.rows
-        v_surv = v_surv[rows]
-        if not self.surr_on:
-            return v_surv * f1[T]
-        a = a[:, None]
-        # float_power squares through libm pow, as Python floats do; the
-        # classical band's Nelder-Mead path depends on that last bit
-        load = self.tt * np.float_power(a, 2.0) - 2.0 * a * cum1[rows] + cum2[rows]
-        f2 = np.exp(load / -d[:, None])
-        if self.spec.is_independence:
-            survival = f1[T] * f2[:, T]
-            slices = f2[:, 0 : T - 1] - f2[:, 1:T]
-        else:
-            # joint survival P(death > t, surrender > t) for t = 1..T
-            joint = _survival_array(self.spec, f1[1:], f2[:, 1:])
-            upper = _survival_array(self.spec, f1[1:T], f2[:, 0 : T - 1])
-            survival = joint[:, T - 1]
-            slices = upper - joint[:, : T - 1]
-        if float(slices.min(initial=0.0)) < -SLICE_TOL:
-            raise NumericalError("negative surrender slice mass beyond tolerance")
-        if not self.spec.is_independence:
-            slices = np.clip(slices, 0.0, None)
-        return v_surv * survival + (slices * v_pay[rows]).sum(axis=-1)
-
-    def _nodes(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def _nodes(self, nodes: tuple, split: int, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Survival to T on the date-T nodes, then the slices of the inner nodes.
 
-        Nodes along the first axis, points along the last: row r < 2**(T-1)
-        is node 2**(T-1) + r, and row 2**(T-1) - 1 + m slice node m of dates
-        1..T-1, the mass of surrendering at that date while alive.  The load
-        depends on a alone, so a block whose points all share a (each step
-        of an a-sweep pins it) forms it once, a column that its d's read.
+        nodes = (date, cum1, cum2, f1, next_f1, up), nodes along the first
+        axis and points along the last: node 0 is date 0, nodes 1..split-1
+        are inner (dates 1..T-1), nodes split.. are date T.  f1 is death
+        survival on nodes 1.., next_f1 that of the next date on the first
+        nodes, those that parent inner nodes, and up[m] the parent of inner
+        node m+1.  The prefix tree passes its nodes, ``values`` each pair's
+        chain of dates 0..T.  Row r is date-T node split + r; the inner
+        nodes' slices, the mass of surrendering at their date while alive,
+        follow.  The load depends on a alone, so a block whose points all
+        share a (each step of an a-sweep pins it) forms it once, a column.
         """
-        T, f1 = self.T, self.f1
-        node_t, node_cum1, node_cum2, node_f1, next_f1, up = self.tree[:6]
+        node_t, node_cum1, node_cum2, node_f1, next_f1, up = nodes
         if a.shape[0] > 1 and a[0] == a[-1] and (a == a[0]).all():
             a = a[:1]
+        # float_power squares through libm pow, as Python floats do; the
+        # classical band's Nelder-Mead path depends on that last bit
         load = node_t * np.float_power(a, 2.0) - 2.0 * a * node_cum1 + node_cum2
-        f2 = np.exp(load / -d)
-        half = (1 << T) >> 1
-        out = np.empty((2 * half - 1, d.shape[0]))
-        survival, slices = out[:half], out[half:]
+        # a load beyond the float range at a tiny d gives f2 = 0, its limit
+        with np.errstate(over="ignore"):
+            rate = load / -d
+        f2 = np.exp(rate)
+        n = node_cum1.shape[0] - split
+        out = np.empty((node_cum1.shape[0] - 1, d.shape[0]))
+        survival, slices = out[:n], out[n:]
         if self.spec.is_independence:
-            np.multiply(f1[T], f2[half:], out=survival)
-            np.subtract(f2[up], f2[1:half], out=slices)
+            np.multiply(self.f1[self.T], f2[split:], out=survival)
+            np.subtract(f2[up], f2[1:split], out=slices)
         else:
-            # date 0 is evaluated along with the rest, to keep the layout
-            joint = _survival_array(self.spec, node_f1, f2)
+            # joint survival P(death > t, surrender > t) on nodes 1..
+            joint = _survival_array(self.spec, node_f1, f2[1:])
             upper = _survival_array(self.spec, next_f1, f2[: next_f1.shape[0]])
-            survival[...] = joint[half:]
-            np.subtract(upper[up], joint[1:half], out=slices)
+            survival[...] = joint[split - 1 :]
+            np.subtract(upper[up], joint[: split - 1], out=slices)
         if float(slices.min(initial=0.0)) < -SLICE_TOL:
             raise NumericalError("negative surrender slice mass beyond tolerance")
         if not self.spec.is_independence:
             np.clip(slices, 0.0, None, out=slices)
         return out
 
-    def _price_weights(self) -> tuple[np.ndarray, ...]:
-        """Weights of ``_nodes``' rows in the price, and in its magnitude.
+    def values(self, rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """G at paired points: entry i is G on path rows[i] at (a[i], d[i]).
 
-        sum_i q_i * G_i = weights @ _nodes(a, d) in exact arithmetic.  The
+        rows, a and d are paired 1-D arrays.  Each pair is a chain of the
+        dates 0..T through ``_nodes``; every operation is elementwise per
+        pair, so a value does not depend on the other pairs of the call.
+        """
+        T, f1 = self.T, self.f1
+        if self.rows is None:
+            self.rows = self._row_arrays()
+        v_surv, v_pay, cum1, cum2 = self.rows
+        if not self.surr_on:
+            return v_surv[rows] * f1[T]
+        cums = cum1.take(rows, axis=1), cum2.take(rows, axis=1)
+        m = self._nodes((self.tt, *cums, f1[1:, None], f1[1:T, None], slice(0, T - 1)), T, a, d)
+        return v_surv[rows] * m[0] + _row_sum(list(m[1:] * v_pay.take(rows, axis=1)))
+
+    def _price_weights(self) -> tuple[np.ndarray, ...]:
+        """Weights of the tree's ``_nodes`` rows in the price, and in its magnitude.
+
+        sum_i q_i * G_i = weights @ nodes(a, d) in exact arithmetic.  The
         weight of date-T node r is q * v_surv summed over paths r and
         r + 2**(T-1), which reach it, and that of slice node m sums, over
         m's children n, the payout of n times q summed over the paths
@@ -415,7 +412,7 @@ class _Kernel:
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Estimates of the price sum_i fl(q_i * G_i) at each point, with radii.
 
-        The node sum weights @ _nodes(a, d) (``_price_weights``) replaces
+        The node sum weights @ nodes(a, d) (``_price_weights``) replaces
         the 2**T path terms.  With u = 2**-53 and g_k = ku/(1 - ku): each
         exact term x_i = fl(q_i * G_i) is within g_(T+1) * m_i of its value
         in exact arithmetic on the same node values, m_i the sum of the
@@ -424,7 +421,7 @@ class _Kernel:
         products, are within g_(2**T) of theirs, and a node sum of
         N = 2**T - 1 terms, in any order, adds g_(N-1).  So the estimate is
         within g_n * M of the exact price, n = 2**(T+1) + T + 3 and
-        M = sum_i m_i = magnitude weights @ |_nodes(a, d)|, and the computed
+        M = sum_i m_i = magnitude weights @ |nodes(a, d)|, and the computed
         magnitude A has A >= (1 - g_n) * M, which gives the radius
         ``_sum_margin(n)`` * A.  Underflowed products, each off by at most
         2**-1075 and only ever scaled by a q <= 1, fall far inside that
@@ -442,7 +439,7 @@ class _Kernel:
         if not self.weights:
             return None
         weights, magnitude = self.weights
-        nodes = self._nodes(a, d)
+        nodes = self._nodes(self.tree[:6], (1 << self.T) >> 1, a, d)
         with np.errstate(over="ignore", invalid="ignore"):
             est = np.einsum("i,ij->j", weights, nodes)
             mag = np.einsum("i,ij->j", magnitude, np.abs(nodes, out=nodes))
@@ -453,7 +450,7 @@ class _Kernel:
     def every_path(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         """G on every path at each point: entry [i, r] is G on row r at (a[i], d[i]).
 
-        The same arithmetic as ``values``, bit for bit, on the prefix tree:
+        ``_nodes`` on the prefix tree, bit for bit what ``values`` gives:
         each date's terms are computed once per node, 2**T nodes instead of
         2**T*(T+1) row entries.  The surrender slices of dates 1..T-1, and
         their products with the payouts, take one node array each, a node
@@ -466,8 +463,8 @@ class _Kernel:
         gather, pay, v_surv = self.tree[6:]
         if not self.surr_on:
             return np.broadcast_to(v_surv.reshape(-1) * f1[T], (a.shape[0], 1 << T))
-        nodes = self._nodes(a, d)
         half = (1 << T) >> 1
+        nodes = self._nodes(self.tree[:6], half, a, d)
         # each slice times its payout on the next date's nodes (in-range
         # indices: take needs no bounds copy)
         paid = np.empty((1 << T, a.shape[0]))

@@ -175,6 +175,44 @@ def test_cli_prices_payouts_whose_path_sum_overflows(write_config, capsys):
     assert report["per_path_mean"] == "8.48418184722e+305"
 
 
+OVERFLOWING_BOXES = {"c": [101.0, 102.0], "d": [1e-320, 1e-300]}
+FAMILIES = {
+    "independence": None,
+    "clayton": 2.0,
+    "frank": -2.0,
+    "gumbel": 1.8,
+}
+COMMANDS = {
+    "price": [],
+    "check": [],
+    "sweep": ["--axis", "a", "--lo", "50", "--hi", "350", "--steps", "3"],
+    "simulate": ["--n-max", "1000", "--trials", "4"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("axis", list(OVERFLOWING_BOXES))
+def test_cli_runs_quietly_where_a_hazard_load_overflows(
+    axis, family, command, write_config, capsys
+):
+    """paper.cfg with c up to 102 or d down to 1e-320 runs, exit 0, unwarned.
+
+    exp(c*s) passes the float range in the death loads, and the surrender
+    load over d in the kernel: both give survival 0, their limit.  check
+    and simulate warned at c; simulate raised OverflowError from the
+    scalar Gompertz CDF and exited 1; price, check and sweep warned at d.
+    The suite turns every RuntimeWarning into an error.
+    """
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    doc["theta_box"][axis] = OVERFLOWING_BOXES[axis]
+    doc["copula"] = {"family": family, "param": FAMILIES[family]}
+    args = [command, "--config", write_config(doc), *COMMANDS[command]]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    assert out
+
+
 def test_mean_keeps_the_bits_of_a_finite_sum():
     """_mean is fsum / n wherever the sum is finite, and finite past it."""
     rng = np.random.default_rng(3)

@@ -119,6 +119,25 @@ def test_surrender_cdf_bounds_check(market_small):
         surrender_cdf(path, theta, -1)
 
 
+def test_cdfs_are_one_where_the_load_passes_the_float_range(market_small):
+    """exp(c*s) and (a - S_s)**2 overflow: the decrement is certain, F = 1.
+
+    Both raised OverflowError; finite loads keep their values.
+    """
+    path = enumerate_paths(market_small)[0]
+    fast = Theta(a=1e160, b=0.02, c=102.0, d=1e4)
+    # exp(102 * 7) overflows from t = 8 on
+    assert [gompertz_cdf(fast, t) for t in (8, 9, 20)] == [1.0] * 3
+    assert [surrender_cdf(path, fast, t) for t in range(5)] == [0.0] + [1.0] * 4
+    assert surrender_cdf(path, fast, 4, enabled=False) == 0.0
+    # finite loads: the same arithmetic as before, so the same values
+    slow = Theta(a=120.0, b=0.02, c=0.01, d=1e4)
+    load = 0.02 * sum(math.exp(0.01 * s) for s in range(4))
+    assert gompertz_cdf(slow, 4) == -math.expm1(-load)
+    load = sum((120.0 - s) ** 2 for s in path.prices[:4]) / 1e4
+    assert surrender_cdf(path, slow, 4) == -math.expm1(-load)
+
+
 def test_gompertz_is_a_cox_model():
     """The Gompertz CDF is the Cox form 1 - exp(-Lambda_t) of its loads."""
     theta = Theta(a=100.0, b=0.02, c=0.03, d=1e4)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -354,11 +355,10 @@ def test_robust_price_is_repeatable(market_small, benefit_paper, independence):
     assert first == second
 
 
-@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
-def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
+def _assert_block_equals_single_points(spec, market, benefit):
     """A block of points gives bit for bit the values of length-1 calls."""
-    prices, q = path_arrays(market_small)
-    kernel = _Kernel(prices, q, 0.02, 0.01, spec, benefit_paper, market_small)
+    prices, q = path_arrays(market)
+    kernel = _Kernel(prices, q, 0.02, 0.01, spec, benefit, market)
     rng = np.random.default_rng(7)
     # enough points to span several blocks of the price objective
     step = _TREE_PAIRS // len(q)
@@ -384,7 +384,9 @@ def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
     every = np.tile(np.arange(len(q)), a.shape[0])
     aa, dd = np.repeat(a, len(q)), np.repeat(d, len(q))
     assert every.shape[0] > _TREE_PAIRS
-    paired = kernel.values(every, aa, dd).tolist()
+    # in calls of at most 2**16 pairs, which bounds the test's memory
+    chunks = (slice(i, i + (1 << 16)) for i in range(0, every.shape[0], 1 << 16))
+    paired = np.concatenate([kernel.values(every[s], aa[s], dd[s]) for s in chunks]).tolist()
     every_path = kernel.every_path(a, d)
     assert every_path.ravel().tolist() == paired
     # a block that shares one a forms its load once, as a column
@@ -394,6 +396,48 @@ def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
     assert _objective(kernel, price=False).values(every, aa, dd).tolist() == paired
     price = _objective(kernel, price=True)
     assert price.values(rows, a, d).tolist() == [_at(price, x, y) for x, y in zip(a, d)]
+
+
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_kernel_block_equals_single_points(spec, market_small, benefit_paper):
+    """Both routes and every block size agree at T = 4: date sums of 3 terms."""
+    _assert_block_equals_single_points(spec, market_small, benefit_paper)
+
+
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_kernel_block_equals_single_points_at_t10(spec, benefit_paper):
+    """Both routes and every block size agree at T = 10, where the date sum
+    has 9 terms and takes numpy's 8-accumulator order (``_row_sum``)."""
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=10)
+    _assert_block_equals_single_points(spec, market, benefit_paper)
+
+
+# sha256 prefixes, per family, of G's bytes on every path over THETAS at
+# T = 9 and T = 12 (conditional_values), and of repr(evaluate) on the paper
+# box at T = 10 with the default optimizer; recorded with numpy 2.4 on
+# x86-64.  The recorded CLI runs print 12 digits, so only these pin G's bits
+# past T = 8, where the date sum adds 8 or more terms.
+G_DIGESTS = {
+    "independence": ("85c32e37500a0902", "c52fc6c6c92847d9", "37ab03affcf96556"),
+    "clayton": ("de104ac163710c23", "5f170f7d014fe163", "52cbe7fce5722b05"),
+    "gumbel": ("7799ce4a860b76f4", "b7550be78bfe84a8", "7c16fee5dc8d9d7e"),
+    "frank": ("0f022d532c66764a", "bf13eaf2476bdcf5", "7903c8048cf61657"),
+}
+
+
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_g_bytes_are_pinned_beyond_t8(spec, benefit_paper, box_paper):
+    """G at T = 9 and 12, and evaluate at T = 10, keep their recorded bytes."""
+    got = []
+    for T in (9, 12):
+        market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
+        prices, q = path_arrays(market)
+        g = [conditional_values(prices, q, t, spec, benefit_paper, market) for t in THETAS]
+        got.append(hashlib.sha256(b"".join(x.tobytes() for x in g)).hexdigest()[:16])
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=10)
+    report = evaluate(box_paper, spec, benefit_paper, market, OptimizerConfig())
+    got.append(hashlib.sha256(repr(report).encode()).hexdigest()[:16])
+    assert tuple(got) == G_DIGESTS[spec.family]
 
 
 def _hexes(values):
