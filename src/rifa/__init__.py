@@ -8,6 +8,8 @@ the pricing core sit an arbitrage detector/constructor, with a lazy
 Monte Carlo stream of client pools to verify it, and a batch CLI.
 """
 
+import importlib
+
 from rifa.arbitrage_lab import (
     ArbitragePair,
     PortfolioSample,
@@ -20,7 +22,6 @@ from rifa.arbitrage_lab import (
     verify_arbitrage,
 )
 from rifa.benefits import BenefitSpec, discounted_payoffs, guarantee_value
-from rifa.cli import RunConfig, canonical_json, main, parse_config
 from rifa.copulas import (
     CopulaSpec,
     copula_eval,
@@ -120,3 +121,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("RunConfig", "canonical_json", "main", "parse_config")
+
+
+def __getattr__(name: str):
+    # the CLI loads on first use, so that ``python -m rifa.cli`` runs it
+    # as __main__ without an imported copy beside it
+    if name == "cli" or name in _CLI_NAMES:
+        cli = importlib.import_module("rifa.cli")
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

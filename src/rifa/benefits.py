@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rifa.errors import ConfigurationError
+from rifa.errors import ConfigurationError, NumericalError
 from rifa.lattice import MarketParams, Path, _real
 
 
@@ -85,13 +85,21 @@ def payoff_table(
     """``discounted_payoffs`` of every path row S_0 .. S_T of a price array.
 
     Returns ``(survival, surrender)`` of shapes (paths,) and (paths, T+1).
+    Raises NumericalError where a payout passes the float range.
     """
     T = market.T
-    # Python pow per date, as the scalar route computes each factor
-    floor = np.array([spec.K * (1.0 + spec.r_G) ** t for t in range(T + 1)])
+    # Python pow per date, as the scalar route computes each factor; a zero
+    # K is a zero floor, also where the power overflows
+    try:
+        floor = np.array([spec.K and spec.K * (1.0 + spec.r_G) ** t for t in range(T + 1)])
+    except OverflowError:
+        raise NumericalError("the guarantee floor passes the float range") from None
     discount = np.array([market.discount**t for t in range(T + 1)])
     value = np.maximum(prices, floor)
     surrender = np.zeros_like(value)
     if spec.surrender:
         surrender[:, 1:T] = (1.0 - spec.l) * value[:, 1:T] * discount[1:T]
-    return value[:, T] * discount[T], surrender
+    survival = value[:, T] * discount[T]
+    if not (np.isfinite(survival).all() and np.isfinite(surrender).all()):
+        raise NumericalError("contract payouts pass the float range")
+    return survival, surrender

@@ -152,15 +152,11 @@ def _eval_array(spec: CopulaSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             power_sum = x**beta + y**beta
         root = power_sum ** (1.0 / beta)
         # At large beta the power sum overflows, or underflows below the
-        # normal range and loses its digits.  There the same root is
-        # m * (1 + (w/m)^beta)^(1/beta) with m = max(x, y), w = min(x, y),
-        # whose base lies in [1, 2]; elsewhere the direct form stays, bit for bit.
+        # normal range and loses its digits.  There _gumbel_root takes over;
+        # elsewhere the direct form stays, bit for bit.
         lost = (power_sum < np.finfo(float).tiny) | (power_sum == np.inf)
         if lost.any():
-            m = np.maximum(x, y)
-            # x = y = 0 gives ratio 0, not 0/0
-            ratio = np.minimum(x, y) / np.where(m > 0.0, m, 1.0)
-            root = np.where(lost, m * (1.0 + ratio**beta) ** (1.0 / beta), root)
+            root = np.where(lost, _gumbel_root(beta, x, y), root)
         return np.where(zero, 0.0, np.exp(-root))
     # frank
     delta = spec.param
@@ -257,6 +253,18 @@ def surrender_slice_prob(
     return max(mass, 0.0)
 
 
+def _gumbel_root(beta: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x^beta + y^beta)^(1/beta), x, y >= 0, at any beta.
+
+    The root is m * (1 + (w/m)^beta)^(1/beta) with m = max(x, y) and
+    w = min(x, y), whose base lies in [1, 2], so neither overflow nor
+    underflow of the power sum loses it; x = y = 0 gives 0, not 0/0.
+    """
+    m = np.maximum(x, y)
+    ratio = np.minimum(x, y) / np.where(m > 0.0, m, 1.0)
+    return m * (1.0 + ratio**beta) ** (1.0 / beta)
+
+
 def _conditional_gumbel(beta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """dC/du for the Gumbel family, elementwise; u, v in (0, 1)."""
     x = -np.log(u)
@@ -267,15 +275,13 @@ def _conditional_gumbel(beta: float, u: np.ndarray, v: np.ndarray) -> np.ndarray
         out = np.exp(-(a ** (1.0 / beta))) / u * xb * a ** (1.0 / beta - 1.0)
     # At large beta the power sum a overflows, or a or x^(beta-1) underflows
     # below the normal range, and the form above fails.  There the root
-    # a^(1/beta) is m * (1 + (min(x, y)/m)^beta)^(1/beta) with m = max(x, y),
-    # as in _eval_array, and x^(beta-1) * a^(1/beta-1) = (x / root)^(beta - 1).
+    # a^(1/beta) is _gumbel_root's, and x^(beta-1) * a^(1/beta-1) = (x / root)^(beta - 1).
     # Only those entries are replaced, so the others keep their bits.
     tiny = np.finfo(float).tiny
     if min(a.min(), xb.min()) < tiny or a.max() == np.inf:
         lost = (a < tiny) | (a == np.inf) | (xb < tiny)
-        x, y, u = x[lost], y[lost], u[lost]
-        m = np.maximum(x, y)
-        root = m * (1.0 + (np.minimum(x, y) / m) ** beta) ** (1.0 / beta)
+        x, u = x[lost], u[lost]
+        root = _gumbel_root(beta, x, y[lost])
         out[lost] = np.exp(-root) / u * (x / root) ** (beta - 1.0)
     return out
 

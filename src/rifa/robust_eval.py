@@ -329,10 +329,12 @@ class _Kernel:
         if a.shape[0] > 1 and a[0] == a[-1] and (a == a[0]).all():
             a = a[:1]
         # float_power squares through libm pow, as Python floats do; the
-        # classical band's Nelder-Mead path depends on that last bit
-        load = node_t * np.float_power(a, 2.0) - 2.0 * a * node_cum1 + node_cum2
-        # a load beyond the float range at a tiny d gives f2 = 0, its limit
-        with np.errstate(over="ignore"):
+        # classical band's Nelder-Mead path depends on that last bit.  A load
+        # past the float range is +inf, its limit (f2 = 0); date 0's, row 0, is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            load = node_t * np.float_power(a, 2.0) - 2.0 * a * node_cum1 + node_cum2
+            load[0] = 0.0
+            load[np.isnan(load)] = np.inf
             rate = load / -d
         f2 = np.exp(rate)
         n = node_cum1.shape[0] - split
@@ -357,7 +359,8 @@ class _Kernel:
         """G at paired points: entry i is G on path rows[i] at (a[i], d[i]).
 
         rows, a and d are paired 1-D arrays.  Each pair is a chain of the
-        dates 0..T through ``_nodes``; every operation is elementwise per
+        dates 0..T through ``_nodes``, in blocks of at most _BLOCK_PAIRS
+        pairs, so memory stays flat; every operation is elementwise per
         pair, so a value does not depend on the other pairs of the call.
         """
         T, f1 = self.T, self.f1
@@ -366,9 +369,13 @@ class _Kernel:
         v_surv, v_pay, cum1, cum2 = self.rows
         if not self.surr_on:
             return v_surv[rows] * f1[T]
-        cums = cum1.take(rows, axis=1), cum2.take(rows, axis=1)
-        m = self._nodes((self.tt, *cums, f1[1:, None], f1[1:T, None], slice(0, T - 1)), T, a, d)
-        return v_surv[rows] * m[0] + _row_sum(list(m[1:] * v_pay.take(rows, axis=1)))
+        out = np.empty(a.shape[0])
+        for i in range(0, a.shape[0], _BLOCK_PAIRS):
+            s, r = slice(i, i + _BLOCK_PAIRS), rows[i : i + _BLOCK_PAIRS]
+            nodes = (self.tt, cum1.take(r, axis=1), cum2.take(r, axis=1), f1[1:, None])
+            m = self._nodes((*nodes, f1[1:T, None], slice(0, T - 1)), T, a[s], d[s])
+            out[s] = v_surv[r] * m[0] + _row_sum(list(m[1:] * v_pay.take(r, axis=1)))
+        return out
 
     def _price_weights(self) -> tuple[np.ndarray, ...]:
         """Weights of the tree's ``_nodes`` rows in the price, and in its magnitude.
@@ -476,7 +483,11 @@ class _Kernel:
 
 
 class _Objective(NamedTuple):
-    """values(rows, a, d) of an objective, and screen(a, d) -> (estimates, radii)."""
+    """values(rows, a, d) of an objective, and screen(a, d) -> (estimates, radii).
+
+    values gives problem rows[i]'s objective at (a[i], d[i]), and screen
+    bounds the values of ``_first_best``'s candidates.
+    """
 
     values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     screen: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -495,56 +506,55 @@ def _sum_margin(n: int) -> float:
     return n * 2.0**-53 / (1 - n * 2.0**-52) * (1 + 2.0**-50)
 
 
-def _objective(kernel: _Kernel, price: bool) -> _Objective:
-    """Vectorised objective values(rows, a, d) on a kernel, with its screen.
+def _path_objective(kernel: _Kernel) -> _Objective:
+    """G on path rows[i], the kernel's paired route.
 
-    price=False gives G on path rows[i] at (a[i], d[i]), through the
-    paired route in blocks of at most _BLOCK_PAIRS points.  price=True
-    gives the single-model price at (a[i], d[i]): the correctly rounded
-    q-weighted sum over all the kernel's paths, what ``math.fsum``
-    returns, certified per point by ``_fsum_rows`` with ``math.fsum`` as
-    its fallback.  The price is one problem, so rows is not read.  Its
-    values come from the prefix-tree route in blocks of at most
-    _TREE_PAIRS (point, path) pairs.  Memory stays flat.
+    The screen gives values, radius 0, a shared row by the prefix tree when
+    the kernel holds every path.
+    """
+    paths = kernel.q.shape[0]
 
-    screen(a, d) takes candidates of shape (groups, n), or (1, n) when
-    every group shares them, and gives estimates and radii that bound
-    their values.  Paths get values, radius 0: a shared row walks the
-    prefix tree when the kernel holds every path, else the paired route
-    serves.  A price block gets the kernel's node estimates
-    (``_Kernel.price_estimates``) where they are certified, else values.
+    def screen(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if a.shape[0] == 1 and paths == 1 << kernel.T:
+            v = kernel.every_path(a[0], d[0]).T
+        else:
+            rows, a, d = np.broadcast_arrays(np.arange(paths)[:, None], a, d)
+            v = kernel.values(rows.ravel(), a.ravel(), d.ravel()).reshape(rows.shape)
+        return v, np.zeros_like(v)
+
+    return _Objective(kernel.values, screen)
+
+
+def _price_objective(kernel: _Kernel) -> _Objective:
+    """The single-model price, one problem: rows is not read.
+
+    Values are what ``math.fsum`` gives of the q-weighted G over the
+    kernel's paths, by ``_fsum_rows`` on the prefix tree in blocks of at
+    most _TREE_PAIRS (point, path) pairs: memory stays flat.  The screen
+    gives the certified node estimates of ``_Kernel.price_estimates``,
+    else values, radius 0.
     """
     q = kernel.q
-    step = max(1, _TREE_PAIRS // q.shape[0]) if price else _BLOCK_PAIRS
+    step = max(1, _TREE_PAIRS // q.shape[0])
+
+    def exact(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return _fsum_rows(q * kernel.every_path(a, d))
 
     def values(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         out = np.zeros(a.shape[0])
         for i in range(0, a.shape[0], step):
             s = slice(i, i + step)
-            if price:
-                out[s] = _fsum_rows(q * kernel.every_path(a[s], d[s]))
-            else:
-                out[s] = kernel.values(rows[s], a[s], d[s])
+            out[s] = exact(a[s], d[s])
         return out
 
     def screen(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not price:
-            if a.shape[0] == 1 and q.shape[0] == 1 << kernel.T:
-                v = kernel.every_path(a[0], d[0]).T
-            else:
-                rows, a, d = np.broadcast_arrays(np.arange(q.shape[0])[:, None], a, d)
-                v = values(rows.ravel(), a.ravel(), d.ravel()).reshape(rows.shape)
-            return v, np.zeros_like(v)
         shape = a.shape
         a, d = a.ravel(), d.ravel()
         est, rad = np.zeros((2, a.shape[0]))
         for i in range(0, a.shape[0], step):
             s = slice(i, i + step)
             tree = kernel.price_estimates(a[s], d[s])
-            if tree is None:
-                est[s] = _fsum_rows(q * kernel.every_path(a[s], d[s]))
-            else:
-                est[s], rad[s] = tree
+            est[s], rad[s] = (exact(a[s], d[s]), 0.0) if tree is None else tree
         return est.reshape(shape), rad.reshape(shape)
 
     return _Objective(values, screen)
@@ -575,18 +585,12 @@ def _by_group(objectives: Sequence[_Objective], which: np.ndarray) -> _Objective
     return _Objective(values, screen)
 
 
-def _at(f: _Objective, a: float, d: float) -> float:
-    """Scalar value of a vectorised objective on its first problem."""
-    one = np.zeros(1, dtype=np.intp)
-    return float(f.values(one, np.array([a], dtype=float), np.array([d], dtype=float))[0])
-
-
 @dataclass(frozen=True, slots=True)
 class NelderMeadResult:
     """Outcome of one lockstep Nelder-Mead batch.
 
     x:         best vertex of each problem, shape (problems, N)
-    fun:       objective at x, one value per problem
+    fun:       objective at x, the value stored there (scipy's is nan if any vertex is)
     converged: per problem, whether the tolerances were met in time
     nfev:      objective evaluations over the whole batch
     """
@@ -663,7 +667,7 @@ def minimize(
         if out.any():
             gone, done = live[out], P.compress(out, axis=2)
             converged[gone] = ok[out] & (iterations < maxiter)
-            x[gone], fmin[gone] = done[0, :n].T, done[:, n].min(axis=0)
+            x[gone], fmin[gone] = done[0, :n].T, done[0, n]
             live, P = live[~out], P.compress(~out, axis=2)
             if not live.size:
                 break
@@ -756,8 +760,7 @@ def _optimize_ad(
 ) -> list[tuple[float, float, float]]:
     """Optimize a smooth objective over an (a, d) rectangle, per group.
 
-    `f.values(rows, a, d)` gives the objective of problem group rows[i] at
-    (a[i], d[i]); a group is one path of the robust search, or one
+    A group is a problem of f: one path of the robust search, or one
     single-model price.  a_iv and d_iv are a (lo, hi) interval shared by
     every group or one per group, shape (groups, 2); the free axes (those
     with hi > lo) must be the same in every group.  Each group's
@@ -767,7 +770,8 @@ def _optimize_ad(
     the group's best point of a coarse screen.  ``_first_best`` screens
     the other candidates, one row per group or one shared row if all
     rectangles are equal; every group's searches run in one lockstep
-    `minimize`.  Returns, per group, the first best as (value, a, d).
+    `minimize`.  Returns, per group, the first best as (value, a, d), the
+    value f gave at that point.
     """
     sign = -1.0 if maximize else 1.0
     # per group, axis (a, d) and end (lo, hi)
@@ -854,15 +858,9 @@ def _optimize_ad(
             _XATOL,
             cfg.tolerance,
         )
-        g = np.repeat(every_group, per_group)
-        polished = np.stack(to_point(res.x, g), axis=1)
-        candidates.append(polished.reshape(groups, per_group, 2))
-        # minimize evaluated every x; its fun is the least of the final
-        # simplex, nan if any vertex is nan, so those x are evaluated again
-        value = sign * res.fun
-        redo = np.flatnonzero(~np.isfinite(value))
-        value[redo] = f.values(g[redo], *polished[redo].T)
-        values.append(value.reshape(groups, per_group))
+        polished = to_point(res.x, np.repeat(every_group, per_group))
+        candidates.append(np.stack(polished, axis=1).reshape(groups, per_group, 2))
+        values.append((sign * res.fun).reshape(groups, per_group))
         failed = ~res.converged.reshape(groups, per_group).any(axis=1)
 
     cand, vals = np.concatenate(candidates, axis=1), np.concatenate(values, axis=1)
@@ -894,7 +892,7 @@ def conditional_values(
     kernel = _Kernel(prices, q, theta.b, theta.c, spec, benefit, market)
     rows = np.arange(q.shape[0])
     a, d = np.full(rows.shape, theta.a), np.full(rows.shape, theta.d)
-    return _objective(kernel, price=False).values(rows, a, d)
+    return kernel.values(rows, a, d)
 
 
 def conditional_value(
@@ -928,7 +926,7 @@ def _pathwise_optima(
     b, c = box.b[0], box.c[0]
     kernel = _Kernel(prices, q, b, c, spec, benefit, market)
     optima = _optimize_ad(
-        _objective(kernel, price=False),
+        _path_objective(kernel),
         q.shape[0],
         box.a,
         box.d,
@@ -986,7 +984,8 @@ def classical_price(
 ) -> float:
     """Price under one fixed hazard model: E_Q of the conditional value."""
     kernel = _Kernel(*path_arrays(market), theta.b, theta.c, spec, benefit, market)
-    return _at(_objective(kernel, price=True), theta.a, theta.d)
+    a, d = np.array([theta.a]), np.array([theta.d])
+    return float(_price_objective(kernel).values(np.zeros(1, dtype=np.intp), a, d)[0])
 
 
 def _optimize_classical(
@@ -1010,7 +1009,7 @@ def _optimize_classical(
         for (b, c), benefit in zip(pins, benefits)
     ])
     objectives = [
-        _objective(_Kernel(prices, q, b, c, spec, benefit, market), price=True)
+        _price_objective(_Kernel(prices, q, b, c, spec, benefit, market))
         for b, c, benefit in kinds
     ]
     optima = _optimize_ad(

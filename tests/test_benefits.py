@@ -146,3 +146,14 @@ def test_payoff_table_rows_equal_discounted_payoffs(spec, market_paper):
         survival_pay, surrender_pays = discounted_payoffs(spec, market_paper, path)
         assert survival[path.index] == survival_pay
         assert surrender[path.index].tolist() == surrender_pays.tolist()
+
+
+def test_payoff_table_of_a_zero_guarantee_ignores_its_growth_rate(market_paper):
+    """K = 0 is a zero floor at any r_G, also where (1 + r_G)**t overflows.
+
+    A positive K there exits the CLI with code 3 (``test_cli``'s payout tests).
+    """
+    prices = path_arrays(market_paper)[0]
+    huge = payoff_table(BenefitSpec(K=0.0, r_G=1e300, l=0.1), market_paper, prices)
+    small = payoff_table(BenefitSpec(K=0.0, r_G=0.01, l=0.1), market_paper, prices)
+    assert [x.tolist() for x in huge] == [x.tolist() for x in small]

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -26,6 +27,17 @@ def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def printed_numbers(text):
+    """Every token of an output that parses as a float, nan and inf included."""
+    numbers = []
+    for token in re.split(r"[\s,=]+", text):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return numbers
 
 
 def parse_report(text):
@@ -175,7 +187,13 @@ def test_cli_prices_payouts_whose_path_sum_overflows(write_config, capsys):
     assert report["per_path_mean"] == "8.48418184722e+305"
 
 
-OVERFLOWING_BOXES = {"c": [101.0, 102.0], "d": [1e-320, 1e-300]}
+# id: (axis, interval)
+OVERFLOWING_BOXES = {
+    "c": ("c", [101.0, 102.0]),
+    "d": ("d", [1e-320, 1e-300]),
+    "a1e160": ("a", [1e160, 2e160]),
+    "a1e306": ("a", [1e306, 2e306]),
+}
 FAMILIES = {
     "independence": None,
     "clayton": 2.0,
@@ -192,25 +210,50 @@ COMMANDS = {
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 @pytest.mark.parametrize("family", list(FAMILIES))
-@pytest.mark.parametrize("axis", list(OVERFLOWING_BOXES))
+@pytest.mark.parametrize("box", list(OVERFLOWING_BOXES))
 def test_cli_runs_quietly_where_a_hazard_load_overflows(
-    axis, family, command, write_config, capsys
+    box, family, command, write_config, capsys
 ):
-    """paper.cfg with c up to 102 or d down to 1e-320 runs, exit 0, unwarned.
+    """paper.cfg with c up to 102, d down to 1e-320 or a past 1e160 runs, exit 0, unwarned.
 
     exp(c*s) passes the float range in the death loads, and the surrender
-    load over d in the kernel: both give survival 0, their limit.  check
-    and simulate warned at c; simulate raised OverflowError from the
-    scalar Gompertz CDF and exited 1; price, check and sweep warned at d.
-    The suite turns every RuntimeWarning into an error.
+    load in the kernel, over a tiny d or with a huge a: all give survival
+    0, their limit.  check and simulate warned at c; simulate raised
+    OverflowError from the scalar Gompertz CDF and exited 1; price, check
+    and sweep warned at d.  At a = 1e160 the date-0 load was 0 * inf and
+    from a = 1e305 later loads were inf - inf, so G was nan: price and
+    check exited 3, simulate printed nan.  The suite turns every
+    RuntimeWarning into an error.
     """
+    axis, interval = OVERFLOWING_BOXES[box]
     doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
-    doc["theta_box"][axis] = OVERFLOWING_BOXES[axis]
+    doc["theta_box"][axis] = interval
     doc["copula"] = {"family": family, "param": FAMILIES[family]}
     args = [command, "--config", write_config(doc), *COMMANDS[command]]
     code, out, err = run_cli(args, capsys)
     assert (code, err) == (0, "")
-    assert out
+    numbers = printed_numbers(out)
+    assert numbers and all(math.isfinite(x) for x in numbers)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("field, value", [("K", 1.7e308), ("r_G", 1e300)], ids=["K", "r_G"])
+def test_cli_exits_3_where_payouts_pass_the_float_range(
+    field, value, command, write_config, capsys
+):
+    """A guarantee past the float range is a numerical failure: exit 3, one line.
+
+    K = 1.7e308 made the floor inf: price, check and sweep exited 3 for a
+    nan in the search, blamed on convergence, and simulate printed nan.
+    r_G = 1e300 raised OverflowError from the floor's power and exited 1.
+    """
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    doc["benefit"][field] = value
+    args = [command, "--config", write_config(doc), *COMMANDS[command]]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "float range" in err
 
 
 def test_mean_keeps_the_bits_of_a_finite_sum():
@@ -786,6 +829,31 @@ def test_simulate_rejects_bad_sizes(write_config, base_config_doc, capsys):
         ["simulate", "--config", path, "--n-max", "100", "--trials", "0"], capsys
     )
     assert code == 2
+
+
+def test_cli_loads_on_first_use():
+    """`python -W error -m rifa.cli` runs, and the CLI names resolve on use.
+
+    rifa imported the CLI, so runpy warned that 'rifa.cli' was already in
+    sys.modules.  `import rifa; rifa.cli.parse_config` and `from rifa
+    import main` still work in a fresh interpreter.
+    """
+    src = str(pathlib.Path(rifa.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    probe = (
+        "import sys, rifa\n"
+        "assert 'rifa.cli' not in sys.modules\n"
+        f"config = rifa.cli.parse_config({str(PAPER_CFG)!r})\n"
+        "from rifa import RunConfig, main\n"
+        "assert isinstance(config, RunConfig) and main is rifa.cli.main\n"
+    )
+    for args in (["-m", "rifa.cli", "--help"], ["-c", probe]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_python_m_rifa_runs_the_cli(write_config, base_config_doc, capsys):

@@ -29,11 +29,12 @@ from rifa.robust_eval import (
     PathOptimum,
     _Kernel,
     _Objective,
-    _at,
     _by_group,
     _first_best,
     _fsum_rows,
-    _objective,
+    _optimize_ad,
+    _path_objective,
+    _price_objective,
     _row_sum,
     _sort_simplex,
     _sum_margin,
@@ -88,9 +89,14 @@ COPULAS = [
 def test_conditional_value_matches_definitional_oracle(
     spec, market_small, benefit_paper
 ):
-    """Vectorised path evaluator vs the decrement decomposition, tol 1e-12."""
+    """Vectorised path evaluator vs the decrement decomposition, tol 1e-12.
+
+    a = 1e160 and 1e306 put the surrender load past the float range, where
+    the kernel formed 0 * inf at date 0 and, at 1e306, inf - inf later.
+    """
+    huge_a = [Theta(1e160, 0.02, 0.01, 1e4), Theta(1e306, 0.025, 0.02, 3e4)]
     for path in enumerate_paths(market_small):
-        for theta in THETAS:
+        for theta in THETAS + huge_a:
             fast = conditional_value(path, theta, spec, benefit_paper, market_small)
             slow = _definitional_value(path, theta, spec, benefit_paper, market_small)
             assert fast == pytest.approx(slow, abs=1e-12)
@@ -393,9 +399,10 @@ def _assert_block_equals_single_points(spec, market, benefit):
     ends = a.shape[0] - run_a.shape[0] + np.cumsum(runs)
     for lo, hi in zip((ends - runs).tolist(), ends.tolist()):
         assert kernel.every_path(a[lo:hi], d[lo:hi]).tolist() == every_path[lo:hi].tolist()
-    assert _objective(kernel, price=False).values(every, aa, dd).tolist() == paired
-    price = _objective(kernel, price=True)
-    assert price.values(rows, a, d).tolist() == [_at(price, x, y) for x, y in zip(a, d)]
+    assert _path_objective(kernel).values(every, aa, dd).tolist() == paired
+    price = _price_objective(kernel).values
+    single = [price(rows[i : i + 1], a[i : i + 1], d[i : i + 1])[0] for i in range(a.shape[0])]
+    assert price(rows, a, d).tolist() == single
 
 
 @pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
@@ -552,7 +559,7 @@ def test_tree_route_first_best_equals_paired_route(spec, T, sign):
     market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
     prices, q = path_arrays(market)
     kernel = _Kernel(prices, q, 0.02, 0.01, spec, BenefitSpec(100.0, 0.01, 0.1), market)
-    f, n = _objective(kernel, price=False), _SCREEN_A.size
+    f, n = _path_objective(kernel), _SCREEN_A.size
     with _refuse("values"):
         tree = _first_best(f, len(q), *_tiled(_SCREEN_A, _SCREEN_D, 1), sign)
     with _refuse("every_path"):
@@ -572,7 +579,7 @@ def test_first_best_of_a_flat_objective_is_the_first_point(sign):
     prices, q = path_arrays(market)
     benefit = BenefitSpec(K=100.0, r_G=0.01, l=0.1, surrender=False)
     kernel = _Kernel(prices, q, 0.02, 0.01, CopulaSpec("independence"), benefit, market)
-    paths, price = _objective(kernel, price=False), _objective(kernel, price=True)
+    paths, price = _path_objective(kernel), _price_objective(kernel)
     for f, groups, rows in (
         (paths, len(q), 1),
         (paths, len(q), len(q)),
@@ -819,7 +826,7 @@ def test_certified_first_best_equals_exact_argmin(entries, shape, seed, ties, nu
         g[i % points, rng.integers(paths)] = x
     blocks = [g, -g[::-1]]
     with mock.patch.object(robust_eval, "_TREE_PAIRS", 64):
-        objectives = [_objective(_Rows(q, b), price=True) for b in blocks]
+        objectives = [_price_objective(_Rows(q, b)) for b in blocks]
     f = _by_group(objectives, np.arange(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1128,29 +1135,55 @@ def test_nonconvergence_raises_with_best_value(market_small, benefit_paper, inde
     assert math.isfinite(single.value.best_value)
 
 
-def test_nan_in_final_simplex_keeps_the_polished_value(
-    monkeypatch, market_small, benefit_paper, independence
-):
-    """A run whose final simplex holds a nan still offers its best vertex.
+def test_minimize_reports_the_value_at_x_where_a_vertex_is_nan():
+    """fun is the objective at x, also where the final simplex holds a nan.
 
-    minimize's fun is the least value of each final simplex, so a nan vertex
-    makes it nan, while x is the best vertex, which the sort keeps ahead of
-    any nan.  The search then evaluates that x again: marking fun nan on
-    every other run leaves the per-path and the classical optima as they are.
+    The start (0.88, 0.3) puts its first step at z0 = 0.924, where the
+    objective is nan, and maxiter = 1 ends the run on that simplex.  scipy
+    reports the least value of the final simplex, nan; x, the best vertex,
+    is the same on both sides.
+    """
+
+    def g(z):
+        return np.where(z[:, 0] > 0.9, np.nan, (z[:, 0] - 0.3) ** 2 + (z[:, 1] - 0.6) ** 2)
+
+    x0 = np.array([[0.88, 0.3]])
+    res = minimize(lambda rows, z: g(z), x0, 1, 1e-8, 1e-8)
+    expect = optimize.minimize(
+        lambda z: float(g(z[None, :])[0]),
+        x0[0],
+        method="Nelder-Mead",
+        bounds=[(0.0, 1.0)] * 2,
+        options={"maxiter": 1, "xatol": 1e-8, "fatol": 1e-8},
+    )
+    assert math.isnan(expect.fun)
+    assert res.x.tolist() == [expect.x.tolist()]
+    assert _hexes(res.fun) == _hexes(g(res.x))
+    assert not math.isnan(res.fun[0])
+
+
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_optimize_ad_values_are_the_objective_at_the_returned_points(
+    spec, market_small, benefit_paper
+):
+    """Each group's value is what its objective gives at the returned point.
+
+    Per path for the robust search, and per price for both ends of the
+    classical band, under Nelder-Mead and hybrid.
     """
     box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
-    cfg = OptimizerConfig(multistarts=3)
-    expected = evaluate(box, independence, benefit_paper, market_small, cfg)
-    real = robust_eval.minimize
-
-    def nan_runs(fun, x0, maxiter, xatol, fatol):
-        res = real(fun, x0, maxiter, xatol, fatol)
-        value = res.fun.copy()
-        value[::2] = np.nan
-        return dataclasses.replace(res, fun=value)
-
-    monkeypatch.setattr(robust_eval, "minimize", nan_runs)
-    assert evaluate(box, independence, benefit_paper, market_small, cfg) == expected
+    prices, q = path_arrays(market_small)
+    kernel = _Kernel(prices, q, 0.02, 0.01, spec, benefit_paper, market_small)
+    for method in ("nelder_mead", "hybrid"):
+        cfg = OptimizerConfig(method=method, multistarts=3, grid_points_per_dim=8)
+        for f, groups, maximize in (
+            (_path_objective(kernel), len(q), True),
+            (_price_objective(kernel), 1, True),
+            (_price_objective(kernel), 1, False),
+        ):
+            optima = _optimize_ad(f, groups, box.a, box.d, cfg, maximize)
+            value, a, d = (np.array(x) for x in zip(*optima))
+            assert _hexes(value) == _hexes(f.values(np.arange(groups), a, d))
 
 
 def test_max_iters_allows_that_many_iterations(
