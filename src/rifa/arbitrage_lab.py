@@ -205,12 +205,16 @@ class VerificationReport:
         return self.worst_violation >= 0.0 and self.strict_ok
 
 
+def _check_premium(premium: float) -> None:
+    if not (math.isfinite(premium) and premium >= 0.0):
+        raise ContractError(f"premium must be finite and >= 0, got {premium}")
+
+
 def _check_request(
     premium: float, report: EvaluationReport, box: ParamBox, market: MarketParams
 ) -> None:
     """Reject a premium, or a report computed for another box or lattice."""
-    if not (math.isfinite(premium) and premium >= 0.0):
-        raise ContractError(f"premium must be finite and >= 0, got {premium}")
+    _check_premium(premium)
     if len(report.per_path) != 1 << market.T:
         raise ContractError(
             f"report covers {len(report.per_path)} paths, "
@@ -347,14 +351,15 @@ def portfolio_trials(
     """Simulate equal-weight client pools under one hazard model, lazily.
 
     The arguments are checked on the call: `trials` and `seed` may be
-    Python or numpy integers, not bools.  The returned iterator draws one
-    trial per step.  A trial draws a market path from the risk-neutral
-    weights, then a pool of conditionally independent clients: one copula
-    draw per client, mapped to its exit cell by counting the CDF levels
-    below it (the death levels below u, then (T+2)*tau_death + 1, then the
-    surrender levels below v).  Its payouts are one `take` of the drawn
-    path's payout table at the cells.  Per-trial generators are derived
-    from (seed, trial), so results are reproducible.
+    Python or numpy integers, not bools, and `premium` is finite and
+    >= 0.  The returned iterator draws one trial per step.  A trial
+    draws a market path from the risk-neutral weights, then a pool of
+    conditionally independent clients: one copula draw per client, mapped
+    to its exit cell by counting the CDF levels below it (the death levels
+    below u, then (T+2)*tau_death + 1, then the surrender levels below v).
+    Its payouts are one `take` of the drawn path's payout table at the
+    cells.  Per-trial generators are derived from (seed, trial), so
+    results are reproducible.
 
     All trials share one workspace for the draws and the level
     comparisons, and the surrender levels are computed once per drawn
@@ -365,6 +370,7 @@ def portfolio_trials(
     sample keeps, so no two samples share memory.
     """
     sched, trials, seed = _check_run(n_schedule, trials, seed)
+    _check_premium(premium)
     prices, q = path_arrays(market)
     survival, surrender = payoff_table(benefit, market, prices)
     g = conditional_values(prices, q, theta, spec, benefit, market)

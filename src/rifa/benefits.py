@@ -30,7 +30,7 @@ class BenefitSpec:
     K:         initial guarantee level, >= 0
     r_G:       guaranteed growth rate, > -1
     l:         surrender penalty fraction, in [0, 1]
-    surrender: whether the contract carries a surrender option
+    surrender: whether the contract carries a surrender option, a bool
     """
 
     K: float
@@ -47,13 +47,26 @@ class BenefitSpec:
             raise ConfigurationError(f"r_G must exceed -1, got {self.r_G}")
         if not (0.0 <= self.l <= 1.0):
             raise ConfigurationError(f"l must lie in [0, 1], got {self.l}")
+        if not isinstance(self.surrender, (bool, np.bool_)):
+            raise ConfigurationError(
+                f"surrender must be true or false, got {self.surrender!r}"
+            )
+        object.__setattr__(self, "surrender", bool(self.surrender))
 
 
 def guarantee_value(spec: BenefitSpec, market: MarketParams, path: Path, t: int) -> float:
     """Account value V_t = max(S_t, K*(1+r_G)**t), undiscounted."""
     if not (0 <= t <= market.T):
         raise ConfigurationError(f"t must lie in [0, {market.T}], got {t}")
-    return max(path.prices[t], spec.K * (1.0 + spec.r_G) ** t)
+    return max(path.prices[t], _floor(spec, t))
+
+
+def _floor(spec: BenefitSpec, t: int) -> float:
+    """K*(1+r_G)**t; a zero K is a zero floor, also where the power overflows."""
+    try:
+        return spec.K and spec.K * (1.0 + spec.r_G) ** t
+    except OverflowError:
+        raise NumericalError("the guarantee floor passes the float range") from None
 
 
 def discounted_payoffs(
@@ -65,7 +78,8 @@ def discounted_payoffs(
     payout V_T/(1+r)**T, and an array indexed by t = 0..T whose entry t
     is the discounted surrender payout (1-l) * V_t / (1+r)**t for
     interior dates 1 <= t <= T-1 and zero elsewhere.  A contract without
-    the surrender option has an all-zero surrender leg.
+    the surrender option has an all-zero surrender leg.  Raises
+    NumericalError where a payout passes the float range.
     """
     T = market.T
     disc = market.discount
@@ -76,6 +90,7 @@ def discounted_payoffs(
             surrender_pays[t] = (
                 (1.0 - spec.l) * guarantee_value(spec, market, path, t) * disc**t
             )
+    _check_finite(survival_pay, surrender_pays)
     return survival_pay, surrender_pays
 
 
@@ -88,18 +103,17 @@ def payoff_table(
     Raises NumericalError where a payout passes the float range.
     """
     T = market.T
-    # Python pow per date, as the scalar route computes each factor; a zero
-    # K is a zero floor, also where the power overflows
-    try:
-        floor = np.array([spec.K and spec.K * (1.0 + spec.r_G) ** t for t in range(T + 1)])
-    except OverflowError:
-        raise NumericalError("the guarantee floor passes the float range") from None
+    floor = np.array([_floor(spec, t) for t in range(T + 1)])
     discount = np.array([market.discount**t for t in range(T + 1)])
     value = np.maximum(prices, floor)
     surrender = np.zeros_like(value)
     if spec.surrender:
         surrender[:, 1:T] = (1.0 - spec.l) * value[:, 1:T] * discount[1:T]
     survival = value[:, T] * discount[T]
+    _check_finite(survival, surrender)
+    return survival, surrender
+
+
+def _check_finite(survival, surrender) -> None:
     if not (np.isfinite(survival).all() and np.isfinite(surrender).all()):
         raise NumericalError("contract payouts pass the float range")
-    return survival, surrender

@@ -19,7 +19,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from typing import get_type_hints
 
 import numpy as np
 
@@ -80,23 +79,6 @@ class RunConfig:
 _CONFIG_KEYS = {"grid_points_per_dim": "grid_points"}
 
 
-def _value(label: str, kind, v):
-    """A config value checked against, and converted to, its field's type."""
-    if v is None and kind in (float | None, int | None):
-        return None
-    if kind is bool and not isinstance(v, bool):
-        raise ConfigurationError(f"{label} must be true or false")
-    if kind in (int, int | None) and (isinstance(v, bool) or not isinstance(v, int)):
-        raise ConfigurationError(f"{label} must be an integer, got {v!r}")
-    if kind in (float, float | None):
-        return _real(label, v)
-    if kind == tuple[float, float]:
-        if not (isinstance(v, list) and len(v) == 2):
-            raise ConfigurationError(f"{label} must be [lo, hi], got {v!r}")
-        return _real(label, v[0]), _real(label, v[1])
-    return v
-
-
 def _section(doc: dict, name: str, cls):
     """Build dataclass ``cls`` from config section ``name``, one key per field."""
     if name not in doc:
@@ -112,12 +94,13 @@ def _section(doc: dict, name: str, cls):
     missing = {key for key, f in keys.items() if f.default is not None} - set(section)
     if missing:
         raise ConfigurationError(f"missing keys in {name!r}: {sorted(missing)}")
-    kinds = get_type_hints(cls)
-    return cls(**{
-        f.name: _value(f"{name}.{key}", kinds[f.name], section[key])
-        for key, f in keys.items()
-        if key in section
-    })
+    try:
+        return cls(**{keys[key].name: value for key, value in section.items()})
+    except ConfigurationError as exc:
+        message = str(exc)
+        for field, key in _CONFIG_KEYS.items():
+            message = message.replace(field, key)
+        raise ConfigurationError(f"{name}: {message}") from None
 
 
 def parse_config(path: str) -> RunConfig:
@@ -127,14 +110,13 @@ def parse_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past 4300 digits
         raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("config root must be an object")
     unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigurationError(f"unknown top-level keys: {sorted(unknown)}")
-    kinds = get_type_hints(RunConfig)
     return RunConfig(
         market=_section(doc, "market", MarketParams),
         benefit=_section(doc, "benefit", BenefitSpec),
@@ -145,8 +127,8 @@ def parse_config(path: str) -> RunConfig:
             if "optimizer" in doc
             else OptimizerConfig()
         ),
-        premium=_value("premium", kinds["premium"], doc.get("premium")),
-        seed=_value("seed", kinds["seed"], doc.get("seed")),
+        premium=doc.get("premium"),
+        seed=doc.get("seed"),
     )
 
 

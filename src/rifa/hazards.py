@@ -67,7 +67,13 @@ class ParamBox:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            lo, hi = (_real(name, x) for x in getattr(self, name))
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"{name} must be an interval [lo, hi], got {getattr(self, name)!r}"
+                ) from None
+            lo, hi = _real(name, lo), _real(name, hi)
             object.__setattr__(self, name, (lo, hi))
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
                 raise ConfigurationError(

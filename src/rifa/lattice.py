@@ -45,7 +45,14 @@ def _real(name: str, x) -> float:
     """x as a float: Python and numpy reals pass, bool (an int) does not."""
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         raise ConfigurationError(f"{name} must be a real number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # a Python int past the float range
+        digits = int(abs(x).bit_length() * math.log10(2))  # the count, or one less
+        digits += abs(x) >= 10**digits
+        raise ConfigurationError(
+            f"{name} must lie in the float range, got an integer of {digits} digits"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True)

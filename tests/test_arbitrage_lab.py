@@ -350,6 +350,13 @@ def test_simulate_portfolio_validation(
             theta, independence_mod, benefit_paper_mod, market_small_mod,
             [100], trials=1, seed=-1,
         )
+    # a premium of nan or inf made nan pool values
+    for premium in (math.nan, math.inf, -1.0):
+        with pytest.raises(ContractError, match="premium"):
+            portfolio_trials(
+                theta, independence_mod, benefit_paper_mod, market_small_mod,
+                [100], trials=1, seed=1, premium=premium,
+            )
 
 
 @pytest.mark.parametrize(
@@ -895,6 +902,13 @@ def test_verify_arbitrage_validation(
             verify_arbitrage(
                 pair, 90.0, [Theta(100.0, 0.02, 0.01, 1e4)], independence_mod,
                 benefit_paper_mod, market_small_mod, trials=trials, seed=seed,
+            )
+    # a nan or inf premium passed, with nan means and an inf min_payoff
+    for premium in (math.nan, math.inf, -1.0):
+        with pytest.raises(ContractError, match="premium"):
+            verify_arbitrage(
+                pair, premium, [Theta(100.0, 0.02, 0.01, 1e4)], independence_mod,
+                benefit_paper_mod, market_small_mod, trials=2, seed=1, n_clients=100,
             )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rifa.benefits import BenefitSpec, discounted_payoffs, guarantee_value, payoff_table
-from rifa.errors import ConfigurationError
+from rifa.errors import ConfigurationError, NumericalError
 from rifa.lattice import MarketParams, enumerate_paths, path_arrays
 
 
@@ -18,6 +18,12 @@ def test_spec_validation():
         BenefitSpec(K=100.0, r_G=0.0, l=1.5)
     with pytest.raises(ConfigurationError):
         BenefitSpec(K=100.0, r_G=0.0, l=-0.1)
+    # "no" priced with a surrender option; numpy bools are stored as bool
+    for surrender in ("no", 0, 1.0, None):
+        with pytest.raises(ConfigurationError, match="surrender"):
+            BenefitSpec(K=100.0, r_G=0.0, l=0.5, surrender=surrender)
+    assert BenefitSpec(K=100.0, r_G=0.0, l=0.5, surrender=np.True_).surrender is True
+    assert BenefitSpec(K=100.0, r_G=0.0, l=0.5, surrender=np.False_).surrender is False
 
 
 def test_guarantee_value_hand_computed(market_small):
@@ -135,8 +141,12 @@ def test_maturity_pay_dominates_late_surrender(market_paper, benefit_paper):
         BenefitSpec(K=100.0, r_G=0.0, l=0.1),
         BenefitSpec(K=0.0, r_G=0.05, l=0.3),
         BenefitSpec(K=180.0, r_G=0.03, l=0.2),
+        BenefitSpec(K=0.0, r_G=1e300, l=0.1),
     ],
-    ids=["paper", "no-surrender", "l=1", "l=0", "r_G=0", "K=0", "high-floor"],
+    ids=[
+        "paper", "no-surrender", "l=1", "l=0", "r_G=0", "K=0", "high-floor",
+        "K=0-overflowing-growth",
+    ],
 )
 def test_payoff_table_rows_equal_discounted_payoffs(spec, market_paper):
     """Row i of the table is bit for bit the per-path payout of path i."""
@@ -146,6 +156,23 @@ def test_payoff_table_rows_equal_discounted_payoffs(spec, market_paper):
         survival_pay, surrender_pays = discounted_payoffs(spec, market_paper, path)
         assert survival[path.index] == survival_pay
         assert surrender[path.index].tolist() == surrender_pays.tolist()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [BenefitSpec(K=100.0, r_G=1e300, l=0.1), BenefitSpec(K=1.7e308, r_G=0.01, l=0.1)],
+    ids=["overflowing-floor", "overflowing-payout"],
+)
+def test_payoff_routes_refuse_payouts_past_the_float_range(spec, market_paper):
+    """Both routes raise NumericalError where a payout passes the float range.
+
+    The per-path route raised OverflowError or returned inf payouts there.
+    """
+    with pytest.raises(NumericalError):
+        payoff_table(spec, market_paper, path_arrays(market_paper)[0])
+    for path in enumerate_paths(market_paper):
+        with pytest.raises(NumericalError):
+            discounted_payoffs(spec, market_paper, path)
 
 
 def test_payoff_table_of_a_zero_guarantee_ignores_its_growth_rate(market_paper):

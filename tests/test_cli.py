@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 import rifa
-from rifa.cli import SWEEP_AXES, _mean, _swept_configs, canonical_json, main, parse_config
+from rifa.cli import (
+    _CONFIG_KEYS,
+    SWEEP_AXES,
+    _mean,
+    _swept_configs,
+    canonical_json,
+    main,
+    parse_config,
+)
 from rifa.copulas import CopulaSpec
 from rifa.errors import ConfigurationError, ContractError
 from rifa.hazards import Theta
@@ -75,36 +83,67 @@ def test_parse_config_optional_fields(write_config, base_config_doc):
     assert '"premium"' not in text and '"seed"' not in text
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda d: d.pop("market"),
-        lambda d: d.__setitem__("extra", 1),
-        lambda d: d["market"].pop("s0"),
-        lambda d: d["market"].__setitem__("volatility", 0.2),
-        lambda d: d["market"].__setitem__("T", True),
-        lambda d: d["market"].__setitem__("T", 4.0),
-        lambda d: d["benefit"].__setitem__("surrender", "yes"),
-        lambda d: d["benefit"].__setitem__("K", "100"),
-        lambda d: d["theta_box"].__setitem__("a", [50.0]),
-        lambda d: d["theta_box"].__setitem__("b", [0.03, 0.02]),
-        lambda d: d["copula"].__setitem__("family", "gaussian"),
-        lambda d: d["copula"].__setitem__("param", True),
-        lambda d: d["optimizer"].__setitem__("multistarts", 2.5),
-        lambda d: d.__setitem__("premium", -5.0),
-        lambda d: d.__setitem__("seed", 1.5),
-    ],
-    ids=[
-        "missing-section", "unknown-top-key", "missing-market-key",
-        "unknown-market-key", "bool-T", "float-T", "string-surrender",
-        "string-K", "short-interval", "reversed-interval", "bad-family",
-        "bool-param", "float-multistarts", "negative-premium", "float-seed",
-    ],
-)
-def test_parse_config_rejects_malformed(mutate, write_config, base_config_doc):
-    mutate(base_config_doc)
-    with pytest.raises(ConfigurationError):
+DROP = object()  # the key is removed from the config
+
+
+# id: (section or None for the top level, key, value set there)
+MALFORMED = {
+    "missing-section": (None, "market", DROP),
+    "unknown-top-key": (None, "extra", 1),
+    "missing-market-key": ("market", "s0", DROP),
+    "unknown-market-key": ("market", "volatility", 0.2),
+    "bool-T": ("market", "T", True),
+    "float-T": ("market", "T", 4.0),
+    "null-s0": ("market", "s0", None),
+    "huge-int-s0": ("market", "s0", 10**400),
+    "string-surrender": ("benefit", "surrender", "yes"),
+    "int-surrender": ("benefit", "surrender", 0),
+    "string-K": ("benefit", "K", "100"),
+    "huge-int-K": ("benefit", "K", 10**400),
+    "short-interval": ("theta_box", "a", [50.0]),
+    "long-interval": ("theta_box", "a", [50.0, 100.0, 340.0]),
+    "scalar-interval": ("theta_box", "a", 50.0),
+    "huge-int-endpoint": ("theta_box", "a", [50, 10**400]),
+    "reversed-interval": ("theta_box", "b", [0.03, 0.02]),
+    "bad-family": ("copula", "family", "gaussian"),
+    "bool-param": ("copula", "param", True),
+    "huge-int-param": ("copula", "param", 10**400),
+    "float-multistarts": ("optimizer", "multistarts", 2.5),
+    "float-grid-points": ("optimizer", "grid_points", 1.5),
+    "huge-int-tolerance": ("optimizer", "tolerance", 10**400),
+    "negative-premium": (None, "premium", -5.0),
+    "huge-int-premium": (None, "premium", 10**400),
+    "float-seed": (None, "seed", 1.5),
+}
+
+
+@pytest.mark.parametrize("section, key, value", MALFORMED.values(), ids=MALFORMED)
+def test_parse_config_rejects_malformed(
+    section, key, value, write_config, base_config_doc
+):
+    """The file is refused, and so is the record built with the same value.
+
+    Clayton's parameter is checked here; independence takes none at all.
+    """
+    base_config_doc["copula"] = {"family": "clayton", "param": 2.0}
+    parsed = parse_config(write_config(base_config_doc, name="valid.cfg"))
+    target = base_config_doc if section is None else base_config_doc[section]
+    sets_a_field = value is not DROP and key in target
+    if value is DROP:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ConfigurationError) as exc:
         parse_config(write_config(base_config_doc))
+    if not sets_a_field:
+        return
+    # the message names the section and the key as the file spells it
+    assert str(exc.value).startswith(f"{section}: " if section else key)
+    assert re.search(rf"\b{key}\b", str(exc.value))
+    record = parsed if section is None else getattr(parsed, section)
+    field = {k: f for f, k in _CONFIG_KEYS.items()}.get(key, key)
+    with pytest.raises(ConfigurationError, match=field):
+        dataclasses.replace(record, **{field: value})
 
 
 def test_parse_config_missing_file():
@@ -113,20 +152,24 @@ def test_parse_config_missing_file():
 
 
 def test_parse_config_invalid_json(tmp_path):
+    # bad UTF-8 and an integer past json's 4300 digits raised a bare ValueError
     path = tmp_path / "broken.cfg"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigurationError):
-        parse_config(str(path))
+    for content in (b"{not json", b"\xff{}", b'{"seed": ' + b"1" * 5000 + b"}"):
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError, match="is not valid JSON"):
+            parse_config(str(path))
 
 
 def test_cli_reports_config_errors_as_exit_2(write_config, base_config_doc, capsys):
-    # down exceeds up; Python's json reads and writes NaN and Infinity
-    for key, value in (("u", -0.5), ("s0", math.nan), ("s0", math.inf)):
+    # down exceeds up; Python's json reads and writes NaN and Infinity; an
+    # int past the float range exited 1 with an OverflowError traceback
+    bad = (("u", -0.5), ("s0", math.nan), ("s0", math.inf), ("s0", 10**400))
+    for key, value in bad:
         doc = {**base_config_doc, "market": {**base_config_doc["market"], key: value}}
         code, out, err = run_cli(["price", "--config", write_config(doc)], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error: market: ") and err.count("\n") == 1
 
 
 def test_cli_reports_resource_errors_as_exit_3(write_config, base_config_doc, capsys):

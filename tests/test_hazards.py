@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,13 @@ def test_param_box_validation(box_paper):
     # singleton intervals are fine
     pt = ParamBox(a=(100.0, 100.0), b=(0.02, 0.02), c=(0.01, 0.01), d=(1e4, 1e4))
     assert pt.corner_low() == pt.corner_high()
+    # an interval is a pair; a list or a 1-D array of two is one
+    rest = {"b": (0.02, 0.03), "c": (0.01, 0.05), "d": (1e4, 1e5)}
+    assert ParamBox(a=[50.0, 340.0], **rest) == box_paper
+    assert ParamBox(a=np.array([50.0, 340.0]), **rest) == box_paper
+    for bad in ((50.0,), (50.0, 100.0, 340.0), 50.0, None, np.array(50.0)):
+        with pytest.raises(ConfigurationError, match="a must be an interval"):
+            ParamBox(a=bad, **rest)
 
 
 def test_param_box_contains(box_paper):

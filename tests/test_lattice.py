@@ -54,6 +54,9 @@ def test_market_validation_rejects_bad_orderings():
             MarketParams(s0=bad, u=0.1, v=-0.1, r=0.05, T=2)
         with pytest.raises(ConfigurationError):
             MarketParams(s0=100.0, u=bad, v=-0.1, r=0.05, T=2)
+    # an int past the float range raised OverflowError
+    with pytest.raises(ConfigurationError, match="s0 .* 401 digits"):
+        MarketParams(s0=10**400, u=0.1, v=-0.1, r=0.05, T=2)
 
 
 def _reference_paths(market):
