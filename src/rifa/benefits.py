@@ -62,11 +62,19 @@ def guarantee_value(spec: BenefitSpec, market: MarketParams, path: Path, t: int)
 
 
 def _floor(spec: BenefitSpec, t: int) -> float:
-    """K*(1+r_G)**t; a zero K is a zero floor, also where the power overflows."""
+    """K*(1+r_G)**t; a zero K is a zero floor, also where the power overflows.
+
+    Raises NumericalError where the floor passes the float range: by the
+    power's OverflowError, or by the product, which overflows to inf
+    without raising.
+    """
     try:
-        return spec.K and spec.K * (1.0 + spec.r_G) ** t
+        floor = spec.K and spec.K * (1.0 + spec.r_G) ** t
     except OverflowError:
-        raise NumericalError("the guarantee floor passes the float range") from None
+        floor = math.inf
+    if floor == math.inf:
+        raise NumericalError("the guarantee floor passes the float range")
+    return floor
 
 
 def discounted_payoffs(

@@ -136,6 +136,17 @@ _BLOCK_PAIRS = 1 << 10
 # T = 8.  Larger blocks spread a call's fixed cost over more points, until
 # the temporaries outgrow the L2 cache; memory stays flat in T
 _TREE_PAIRS = 1 << 14
+# (point, node) pairs per block of the one-dot estimate, whose one large
+# array, the survival levels, lives in a buffer that its kernel keeps
+# (512 kB): a fresh array of that size per block would cost its page faults
+_LEVEL_PAIRS = 1 << 16
+# the least number of Nelder-Mead problems in one lockstep batch for which
+# the search settles decisions from estimates (_optimize_ad)
+_BRACKET_PROBLEMS = 32
+# the one-dot estimate sums its 2**T node terms in dot products of at most
+# this many, then adds those: a bound of g_(1024 + 2**T/1024) rather than
+# g_(2**T) keeps its radius within 1e-12 of the price past T = 10
+_DOT_TERMS = 1 << 10
 # blocks of fewer terms are summed by math.fsum directly: below about a
 # thousand terms it is faster than the dozen array operations of _fsum_rows
 _FSUM_DIRECT = 1 << 10
@@ -216,6 +227,12 @@ def _fsum_rows(x: np.ndarray) -> np.ndarray:
     return c
 
 
+def _refuse_negative(slices: np.ndarray) -> None:
+    """Raise if a surrender slice mass lies below -SLICE_TOL: not rounding noise."""
+    if float(slices.min(initial=0.0)) < -SLICE_TOL:
+        raise NumericalError("negative surrender slice mass beyond tolerance")
+
+
 class _Kernel:
     """Conditional values G(path, theta) over the paths of one price array.
 
@@ -224,17 +241,20 @@ class _Kernel:
     The price prefix sums make the surrender hazard an O(1) quadratic in a
     per date, so a value costs O(T) exponentials.
 
-    One node routine, ``_nodes``, forms the load, exponentials, copula
-    masses, slice check and clip for two routes, which so give the same
-    values bit for bit: ``values`` at paired (path, a, d) points, each pair
-    a chain of its dates, and ``every_path``, every path at each (a, d)
-    point, on the lattice's prefix tree, which needs the price array to
-    hold all 2**T paths in path-index order.  On the same tree,
-    ``price_estimates`` bounds the q-weighted price from node sums alone.
-    Each route builds its arrays on first use and keeps only those.
+    One node routine, ``_nodes``, forms the load and exponentials (by
+    ``_levels``), copula masses, slice check and clip for two routes, which
+    so give the same values bit for bit: ``values`` at paired (path, a, d)
+    points, each pair a chain of its dates, and ``every_path``, every path
+    at each (a, d) point, on the lattice's prefix tree, which needs the
+    price array to hold all 2**T paths in path-index order.  On the same
+    tree, ``price_estimates`` bounds the q-weighted price from the node
+    values or, under independence, from ``_levels`` alone.  Each route
+    builds its arrays on first use and keeps only those.
     """
 
-    __slots__ = ("T", "spec", "surr_on", "f1", "q", "tt", "source", "rows", "tree", "weights")
+    __slots__ = (
+        "T", "spec", "surr_on", "f1", "q", "tt", "source", "rows", "tree", "weights", "levels"
+    )
 
     def __init__(
         self,
@@ -257,7 +277,7 @@ class _Kernel:
         self.f1 = np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
         self.tt = np.arange(T + 1, dtype=float)[:, None]
         self.source = (prices, benefit, market)
-        self.rows = self.tree = self.weights = None
+        self.rows = self.tree = self.weights = self.levels = None
 
     def _row_arrays(self) -> tuple[np.ndarray, ...]:
         """Payouts and price prefix sums, one column per path.
@@ -311,6 +331,40 @@ class _Kernel:
             np.ascontiguousarray(v_surv).reshape((2,) * T + (1,)),
         )
 
+    @staticmethod
+    def _levels(
+        nodes: tuple, a: np.ndarray, d: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The surrender load on every node, and the survival exp(-load/d).
+
+        nodes begins (date, cum1, cum2), as in ``_nodes``, with node 0 at
+        date 0, and points lie along the last axis.  The load depends on a
+        alone, so a block whose points all share a forms it once, a column.
+        Given out, a buffer of the tree's nodes by the points for the
+        survival, it is formed once per run of points that share a (each
+        step of an a-sweep pins a, and a search lists a group's points
+        together), a column per run.
+        """
+        node_t, node_cum1, node_cum2 = nodes[:3]
+        run = None
+        if a.shape[0] > 1 and a[0] == a[-1] and (a == a[0]).all():
+            a = a[:1]
+        elif out is not None and a.shape[0] > 1:
+            change = a[1:] != a[:-1]
+            if not change.all():
+                run = np.append(0, np.cumsum(change))
+                a = a[np.flatnonzero(np.append(True, change))]
+        # float_power squares through libm pow, as Python floats do; the
+        # classical band's Nelder-Mead path depends on that last bit.  A load
+        # past the float range is +inf, its limit (f2 = 0); date 0's, row 0, is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            load = node_t * np.float_power(a, 2.0) - 2.0 * a * node_cum1 + node_cum2
+            load[0] = 0.0
+            load[np.isnan(load)] = np.inf
+            spread = load if run is None else np.take(load, run, axis=1, out=out, mode="clip")
+            rate = np.divide(spread, -d, out=out)
+        return load, np.exp(rate, out=rate)
+
     def _nodes(self, nodes: tuple, split: int, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Survival to T on the date-T nodes, then the slices of the inner nodes.
 
@@ -322,24 +376,13 @@ class _Kernel:
         node m+1.  The prefix tree passes its nodes, ``values`` each pair's
         chain of dates 0..T.  Row r is date-T node split + r; the inner
         nodes' slices, the mass of surrendering at their date while alive,
-        follow.  The load depends on a alone, so a block whose points all
-        share a (each step of an a-sweep pins it) forms it once, a column.
+        follow.
         """
-        node_t, node_cum1, node_cum2, node_f1, next_f1, up = nodes
-        if a.shape[0] > 1 and a[0] == a[-1] and (a == a[0]).all():
-            a = a[:1]
-        # float_power squares through libm pow, as Python floats do; the
-        # classical band's Nelder-Mead path depends on that last bit.  A load
-        # past the float range is +inf, its limit (f2 = 0); date 0's, row 0, is 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            load = node_t * np.float_power(a, 2.0) - 2.0 * a * node_cum1 + node_cum2
-            load[0] = 0.0
-            load[np.isnan(load)] = np.inf
-            rate = load / -d
-        f2 = np.exp(rate)
-        n = node_cum1.shape[0] - split
-        out = np.empty((node_cum1.shape[0] - 1, d.shape[0]))
-        survival, slices = out[:n], out[n:]
+        node_f1, next_f1, up = nodes[3:]
+        f2 = self._levels(nodes, a, d)[1]
+        count = f2.shape[0]
+        out = np.empty((count - 1, d.shape[0]))
+        survival, slices = out[: count - split], out[count - split :]
         if self.spec.is_independence:
             np.multiply(self.f1[self.T], f2[split:], out=survival)
             np.subtract(f2[up], f2[1:split], out=slices)
@@ -349,8 +392,7 @@ class _Kernel:
             upper = _survival_array(self.spec, next_f1, f2[: next_f1.shape[0]])
             survival[...] = joint[split - 1 :]
             np.subtract(upper[up], joint[: split - 1], out=slices)
-        if float(slices.min(initial=0.0)) < -SLICE_TOL:
-            raise NumericalError("negative surrender slice mass beyond tolerance")
+        _refuse_negative(slices)
         if not self.spec.is_independence:
             np.clip(slices, 0.0, None, out=slices)
         return out
@@ -377,16 +419,28 @@ class _Kernel:
             out[s] = v_surv[r] * m[0] + _row_sum(list(m[1:] * v_pay.take(r, axis=1)))
         return out
 
-    def _price_weights(self) -> tuple[np.ndarray, ...]:
-        """Weights of the tree's ``_nodes`` rows in the price, and in its magnitude.
+    def _price_weights(self) -> np.ndarray:
+        """The rows that ``price_estimates`` multiplies by its node array.
 
-        sum_i q_i * G_i = weights @ nodes(a, d) in exact arithmetic.  The
-        weight of date-T node r is q * v_surv summed over paths r and
-        r + 2**(T-1), which reach it, and that of slice node m sums, over
-        m's children n, the payout of n times q summed over the paths
-        through n.  The magnitude takes absolute values.  Empty when q or a
-        payout lies outside the range where ``price_estimates``' bound
-        holds: q in [2**-450, 1], payouts 0 or of magnitude in
+        sum_i q_i * G_i = w @ nodes(a, d) in exact arithmetic.  The weight
+        of date-T node r is q * v_surv summed over paths r and r + 2**(T-1),
+        which reach it, and that of slice node m sums, over m's children n,
+        the payout of n times Q_n, q summed over the paths through n.  Each
+        Q_n is correctly rounded (``_fsum_rows``), so a weight takes at most
+        three roundings: it is within g_3 of its value, relative to its
+        magnitude mw, the same sum of absolute products.  Other families
+        get the rows (w, mw) over ``_nodes``' rows.
+
+        Under independence a node value is linear in the survival levels
+        f2 (``_levels``) of all 2**T nodes: date-T node r is f1[T] * f2_r
+        and the slice of inner node m is f2_parent(m) - f2_m.  The rows are
+        then (c, c+, rho) over f2: c_k = f1[T] * w_k at date T, and
+        otherwise the weights of k's inner children less k's own (two
+        roundings more, so c is within g_5 of its value relative to c+);
+        c+ puts each magnitude at both ends of its slice, and rho =
+        kappa1 * c+ + kappa2 * |c| is the radius row (``price_estimates``).
+        Empty, shape (0, 0), when q or a payout lies outside the range where
+        that bound holds: q in [2**-450, 1], payouts 0 or of magnitude in
         [2**-400, 2**400].
         """
         T, q = self.T, self.q
@@ -399,43 +453,77 @@ class _Kernel:
             and 2.0**-400 <= payouts.min(initial=1.0)
             and payouts.max(initial=1.0) <= 2.0**400
         ):
-            return ()
+            return np.empty((0, 0))
         half = (1 << T) >> 1
         qv = q * v
-        # q summed over the paths through each node of dates 2..T, in the
-        # order of pay's rows: node 2**(t-1) + p holds the paths p mod 2**(t-1)
-        Q = [q.reshape(-1, 1 << (t - 1)).sum(axis=0) for t in range(2, T + 1)]
+        # Q on the nodes of dates 2..T, in the order of pay's rows: node
+        # 2**(t-1) + p holds the paths p mod 2**(t-1)
+        Q = [_fsum_rows(q.reshape(-1, 1 << (t - 1)).T) for t in range(2, T + 1)]
         qpay = pay * np.concatenate([np.zeros(0)] + Q)
-        return (
-            np.concatenate((qv[:half] + qv[half:], np.bincount(gather, qpay, minlength=half - 1))),
-            np.concatenate((
-                np.abs(qv[:half]) + np.abs(qv[half:]),
-                np.bincount(gather, np.abs(qpay), minlength=half - 1),
-            )),
+        w, mw = (
+            np.concatenate((s[:half] + s[half:], np.bincount(gather, x, minlength=half - 1)))
+            for s, x in ((qv, qpay), (np.abs(qv), np.abs(qpay)))
         )
+        if not self.spec.is_independence:
+            return np.stack((w, mw))
+        # f2 rows: node 0, the inner nodes 1..half-1, the date-T nodes; the
+        # slice weights add at their node's parent, up, and subtract at it
+        up, f1T = self.tree[5], self.f1[T]
+        c, cplus = np.zeros((2, 1 << T))
+        for row, x, sign in ((c, w, -1.0), (cplus, mw, 1.0)):
+            row[1:half] = sign * x[half:]
+            row[:half] += np.bincount(up, x[half:], minlength=half)
+            row[half:] = x[:half] * f1T
+        terms = min(1 << T, _DOT_TERMS)
+        kappa1, kappa2 = _sum_margin(T + 12), _sum_margin(terms + (1 << T) // terms - 1)
+        return np.stack((c, cplus, kappa1 * cplus + kappa2 * np.abs(c)))
 
     def price_estimates(
         self, a: np.ndarray, d: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Estimates of the price sum_i fl(q_i * G_i) at each point, with radii.
 
-        The node sum weights @ nodes(a, d) (``_price_weights``) replaces
-        the 2**T path terms.  With u = 2**-53 and g_k = ku/(1 - ku): each
-        exact term x_i = fl(q_i * G_i) is within g_(T+1) * m_i of its value
-        in exact arithmetic on the same node values, m_i the sum of the
-        magnitudes of the products it adds up, and the correctly rounded sum
-        adds u; the weights, sums of at most 2**(T-1) weights q and one or two
-        products, are within g_(2**T) of theirs, and a node sum of
-        N = 2**T - 1 terms, in any order, adds g_(N-1).  So the estimate is
-        within g_n * M of the exact price, n = 2**(T+1) + T + 3 and
-        M = sum_i m_i = magnitude weights @ |nodes(a, d)|, and the computed
-        magnitude A has A >= (1 - g_n) * M, which gives the radius
-        ``_sum_margin(n)`` * A.  Underflowed products, each off by at most
-        2**-1075 and only ever scaled by a q <= 1, fall far inside that
-        margin's slack for A >= 2**-900, and A <= 2**500 with q >= 2**-450
-        keeps every term of the exact sum finite.  None without surrender,
-        where the kernel has no weights or where a point's A leaves
-        [2**-900, 2**500]: the caller then takes the exact price.
+        A product of ``_price_weights``' rows and the nodes replaces the
+        2**T path terms.  With u = 2**-53 and g_k = ku/(1 - ku) (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, 3.1
+        and 4.2): each exact term x_i = fl(q_i * G_i) is within g_(T+2) * m_i
+        of its value in exact arithmetic on the same node values, m_i the sum
+        of the magnitudes of the products it adds up, the correctly rounded
+        sum adds u, and a dot product of k terms in any order, fused or not,
+        is within g_k of the sum of their magnitudes.
+
+        Other families: the node sum w @ nodes, of 2**T - 1 terms, with
+        weights within g_3, is within g_n * M of the exact price,
+        n = 2**T + T + 4 and M = mw @ |nodes| in exact arithmetic; the
+        computed magnitude A has A >= (1 - g_n) * M, which gives the radius
+        ``_sum_margin(n)`` * A.
+
+        Independence: the one product (c, c+, rho) @ f2 gives the estimate,
+        the magnitude and the radius, summed in dot products of at most
+        _DOT_TERMS node terms that are then added, so that its rounding is
+        that of a sum of k = K + 2**T/K - 1 terms, K = min(2**T,
+        _DOT_TERMS).  f2 carries the exact route's bits, so the exact
+        route's roundings (g_(T+2) + u, its slice |f2_parent - f2_m| <=
+        f2_parent + f2_m) and those of c (g_5) are within g_(T+8) *
+        (c+ @ f2) in exact arithmetic, with the exact c+, which the
+        computed one is within g_5 of; the product c @ f2 adds
+        g_k * (|c| @ f2).  The computed rho and rho @ f2 lose at most g_3
+        and g_k, and kappa1 = ``_sum_margin(T + 12)`` and kappa2 =
+        ``_sum_margin(k)`` cover both shortfalls for any 2**T < 2**40.
+        The levels go to a buffer the kernel keeps.  The slices are not
+        formed: where no inner node's load lies below its parent's, every
+        inner load is at least node 0's, 0, so every level is at most 1 and
+        at most its parent's up to exp's error of an ulp or two, far above
+        -SLICE_TOL.  Elsewhere they are, by ``_nodes``' subtraction, and
+        one below -SLICE_TOL is refused as on the exact route.
+
+        Underflowed products, each off by at most 2**-1075 and only ever
+        scaled by a q <= 1, fall far inside the radii's slack for a
+        magnitude of at least 2**-900, and one of at most 2**500 with
+        q >= 2**-450 keeps every term of the exact sum finite.  None without
+        surrender, where the kernel has no weights or where a point's
+        magnitude leaves [2**-900, 2**500]: the caller then takes the exact
+        price.
         """
         if not self.surr_on:
             return None
@@ -443,16 +531,31 @@ class _Kernel:
             self.tree = self._tree_arrays()
         if self.weights is None:
             self.weights = self._price_weights()
-        if not self.weights:
+        if not self.weights.size:
             return None
-        weights, magnitude = self.weights
-        nodes = self._nodes(self.tree[:6], (1 << self.T) >> 1, a, d)
+        half = (1 << self.T) >> 1
         with np.errstate(over="ignore", invalid="ignore"):
-            est = np.einsum("i,ij->j", weights, nodes)
-            mag = np.einsum("i,ij->j", magnitude, np.abs(nodes, out=nodes))
+            if self.spec.is_independence:
+                need = d.shape[0] << self.T
+                if self.levels is None or self.levels.size < need:
+                    self.levels = np.empty(need)
+                buffer = self.levels[:need].reshape(-1, d.shape[0])
+                load, f2 = self._levels(self.tree, a, d, buffer)
+                up = self.tree[5]
+                if not (load[1:half] >= load[up]).all():
+                    _refuse_negative(np.subtract(f2[up], f2[1:half]))
+                out = self.weights[:, :_DOT_TERMS] @ f2[:_DOT_TERMS]
+                for i in range(_DOT_TERMS, f2.shape[0], _DOT_TERMS):
+                    out += self.weights[:, i : i + _DOT_TERMS] @ f2[i : i + _DOT_TERMS]
+                est, mag, rad = out
+            else:
+                nodes = self._nodes(self.tree[:6], half, a, d)
+                est = self.weights[0] @ nodes
+                mag = self.weights[1] @ np.abs(nodes, out=nodes)
+                rad = _sum_margin((1 << self.T) + self.T + 4) * mag
         if not (2.0**-900 <= mag.min() and mag.max() <= 2.0**500):
             return None
-        return est, _sum_margin((2 << self.T) + self.T + 3) * mag
+        return est, rad
 
     def every_path(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         """G on every path at each point: entry [i, r] is G on row r at (a[i], d[i]).
@@ -483,14 +586,19 @@ class _Kernel:
 
 
 class _Objective(NamedTuple):
-    """values(rows, a, d) of an objective, and screen(a, d) -> (estimates, radii).
+    """An objective's exact values, and certified estimates of them.
 
-    values gives problem rows[i]'s objective at (a[i], d[i]), and screen
-    bounds the values of ``_first_best``'s candidates.
+    values(rows, a, d) gives problem rows[i]'s objective at (a[i], d[i]);
+    screen(a, d) -> (estimates, radii) bounds the values of
+    ``_first_best``'s candidates, and estimates(rows, a, d) -> (estimates,
+    radii) those of paired points, for ``minimize``.  Each value lies
+    within its radius of its estimate.  estimates is None where every
+    radius would be 0: the search then takes values.
     """
 
     values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     screen: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    estimates: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def _sum_margin(n: int) -> float:
@@ -531,33 +639,39 @@ def _price_objective(kernel: _Kernel) -> _Objective:
     Values are what ``math.fsum`` gives of the q-weighted G over the
     kernel's paths, by ``_fsum_rows`` on the prefix tree in blocks of at
     most _TREE_PAIRS (point, path) pairs: memory stays flat.  The screen
-    gives the certified node estimates of ``_Kernel.price_estimates``,
-    else values, radius 0.
+    and the estimates give the certified estimates of
+    ``_Kernel.price_estimates``, else values, radius 0, in blocks of as
+    many pairs or, for the one-dot estimate of independence, of
+    _LEVEL_PAIRS.
     """
     q = kernel.q
     step = max(1, _TREE_PAIRS // q.shape[0])
+    block = max(1, (_LEVEL_PAIRS if kernel.spec.is_independence else _TREE_PAIRS) // q.shape[0])
 
     def exact(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return _fsum_rows(q * kernel.every_path(a, d))
-
-    def values(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         out = np.zeros(a.shape[0])
         for i in range(0, a.shape[0], step):
             s = slice(i, i + step)
-            out[s] = exact(a[s], d[s])
+            out[s] = _fsum_rows(q * kernel.every_path(a[s], d[s]))
         return out
 
-    def screen(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def values(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return exact(a, d)
+
+    def screen(a: np.ndarray, d: np.ndarray) -> np.ndarray:
         shape = a.shape
         a, d = a.ravel(), d.ravel()
-        est, rad = np.zeros((2, a.shape[0]))
-        for i in range(0, a.shape[0], step):
-            s = slice(i, i + step)
+        out = np.zeros((2, a.shape[0]))
+        for i in range(0, a.shape[0], block):
+            s = slice(i, i + block)
             tree = kernel.price_estimates(a[s], d[s])
-            est[s], rad[s] = (exact(a[s], d[s]), 0.0) if tree is None else tree
-        return est.reshape(shape), rad.reshape(shape)
+            out[:, s] = (exact(a[s], d[s]), np.zeros(a[s].shape)) if tree is None else tree
+        return out.reshape((2, *shape))
 
-    return _Objective(values, screen)
+    def estimates(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return screen(a, d)
+
+    return _Objective(values, screen, estimates)
 
 
 def _by_group(objectives: Sequence[_Objective], which: np.ndarray) -> _Objective:
@@ -565,24 +679,28 @@ def _by_group(objectives: Sequence[_Objective], which: np.ndarray) -> _Objective
     if len(objectives) == 1:
         return objectives[0]
 
-    def values(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
-        kind = which[rows]
-        out = np.zeros(a.shape[0])
-        for k in np.unique(kind).tolist():
-            sel = np.flatnonzero(kind == k)
-            out[sel] = objectives[k].values(np.zeros_like(sel), a[sel], d[sel])
-        return out
+    def paired(method: str, *rows_out: int) -> Callable[..., np.ndarray]:
+        # values give one row of output, estimates two: values and radii
+        def call(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+            kind, out = which[rows], np.zeros((*rows_out, a.shape[0]))
+            for k in np.unique(kind).tolist():
+                sel = np.flatnonzero(kind == k)
+                out[..., sel] = getattr(objectives[k], method)(np.zeros_like(sel), a[sel], d[sel])
+            return out
 
-    def screen(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return call
+
+    def screen(a: np.ndarray, d: np.ndarray) -> np.ndarray:
         out = np.zeros((2, which.shape[0], a.shape[1]))
         for k in np.unique(which).tolist():
             sel = np.flatnonzero(which == k)
             # a shared row is screened once per kind
             pick = slice(None) if a.shape[0] == 1 else sel
             out[:, sel] = objectives[k].screen(a[pick], d[pick])
-        return out[0], out[1]
+        return out
 
-    return _Objective(values, screen)
+    bracketed = objectives[0].estimates is not None
+    return _Objective(paired("values"), screen, paired("estimates", 2) if bracketed else None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -590,13 +708,18 @@ class NelderMeadResult:
     """Outcome of one lockstep Nelder-Mead batch.
 
     x:         best vertex of each problem, shape (problems, N)
-    fun:       objective at x, the value stored there (scipy's is nan if any vertex is)
+    fun:       objective at x, the value stored there (scipy's is nan if any
+               vertex is); with a bracket, the lower end of the bracket
+               stored there, the value itself where fun == fun_hi
+    fun_hi:    the upper end of that bracket, fun itself without a bracket
     converged: per problem, whether the tolerances were met in time
-    nfev:      objective evaluations over the whole batch
+    nfev:      points evaluated over the whole batch, as scipy counts them;
+               the exact values that settle a bracket are not counted
     """
 
     x: np.ndarray
     fun: np.ndarray
+    fun_hi: np.ndarray
     converged: np.ndarray
     nfev: int
 
@@ -606,14 +729,19 @@ class NelderMeadResult:
         return bool(self.converged.all())
 
 
-def _sort_simplex(P: np.ndarray, pairs: Sequence[tuple[int, int]]) -> None:
+def _sort_simplex(
+    P: np.ndarray,
+    pairs: Sequence[tuple[int, int]],
+    le: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda x, y: x[-1] <= y[-1],
+) -> None:
     """Sort each problem's vertices in place by a network of vertex pairs.
 
-    P[vertex, coordinates then value, problem]: pair (i, j) swaps where the
-    value at j is less, or at i alone is nan, giving argsort's stable order.
+    P[vertex, coordinates then value, problem]: pair (i, j) swaps where
+    le(P[i], P[j]), whether the value at i is at most that at j, fails and
+    the value at j is not nan, giving argsort's stable order.
     """
     for i, j in pairs:
-        swap = ~(P[i, -1] <= P[j, -1]) & (P[j, -1] == P[j, -1])
+        swap = ~le(P[i], P[j]) & (P[j, -1] == P[j, -1])
         if swap.any():
             P[i], P[j] = np.where(swap, P[j], P[i]), np.where(swap, P[i], P[j])
 
@@ -624,6 +752,7 @@ def minimize(
     maxiter: int,
     xatol: float,
     fatol: float,
+    bracket: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> NelderMeadResult:
     """Nelder-Mead over the unit cube on many problems in lockstep.
 
@@ -638,70 +767,175 @@ def minimize(
     result does not depend on the rest of the batch.  An iteration makes
     one call for every reflection, one for every expansion or contraction
     and, only when some problem shrinks, one for the shrunken vertices.
+
+    `bracket(rows, z)`, if given, returns estimates and radii with each
+    value of fun within its radius of its estimate; the calls above then
+    go to bracket, and a point stores the bracket's ends [lo, hi], rounded
+    outward for free: rounding is monotone and fun's value is a float, so
+    it lies in [fl(est - rad), fl(est + rad)], and is that float where the
+    two ends meet.  Every decision (the sort's comparisons, the reflect,
+    expand and contract tests, the choice of the trial point and the fatol
+    test, which brackets fl(f_i - f_0) by fl(lo_i - hi_0) and
+    fl(hi_i - lo_0)) is settled from the brackets where they do not
+    overlap.  Where one is still open, one call to fun makes its operands
+    exact, and two bitwise-equal points of one problem compare equal
+    without one.  So every decision, and every point, is the one the exact
+    values give; only the values stored at x may stay brackets.  A
+    problem that needed exact values has values tied within its brackets,
+    as a rule until it stops, so its later points go to fun directly.
     """
     x0 = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     m, n = x0.shape
-    P = np.empty((n + 1, n + 1, m))
+    # a point's column: its coordinates, then the ends hi and lo of the
+    # bracket of its value, or the value alone (hi == lo) without a bracket
+    hi, lo = n, n + (bracket is not None)
+    P = np.empty((n + 1, lo + 1, m))
     P[:, :n] = x0.T
     for k in range(n):
         P[k + 1, k] = np.where(x0[:, k] != 0, (1 + _NONZDELT) * x0[:, k], _ZDELT)
     # a step past the upper bound is reflected inside before clipping
     P[:, :n] = np.clip(np.where(P[:, :n] > 1.0, 2.0 - P[:, :n], P[:, :n]), 0.0, 1.0)
+    live = np.arange(m)
+    sure = np.zeros(m, dtype=bool)
+
+    def evaluate(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The rows hi (and lo) of the points z of problems rows."""
+        if bracket is None:
+            return fun(rows, z)[None]
+        out = np.empty((2, rows.size))
+        known = sure[rows]
+        if known.any():
+            out[:, known] = fun(rows[known], z[known])
+        if not known.all():
+            est, rad = bracket(rows[~known], z[~known])
+            out[0, ~known], out[1, ~known] = est + rad, est - rad
+        return out
+
+    def refine(*points: tuple[np.ndarray, np.ndarray]) -> None:
+        """Store, from one call to fun, the values of the points X[:, mask]
+        whose brackets are open."""
+        picks = [(X, np.flatnonzero(mask & (X[lo] < X[hi]))) for X, mask in points]
+        rows = np.concatenate([live[i] for _, i in picks])
+        sure[rows] = True
+        if rows.size:
+            values = fun(rows, np.concatenate([X[:n, i].T for X, i in picks]))
+            k = 0
+            for X, i in picks:
+                X[n:, i] = values[k : k + i.size]
+                k += i.size
+
+    def same(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return (X[..., :n, :].view(np.uint64) == Y[:n].view(np.uint64)).all(axis=-2)
+
+    def below(X: np.ndarray, Y: np.ndarray, strict: bool, where=True) -> np.ndarray:
+        """Per problem, whether the value of point X is less than that of
+        Y, or no greater unless strict; exact where `where` holds."""
+        yes = X[hi] < Y[lo] if strict else X[hi] <= Y[lo]
+        if hi == lo:
+            return yes
+        no = X[lo] >= Y[hi] if strict else X[lo] > Y[hi]
+        open_ = where & ~(yes | no)
+        if open_.any():
+            open_ &= (X[lo] < X[hi]) | (Y[lo] < Y[hi])
+            equal = open_ & same(X, Y)
+            refine((X, open_ & ~equal), (Y, open_ & ~equal))
+            yes = X[hi] < Y[lo] if strict else X[hi] <= Y[lo]
+            yes[equal] = not strict
+        return yes
+
+    def near(where: np.ndarray) -> np.ndarray:
+        """Per problem, whether |fl(f_i - f_0)| <= fatol at every vertex i;
+        exact where `where` holds."""
+        X, Y = P[1:], P[0]
+
+        def ends() -> tuple[np.ndarray, np.ndarray]:
+            return X[:, lo] - Y[hi], X[:, hi] - Y[lo]
+
+        least, most = ends()
+        yes = np.maximum(np.abs(least), np.abs(most)) <= fatol
+        no = (least > fatol) | (most < -fatol)
+        open_ = where & ~no.any(axis=0) & ~(yes | no)
+        if open_.any():
+            open_ &= (X[:, lo] < X[:, hi]) | (Y[lo] < Y[hi])
+            equal = open_ & same(X, Y)
+            redo = open_ & ~equal
+            refine(*((P[i + 1], redo[i]) for i in range(n)), (P[0], redo.any(axis=0)))
+            least, most = ends()
+            yes = (np.maximum(np.abs(least), np.abs(most)) <= fatol) | equal
+        return yes.all(axis=0)
+
+    def le(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return below(X, Y, strict=False)
+
     z = P[:, :n].transpose(0, 2, 1).reshape(-1, n)
-    P[:, n] = fun(np.tile(np.arange(m), n + 1), z).reshape(n + 1, m)
+    values = evaluate(np.tile(live, n + 1), z)
+    P[:, n:] = values.reshape(-1, n + 1, m).transpose(1, 0, 2)
     nfev = m * (n + 1)
     # an insertion-sort network: after a step without shrink only the new
     # last vertex can be out of order, and the last n pairs insert it
     pairs = [(i, i + 1) for j in range(n) for i in range(j, -1, -1)]
     # scipy sorts the initial simplex twice; the sort is stable, so once is the same
-    _sort_simplex(P, pairs)
-    tol = np.array([xatol] * n + [fatol])[:, None]
+    _sort_simplex(P, pairs, le)
+    # the value rows' test is the fatol test, or with brackets none (but
+    # for nan): ``near`` settles that
+    tol = np.array([xatol] * n + [fatol if hi == lo else np.inf] * (lo + 1 - n))[:, None]
 
-    x, fmin = np.empty((m, n)), np.empty(m)
+    x, fmin, fmax = np.empty((m, n)), np.empty(m), np.empty(m)
     converged = np.zeros(m, dtype=bool)
-    live = np.arange(m)
     iterations = 1
     while live.size:
         ok = np.logical_and.reduce(np.abs(P[1:] - P[0]) <= tol, axis=(0, 1))
+        if hi != lo:
+            ok &= near(ok & (iterations < maxiter))
         out = ok | (iterations >= maxiter)
         if out.any():
             gone, done = live[out], P.compress(out, axis=2)
             converged[gone] = ok[out] & (iterations < maxiter)
-            x[gone], fmin[gone] = done[0, :n].T, done[0, n]
+            x[gone], fmin[gone], fmax[gone] = done[0, :n].T, done[0, lo], done[0, hi]
             live, P = live[~out], P.compress(~out, axis=2)
             if not live.size:
                 break
-        f, worst = P[:, n], P[n, :n]
+        worst = P[n, :n]
         xbar = np.add.reduce(P[:n, :n], 0) / n
         # scipy's trial points are c * xbar + (1 - c) * worst: reflection
         # c = 2, expansion 3, outside contraction 1.5, inside 0.5
-        r, t = np.empty((2, n + 1, live.size))
+        r, t = np.empty((2, lo + 1, live.size))
         np.clip(2.0 * xbar - worst, 0.0, 1.0, out=r[:n])
-        r[n] = fun(live, r[:n].T)
-        expand = r[n] < f[0]
-        reflect = ~expand & (r[n] < f[n - 1])
-        outside = ~expand & ~reflect & (r[n] < f[n])
+        r[n:] = evaluate(live, r[:n].T)
+        expand = below(r, P[0], strict=True)
+        other = ~expand
+        reflect = other & below(r, P[n - 1], True, other)
+        contract = other & ~reflect
+        outside = contract & below(r, P[n], True, contract)
+        inside = contract ^ outside
         c = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))
         np.clip(c * xbar + (1.0 - c) * worst, 0.0, 1.0, out=t[:n])
-        t[n] = r[n]  # where no trial is made, so that t[n] is defined
+        t[n:] = r[n:]  # where no trial is made, so that t's values are defined
         trial = np.flatnonzero(~reflect)
-        t[n, trial] = fun(live[trial], t[:n].take(trial, axis=1).T)
+        t[n:, trial] = evaluate(live[trial], t[:n].take(trial, axis=1).T)
         nfev += live.size + trial.size
-        take_t = ~reflect & np.where(outside, t[n] <= r[n], t[n] < np.where(expand, r[n], f[n]))
-        shrink = np.flatnonzero(~reflect & ~expand & ~take_t)
+        # expansion is taken below the reflection, an outside contraction at
+        # or below it, an inside one below the worst vertex
+        take_t = (
+            (expand & below(t, r, True, expand))
+            | (outside & below(t, r, False, outside))
+            | (inside & below(t, P[n], True, inside))
+        )
+        shrink = np.flatnonzero(contract & ~take_t)
         if shrink.size:
             S = P.take(shrink, axis=2)
             S[1:, :n] = np.clip(S[0, :n] + _SIGMA * (S[1:, :n] - S[0, :n]), 0.0, 1.0)
             z = S[1:, :n].transpose(0, 2, 1).reshape(-1, n)
-            S[1:, n] = fun(np.tile(live[shrink], n), z).reshape(n, -1)
+            values = evaluate(np.tile(live[shrink], n), z)
+            S[1:, n:] = values.reshape(-1, n, shrink.size).transpose(1, 0, 2)
             nfev += z.shape[0]
         P[n] = np.where(take_t, t, r)
         if shrink.size:
             P[..., shrink] = S
-        _sort_simplex(P, pairs if shrink.size else pairs[-n:])
+        _sort_simplex(P, pairs if shrink.size else pairs[-n:], le)
         iterations += 1
 
-    return NelderMeadResult(x=x, fun=fmin, converged=converged, nfev=nfev)
+    return NelderMeadResult(x=x, fun=fmin, fun_hi=fmax, converged=converged, nfev=nfev)
 
 
 def _latin_starts(k: int, ndim: int) -> list[tuple[float, ...]]:
@@ -713,6 +947,26 @@ def _latin_starts(k: int, ndim: int) -> list[tuple[float, ...]]:
     return [(fractions[i], fractions[perm[i]]) for i in range(k)]
 
 
+def _least(
+    lo: np.ndarray, hi: np.ndarray, exact: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, np.argmin's index of exact values known by brackets, and that value.
+
+    Entry [g, j]'s value lies in [lo, hi] and is lo itself where the two
+    meet (or are both nan).  The index is the first of ties, or the first
+    nan.  Only contenders, whose lo reaches the least hi of their row and
+    whose bracket is open, are evaluated, by exact(mask): every other
+    entry lies above the value of the one that least hi brackets, which
+    is in hand, so it cannot win.
+    """
+    redo = (lo < hi) & (lo <= hi.min(axis=1, keepdims=True))
+    if redo.any():
+        lo = lo.copy()
+        lo[redo] = exact(redo)
+    j = np.argmin(lo, axis=1)
+    return j, lo[np.arange(lo.shape[0]), j]
+
+
 def _first_best(
     f: _Objective, groups: int, a: np.ndarray, d: np.ndarray, sign: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -722,11 +976,8 @@ def _first_best(
     row (1, n) that every group shares.  The index is np.argmin's of
     sign * values: the first of ties, or the first nan.  Column tiles of
     at most _TREE_PAIRS (point, group) pairs go through f.screen, and a
-    running first best carries across tiles, an earlier tile keeping ties.
-    Only contenders, whose sign * estimate - radius reaches the lesser of
-    their group's running best and the tile's least sign * estimate +
-    radius, are then evaluated exactly: every other estimate lies above an
-    exact value already in hand, so it cannot win.
+    running first best carries across tiles, an earlier tile keeping ties:
+    ``_least`` picks it from the running best and the tile's brackets.
     """
     group = np.arange(groups)
     best, val = np.zeros(groups, dtype=np.intp), np.full(groups, np.inf)
@@ -734,18 +985,17 @@ def _first_best(
     for i in range(0, a.shape[1], step):
         s = slice(i, i + step)
         est, rad = f.screen(a[:, s], d[:, s])
-        v = sign * np.broadcast_to(est, (groups, est.shape[1]))
-        redo = np.broadcast_to(rad > 0, v.shape)
-        if redo.any():
-            with np.errstate(over="ignore"):
-                least = np.minimum(val[:, None], (v + rad).min(axis=1, keepdims=True))
-                redo = redo & (v - rad <= least)
-            at = (np.broadcast_to(x, v.shape)[redo] for x in (group[:, None], a[:, s], d[:, s]))
-            v[redo] = sign * f.values(*at)
-        j = np.argmin(v, axis=1)
-        m = v[group, j]
-        new = (m < val) | (np.isnan(m) & ~np.isnan(val))
-        best[new], val[new] = j[new] + i, m[new]
+        v = sign * np.broadcast_to(est, (groups, est.shape[-1]))
+        with np.errstate(over="ignore"):
+            lo, hi = (np.concatenate((val[:, None], v + x * rad), axis=1) for x in (-1.0, 1.0))
+
+        def exact(redo: np.ndarray) -> np.ndarray:
+            at = (group[:, None], a[:, s], d[:, s])
+            return sign * f.values(*(np.broadcast_to(x, v.shape)[redo[:, 1:]] for x in at))
+
+        j, val = _least(lo, hi, exact)
+        new = j > 0
+        best[new] = j[new] - 1 + i
     return best, sign * val
 
 
@@ -770,8 +1020,11 @@ def _optimize_ad(
     the group's best point of a coarse screen.  ``_first_best`` screens
     the other candidates, one row per group or one shared row if all
     rectangles are equal; every group's searches run in one lockstep
-    `minimize`.  Returns, per group, the first best as (value, a, d), the
-    value f gave at that point.
+    `minimize`, which settles its decisions from f's estimates when f has
+    them and the batch holds at least _BRACKET_PROBLEMS searches.  The
+    first best of a group's candidates is then ``_least``'s, as in the
+    screen, so only contenders are evaluated exactly.  Returns, per group,
+    the first best as (value, a, d), the value f gave at that point.
     """
     sign = -1.0 if maximize else 1.0
     # per group, axis (a, d) and end (lo, hi)
@@ -826,7 +1079,10 @@ def _optimize_ad(
     # each Nelder-Mead run, in this order
     i, value = _first_best(f, groups, a, d, sign)
     a, d = (np.broadcast_to(x, (groups, x.shape[1]))[every_group, i] for x in (a, d))
-    candidates, values = [np.stack((a, d), axis=1)[:, None]], [value[:, None]]
+    # each group's candidates, and the ends of the brackets of sign * their
+    # values: the screen's first best is exact, both ends
+    first = sign * value[:, None]
+    candidates, lows, highs = [np.stack((a, d), axis=1)[:, None]], [first], [first]
 
     failed = np.zeros(groups, dtype=bool)
     if free and cfg.method in ("nelder_mead", "hybrid"):
@@ -850,6 +1106,16 @@ def _optimize_ad(
             g = rows // per_group
             return sign * f.values(g, *to_point(z, g))
 
+        # brackets pay where a call evaluates many points: for a few, an
+        # estimate costs nearly what an exact price does, and settling the
+        # brackets costs more than the estimates save
+        lazy = f.estimates is not None and groups * per_group >= _BRACKET_PROBLEMS
+
+        def bracket(rows: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            g = rows // per_group
+            est, rad = f.estimates(g, *to_point(z, g))
+            return sign * est, rad
+
         res = minimize(
             fun,
             x0.reshape(-1, len(free)),
@@ -857,15 +1123,22 @@ def _optimize_ad(
             cfg.max_iters + 1,
             _XATOL,
             cfg.tolerance,
+            bracket=bracket if lazy else None,
         )
         polished = to_point(res.x, np.repeat(every_group, per_group))
         candidates.append(np.stack(polished, axis=1).reshape(groups, per_group, 2))
-        values.append((sign * res.fun).reshape(groups, per_group))
+        lows.append(res.fun.reshape(groups, per_group))
+        highs.append(res.fun_hi.reshape(groups, per_group))
         failed = ~res.converged.reshape(groups, per_group).any(axis=1)
 
-    cand, vals = np.concatenate(candidates, axis=1), np.concatenate(values, axis=1)
-    best = np.argmin(sign * vals, axis=1)
-    best_val = vals[every_group, best]
+    cand = np.concatenate(candidates, axis=1)
+
+    def exact(redo: np.ndarray) -> np.ndarray:
+        return sign * f.values(np.nonzero(redo)[0], *cand[redo].T)
+
+    # only contenders and the winner are evaluated exactly
+    best, best_val = _least(np.concatenate(lows, axis=1), np.concatenate(highs, axis=1), exact)
+    best_val = sign * best_val
     bad = np.flatnonzero(failed | ~np.isfinite(best_val))
     if bad.size:
         g = bad[0]

@@ -1,5 +1,7 @@
 """Contract payouts: guarantee floor, discounting, surrender penalties."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,27 @@ def test_payoff_routes_refuse_payouts_past_the_float_range(spec, market_paper):
     for path in enumerate_paths(market_paper):
         with pytest.raises(NumericalError):
             discounted_payoffs(spec, market_paper, path)
+
+
+def test_guarantee_value_refuses_a_floor_past_the_float_range(market_paper):
+    """K = 1.7e308 at r_G = 0.01: K * 1.01**t overflows to inf from t = 6 on.
+
+    guarantee_value handed out that inf; it raises NumericalError there,
+    and keeps its value at every t where the floor is finite.
+    """
+    spec = BenefitSpec(K=1.7e308, r_G=0.01, l=0.1)
+    path = enumerate_paths(market_paper)[0]
+    refused = []
+    for t in range(market_paper.T + 1):
+        floor = spec.K * 1.01**t
+        if math.isinf(floor):
+            refused.append(t)
+            with pytest.raises(NumericalError, match="float range"):
+                guarantee_value(spec, market_paper, path, t)
+        else:
+            value = guarantee_value(spec, market_paper, path, t)
+            assert value.hex() == max(path.prices[t], floor).hex()
+    assert refused == [6, 7, 8]
 
 
 def test_payoff_table_of_a_zero_guarantee_ignores_its_growth_rate(market_paper):

@@ -11,11 +11,13 @@ delete its entry first.
 
 The runs cover what ``test_bench_reference.py`` does not: ``check`` on
 ``paper.cfg`` (the classical sup and inf) at premiums that give each verdict
-status, one of them the robust price as printed (a boundary case), sweeps
-along a (paper.cfg's 31 steps over 50..350, and 7 steps with Clayton(2)),
-where each step's screen points share one a, sweeps along d, b and K
-(shared rectangles, one kernel or one per step), and
-``price`` on a T=6 Clayton(2) config with the grid and the hybrid method, and
+status, one of them the robust price as printed (a boundary case), and
+``check`` under Clayton(2) at premium 100, Frank(-2) and Gumbel(1.8), sweeps
+along a (paper.cfg's 31 steps over 50..350, the same without surrender,
+7 steps with Clayton(2) and 7 at T=10), where each step's screen points
+share one a, sweeps along d, b and K (shared rectangles, one kernel or one
+per step), ``price`` on a T=6 Clayton(2) config with the grid and the
+hybrid method, ``price`` with Gumbel(1.8) under the hybrid method, and
 ``price`` on paper.cfg at T=10, ``simulate`` with Clayton(2) at T=14 and
 T=15, either side of the one-byte exit cell, and ``simulate`` at T=8 with
 each other family: paper.cfg's independence, Frank(-2) and Gumbel(1.8).  Each test runs one of them
@@ -54,9 +56,23 @@ def _horizon(T, copula=None):
     return doc
 
 
-def _premium(premium):
+def _premium(premium, copula=None):
     doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
     doc["premium"] = premium
+    if copula is not None:
+        doc["copula"] = copula
+    return doc
+
+
+def _no_surrender():
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    doc["benefit"]["surrender"] = False
+    return doc
+
+
+def _gumbel_hybrid():
+    doc = _horizon(8, GUMBEL_18)
+    doc["optimizer"]["method"] = "hybrid"
     return doc
 
 
@@ -65,6 +81,8 @@ def _sweep(axis, lo, hi, steps):
 
 
 CLAYTON_2 = {"family": "clayton", "param": 2.0}
+FRANK_M2 = {"family": "frank", "param": -2.0}
+GUMBEL_18 = {"family": "gumbel", "param": 1.8}
 _SIMULATE = ["simulate", "--n-max", "1000", "--trials", "8"]
 
 # name: (config document, or None for paper.cfg; command and its options)
@@ -74,9 +92,16 @@ RUNS = {
     "check_100": (_premium(100.0), ["check"]),
     # paper.cfg's robust price to 12 digits, within the comparison band
     "check_boundary": (_premium(95.6138435374), ["check"]),
+    # the classical inf under each other family
+    "check_clayton_100": (_premium(100.0, CLAYTON_2), ["check"]),
+    "check_frank": (_horizon(8, FRANK_M2), ["check"]),
+    "check_gumbel": (_horizon(8, GUMBEL_18), ["check"]),
     # the benchmark's a-sweep, and a Clayton one: each step pins a
     "sweep_a": (None, _sweep("a", "50", "350", "31")),
     "sweep_a_clayton": (_horizon(8, CLAYTON_2), _sweep("a", "50", "350", "7")),
+    # without surrender the price has no node estimate: exact values only
+    "sweep_a_no_surrender": (_no_surrender(), _sweep("a", "50", "350", "31")),
+    "sweep_a_t10": (_horizon(10), _sweep("a", "50", "350", "7")),
     "sweep_d": (None, _sweep("d", "1e4", "1e5", "7")),
     "sweep_b": (None, _sweep("b", "0.02", "0.03", "5")),
     "sweep_K": (None, _sweep("K", "90", "110", "5")),
@@ -84,13 +109,14 @@ RUNS = {
     "price_clayton_t6_hybrid": (_clayton_t6("hybrid"), ["price"]),
     # T=10: date sums of 8 or more terms take numpy's 8-accumulator order
     "price_t10": (_horizon(10), ["price"]),
+    "price_gumbel_hybrid": (_gumbel_hybrid(), ["price"]),
     # the largest horizon whose exit cells fit one byte, and the first past it
     "simulate_clayton_t14": (_horizon(14, CLAYTON_2), _SIMULATE),
     "simulate_clayton_t15": (_horizon(15, CLAYTON_2), _SIMULATE),
     # the other three families at paper.cfg's T=8
     "simulate": (None, _SIMULATE),
-    "simulate_frank": (_horizon(8, {"family": "frank", "param": -2.0}), _SIMULATE),
-    "simulate_gumbel": (_horizon(8, {"family": "gumbel", "param": 1.8}), _SIMULATE),
+    "simulate_frank": (_horizon(8, FRANK_M2), _SIMULATE),
+    "simulate_gumbel": (_horizon(8, GUMBEL_18), _SIMULATE),
 }
 
 

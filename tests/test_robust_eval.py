@@ -474,13 +474,16 @@ def test_a_sweep_is_the_same_in_any_tile_and_either_screen(spec, benefit_paper):
         assert sweep() == default
 
 
-@pytest.mark.parametrize("T", [1, 2, 3, 8, 9, 10])
+@pytest.mark.parametrize("T", [1, 2, 3, 8, 9, 10, 12])
 @pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
 def test_price_estimates_bound_the_exact_price(spec, T):
     """The node estimates lie within their radii of the correctly rounded price.
 
     The points span loads from none to ones that underflow the survival, so
-    some estimates are withdrawn (None) and the rest must hold their bound.
+    some estimates are withdrawn (None) and the rest must hold their bound,
+    one point per call and, as the a-sweep's screen calls them, 64 points
+    that share one a in one call.  T = 12 sums the one-dot estimate of
+    independence in several dot products.
     """
     market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
     prices, q = path_arrays(market)
@@ -497,6 +500,11 @@ def test_price_estimates_bound_the_exact_price(spec, T):
                 est, rad = out
                 assert abs(est[0] - exact[i]) <= rad[0]
                 assert rad[0] < 1e-12 * abs(exact[i])
+    a, d = np.full(64, 137.0), np.linspace(1e4, 1e5, 64)
+    exact = _fsum_rows(q * kernel.every_path(a, d))
+    est, rad = kernel.price_estimates(a, d)
+    assert (np.abs(est - exact) <= rad).all()
+    assert (rad < 1e-12 * np.abs(exact)).all()
     # on the paper's box the estimate always holds
     assert kernel.price_estimates(*np.array([[50.0, 340.0], [1e4, 1e5]])) is not None
     # payouts beyond 2**400 leave the bound's range: the screen takes exact prices
@@ -761,7 +769,12 @@ def test_fsum_rows_certifies_price_blocks():
 
 
 class _Rows:
-    """Kernel stand-in for the price objective: point a is row int(a) of g."""
+    """Kernel stand-in for the price objective: point a is row int(a) of g.
+
+    Its copula is not independence, so the screen blocks _TREE_PAIRS pairs.
+    """
+
+    spec = CopulaSpec("clayton", 2.0)
 
     def __init__(self, q, g):
         self.q, self.g = q, g
@@ -877,6 +890,136 @@ def test_screen_contenders_are_few(market_paper, benefit_paper, independence):
     [_, (screened, contenders)] = screens
     assert screened == 31 * 289
     assert contenders < 0.02 * screened
+
+
+def _without_brackets(kernel):
+    """The price objective with no estimates: minimize compares exact values."""
+    return _Objective(*_price_objective(kernel)[:2])
+
+
+@pytest.mark.parametrize("T", [6, 8])
+@pytest.mark.parametrize("method", ["nelder_mead", "hybrid"])
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_searches_are_the_same_with_and_without_estimates(spec, method, T, benefit_paper):
+    """The classical band, and evaluate, keep their bits without estimates.
+
+    With the estimates on, the sweep's simplex settles its decisions from
+    brackets and sums prices exactly only where one stays open, and so
+    does every single search with _BRACKET_PROBLEMS at 1; with
+    price_estimates returning None every bracket is an exact price, and
+    without brackets minimize compares exact values alone.
+    """
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    boxes = [dataclasses.replace(box, a=(a, a)) for a in np.linspace(50.0, 350.0, 7)]
+    cfg = OptimizerConfig(method=method, grid_points_per_dim=16)
+
+    def run():
+        band = sup_classical_batch(boxes, [benefit_paper] * 7, spec, market, cfg)
+        low = inf_classical(box, spec, benefit_paper, market, cfg)
+        report = evaluate(box, spec, benefit_paper, market, cfg)
+        values = [v for v, _ in band] + [low[0], report.sup_classical, report.robust_price]
+        thetas = [t for _, t in band] + [low[1], report.argmax_outer]
+        return _hexes(values), [float.hex(x) for t in thetas for x in (t.a, t.d)]
+
+    default = run()
+    with mock.patch.object(robust_eval, "_BRACKET_PROBLEMS", 1):
+        assert run() == default
+    with mock.patch.object(_Kernel, "price_estimates", return_value=None):
+        assert run() == default
+    with mock.patch.object(robust_eval, "_price_objective", _without_brackets):
+        assert run() == default
+
+
+@pytest.mark.parametrize("xatol, fatol", [(1e-8, 1e-8), (1e-2, 1e-3)])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_minimize_with_brackets_takes_the_exact_steps(ndim, xatol, fatol):
+    """Brackets of any width give the exact run's points, bit for bit.
+
+    Quadratics with interior minima, and tilted ones whose minimum is the
+    corner 0, bracketed with radii from 0 to 1e5 fatol and estimates off
+    by up to 0.9 radius.  Near convergence values differ by about fatol, so
+    comparisons and, at the coarse tolerances, fatol tests open and are
+    settled by exact values; narrow brackets need few of them.
+    """
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(-0.2, 1.2, (28, ndim))
+    scales = rng.uniform(0.5, 50.0, 28)
+    slopes = np.where(np.arange(28) < 14, 0.0, rng.uniform(10.0, 1000.0, 28))
+    radii = fatol * np.array([0.0, 1e-4, 1e-2, 0.3, 1.0, 100.0, 1e5])[np.arange(28) % 7]
+    calls = []
+
+    def g(rows, z):
+        return scales[rows] * ((z - centers[rows]) ** 2).sum(axis=1) + slopes[rows] * z.sum(axis=1)
+
+    def fun(rows, z):
+        calls.append(rows.size)
+        return g(rows, z)
+
+    def bracket(rows, z):
+        r = radii[rows]
+        return g(rows, z) + 0.9 * r * np.sin(1e3 * z.sum(axis=1)), r
+
+    x0 = rng.uniform(0.0, 1.0, (28, ndim))
+    exact = minimize(fun, x0, 500, xatol, fatol)
+    calls.clear()
+    lazy = minimize(fun, x0, 500, xatol, fatol, bracket)
+    assert lazy.x.tolist() == exact.x.tolist()
+    assert (lazy.converged.tolist(), lazy.nfev) == (exact.converged.tolist(), exact.nfev)
+    assert ((lazy.fun <= exact.fun) & (exact.fun <= lazy.fun_hi)).all()
+    assert 0 < sum(calls) < lazy.nfev
+
+
+def test_bitwise_equal_points_compare_equal_without_an_exact_value():
+    """Equal points of one problem need no exact value to compare.
+
+    f(z) = z from the start 0: the reflection and the outside contraction
+    both clip to 0, vertex 0 itself, so the new vertex 1 equals vertex 0.
+    Brackets of radius 1e-6 separate every two distinct points, so only
+    equal points overlap: the run makes no call to fun, and ends where the
+    run on exact values does, its value bracketed.
+    """
+    calls = []
+
+    def fun(rows, z):
+        calls.append(rows.size)
+        return z[:, 0].copy()
+
+    def bracket(rows, z):
+        return z[:, 0] + 4e-7, np.full(rows.size, 1e-6)
+
+    x0 = np.zeros((1, 1))
+    exact = minimize(fun, x0, 500, 1e-8, 1e-8)
+    calls.clear()
+    lazy = minimize(fun, x0, 500, 1e-8, 1e-8, bracket)
+    assert calls == []
+    assert lazy.x.tolist() == exact.x.tolist() == [[0.0]]
+    assert (lazy.converged.tolist(), lazy.nfev) == (exact.converged.tolist(), exact.nfev)
+    assert lazy.fun[0] <= exact.fun[0] <= lazy.fun_hi[0]
+    assert lazy.fun[0] < lazy.fun_hi[0]
+
+
+def test_a_sweep_sums_few_prices_exactly(market_paper, benefit_paper, independence):
+    """The paper's 31-step a-sweep sums at most 400 points' prices exactly.
+
+    Each exact price walks every path (``_Kernel.every_path``); estimates
+    settle the screens' rankings and the simplex's decisions, so only
+    contenders, winners and open comparisons are summed.  Summing every
+    Nelder-Mead point took 2,021.
+    """
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    boxes = [dataclasses.replace(box, a=(a, a)) for a in np.linspace(50.0, 350.0, 31)]
+    summed, real = [], _Kernel.every_path
+
+    def counted(self, a, d):
+        summed.append(a.shape[0])
+        return real(self, a, d)
+
+    with mock.patch.object(_Kernel, "every_path", counted):
+        sup_classical_batch(
+            boxes, [benefit_paper] * 31, independence, market_paper, OptimizerConfig()
+        )
+    assert 0 < sum(summed) <= 400
 
 
 def test_searches_free_their_kernels_without_the_cycle_collector(
@@ -1198,9 +1341,9 @@ def test_max_iters_allows_that_many_iterations(
     calls = []
     real = robust_eval.minimize
 
-    def spy(fun, x0, maxiter, xatol, fatol):
+    def spy(fun, x0, maxiter, xatol, fatol, bracket=None):
         calls.append((fun, x0, xatol, fatol))
-        return real(fun, x0, maxiter, xatol, fatol)
+        return real(fun, x0, maxiter, xatol, fatol, bracket)
 
     monkeypatch.setattr(robust_eval, "minimize", spy)
     sup_classical(box, independence, benefit_paper, market_small, OptimizerConfig())
