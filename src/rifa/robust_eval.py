@@ -137,12 +137,9 @@ _BLOCK_PAIRS = 1 << 10
 # the temporaries outgrow the L2 cache; memory stays flat in T
 _TREE_PAIRS = 1 << 14
 # (point, node) pairs per block of the one-dot estimate, whose one large
-# array, the survival levels, lives in a buffer that its kernel keeps
-# (512 kB): a fresh array of that size per block would cost its page faults
+# array is the survival levels (512 kB): its call's fixed cost, the product
+# with the weight rows, spreads over four times _TREE_PAIRS' points
 _LEVEL_PAIRS = 1 << 16
-# the least number of Nelder-Mead problems in one lockstep batch for which
-# the search settles decisions from estimates (_optimize_ad)
-_BRACKET_PROBLEMS = 32
 # the one-dot estimate sums its 2**T node terms in dot products of at most
 # this many, then adds those: a bound of g_(1024 + 2**T/1024) rather than
 # g_(2**T) keeps its radius within 1e-12 of the price past T = 10
@@ -252,9 +249,7 @@ class _Kernel:
     builds its arrays on first use and keeps only those.
     """
 
-    __slots__ = (
-        "T", "spec", "surr_on", "f1", "q", "tt", "source", "rows", "tree", "weights", "levels"
-    )
+    __slots__ = ("T", "spec", "surr_on", "f1", "q", "tt", "source", "rows", "tree", "weights")
 
     def __init__(
         self,
@@ -277,7 +272,7 @@ class _Kernel:
         self.f1 = np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
         self.tt = np.arange(T + 1, dtype=float)[:, None]
         self.source = (prices, benefit, market)
-        self.rows = self.tree = self.weights = self.levels = None
+        self.rows = self.tree = self.weights = None
 
     def _row_arrays(self) -> tuple[np.ndarray, ...]:
         """Payouts and price prefix sums, one column per path.
@@ -333,23 +328,22 @@ class _Kernel:
 
     @staticmethod
     def _levels(
-        nodes: tuple, a: np.ndarray, d: np.ndarray, out: np.ndarray | None = None
+        nodes: tuple, a: np.ndarray, d: np.ndarray, runs: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """The surrender load on every node, and the survival exp(-load/d).
 
         nodes begins (date, cum1, cum2), as in ``_nodes``, with node 0 at
         date 0, and points lie along the last axis.  The load depends on a
         alone, so a block whose points all share a forms it once, a column.
-        Given out, a buffer of the tree's nodes by the points for the
-        survival, it is formed once per run of points that share a (each
-        step of an a-sweep pins a, and a search lists a group's points
-        together), a column per run.
+        With runs it is formed once per run of points that share a (the
+        screens list a group's points together, and each step of an a-sweep
+        pins a), a column per run, gathered onto the points.
         """
         node_t, node_cum1, node_cum2 = nodes[:3]
         run = None
         if a.shape[0] > 1 and a[0] == a[-1] and (a == a[0]).all():
             a = a[:1]
-        elif out is not None and a.shape[0] > 1:
+        elif runs and a.shape[0] > 1:
             change = a[1:] != a[:-1]
             if not change.all():
                 run = np.append(0, np.cumsum(change))
@@ -361,8 +355,8 @@ class _Kernel:
             load = node_t * np.float_power(a, 2.0) - 2.0 * a * node_cum1 + node_cum2
             load[0] = 0.0
             load[np.isnan(load)] = np.inf
-            spread = load if run is None else np.take(load, run, axis=1, out=out, mode="clip")
-            rate = np.divide(spread, -d, out=out)
+            spread = load if run is None else load.take(run, axis=1)
+            rate = np.divide(spread, -d, out=None if run is None else spread)
         return load, np.exp(rate, out=rate)
 
     def _nodes(self, nodes: tuple, split: int, a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -510,12 +504,12 @@ class _Kernel:
         g_k * (|c| @ f2).  The computed rho and rho @ f2 lose at most g_3
         and g_k, and kappa1 = ``_sum_margin(T + 12)`` and kappa2 =
         ``_sum_margin(k)`` cover both shortfalls for any 2**T < 2**40.
-        The levels go to a buffer the kernel keeps.  The slices are not
-        formed: where no inner node's load lies below its parent's, every
-        inner load is at least node 0's, 0, so every level is at most 1 and
-        at most its parent's up to exp's error of an ulp or two, far above
-        -SLICE_TOL.  Elsewhere they are, by ``_nodes``' subtraction, and
-        one below -SLICE_TOL is refused as on the exact route.
+        The slices are not formed: where no inner node's load lies below
+        its parent's, every inner load is at least node 0's, 0, so every
+        level is at most 1 and at most its parent's up to exp's error of an
+        ulp or two, far above -SLICE_TOL.  Elsewhere they are, by
+        ``_nodes``' subtraction, and one below -SLICE_TOL is refused as on
+        the exact route.
 
         Underflowed products, each off by at most 2**-1075 and only ever
         scaled by a q <= 1, fall far inside the radii's slack for a
@@ -536,11 +530,7 @@ class _Kernel:
         half = (1 << self.T) >> 1
         with np.errstate(over="ignore", invalid="ignore"):
             if self.spec.is_independence:
-                need = d.shape[0] << self.T
-                if self.levels is None or self.levels.size < need:
-                    self.levels = np.empty(need)
-                buffer = self.levels[:need].reshape(-1, d.shape[0])
-                load, f2 = self._levels(self.tree, a, d, buffer)
+                load, f2 = self._levels(self.tree, a, d, runs=True)
                 up = self.tree[5]
                 if not (load[1:half] >= load[up]).all():
                     _refuse_negative(np.subtract(f2[up], f2[1:half]))
@@ -591,9 +581,10 @@ class _Objective(NamedTuple):
     values(rows, a, d) gives problem rows[i]'s objective at (a[i], d[i]);
     screen(a, d) -> (estimates, radii) bounds the values of
     ``_first_best``'s candidates, and estimates(rows, a, d) -> (estimates,
-    radii) those of paired points, for ``minimize``.  Each value lies
+    radii) those of paired points, for ``_minimize``.  Each value lies
     within its radius of its estimate.  estimates is None where every
-    radius would be 0: the search then takes values.
+    radius would be 0 or an estimate costs about what a value does: the
+    search then takes values.
     """
 
     values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -639,10 +630,11 @@ def _price_objective(kernel: _Kernel) -> _Objective:
     Values are what ``math.fsum`` gives of the q-weighted G over the
     kernel's paths, by ``_fsum_rows`` on the prefix tree in blocks of at
     most _TREE_PAIRS (point, path) pairs: memory stays flat.  The screen
-    and the estimates give the certified estimates of
-    ``_Kernel.price_estimates``, else values, radius 0, in blocks of as
-    many pairs or, for the one-dot estimate of independence, of
-    _LEVEL_PAIRS.
+    gives the certified estimates of ``_Kernel.price_estimates``, else
+    values, radius 0, in blocks of as many pairs or, for the one-dot
+    estimate of independence, of _LEVEL_PAIRS.  Only that estimate goes
+    to ``_minimize``: at a search's few points per call the node form of
+    the other families costs about what a value does.
     """
     q = kernel.q
     step = max(1, _TREE_PAIRS // q.shape[0])
@@ -671,7 +663,7 @@ def _price_objective(kernel: _Kernel) -> _Objective:
     def estimates(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         return screen(a, d)
 
-    return _Objective(values, screen, estimates)
+    return _Objective(values, screen, estimates if kernel.spec.is_independence else None)
 
 
 def _by_group(objectives: Sequence[_Objective], which: np.ndarray) -> _Objective:
@@ -708,18 +700,13 @@ class NelderMeadResult:
     """Outcome of one lockstep Nelder-Mead batch.
 
     x:         best vertex of each problem, shape (problems, N)
-    fun:       objective at x, the value stored there (scipy's is nan if any
-               vertex is); with a bracket, the lower end of the bracket
-               stored there, the value itself where fun == fun_hi
-    fun_hi:    the upper end of that bracket, fun itself without a bracket
+    fun:       objective at x, the value stored there (scipy's is nan if any vertex is)
     converged: per problem, whether the tolerances were met in time
-    nfev:      points evaluated over the whole batch, as scipy counts them;
-               the exact values that settle a bracket are not counted
+    nfev:      objective evaluations over the whole batch
     """
 
     x: np.ndarray
     fun: np.ndarray
-    fun_hi: np.ndarray
     converged: np.ndarray
     nfev: int
 
@@ -752,7 +739,6 @@ def minimize(
     maxiter: int,
     xatol: float,
     fatol: float,
-    bracket: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> NelderMeadResult:
     """Nelder-Mead over the unit cube on many problems in lockstep.
 
@@ -767,10 +753,23 @@ def minimize(
     result does not depend on the rest of the batch.  An iteration makes
     one call for every reflection, one for every expansion or contraction
     and, only when some problem shrinks, one for the shrunken vertices.
+    """
+    return _minimize(fun, x0, maxiter, xatol, fatol)[0]
 
-    `bracket(rows, z)`, if given, returns estimates and radii with each
-    value of fun within its radius of its estimate; the calls above then
-    go to bracket, and a point stores the bracket's ends [lo, hi], rounded
+
+def _minimize(
+    fun: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    maxiter: int,
+    xatol: float,
+    fatol: float,
+    bracket: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+) -> tuple[NelderMeadResult, np.ndarray]:
+    """``minimize``, whose decisions settle on brackets of the values if given.
+
+    `bracket(rows, z)` returns estimates and radii with each value of fun
+    within its radius of its estimate; ``minimize``'s calls then go to
+    bracket, and a point stores the bracket's ends [lo, hi], rounded
     outward for free: rounding is monotone and fun's value is a float, so
     it lies in [fl(est - rad), fl(est + rad)], and is that float where the
     two ends meet.  Every decision (the sort's comparisons, the reflect,
@@ -783,6 +782,11 @@ def minimize(
     values give; only the values stored at x may stay brackets.  A
     problem that needed exact values has values tied within its brackets,
     as a rule until it stops, so its later points go to fun directly.
+
+    Returns ``minimize``'s result and the upper ends of the brackets stored
+    at x.  The result's fun holds their lower ends, the values themselves
+    where the two ends meet (always, without a bracket), and its nfev
+    counts the points visited, not the exact values that settle brackets.
     """
     x0 = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     m, n = x0.shape
@@ -935,7 +939,7 @@ def minimize(
         _sort_simplex(P, pairs if shrink.size else pairs[-n:], le)
         iterations += 1
 
-    return NelderMeadResult(x=x, fun=fmin, fun_hi=fmax, converged=converged, nfev=nfev)
+    return NelderMeadResult(x=x, fun=fmin, converged=converged, nfev=nfev), fmax
 
 
 def _latin_starts(k: int, ndim: int) -> list[tuple[float, ...]]:
@@ -959,8 +963,9 @@ def _least(
     entry lies above the value of the one that least hi brackets, which
     is in hand, so it cannot win.
     """
-    redo = (lo < hi) & (lo <= hi.min(axis=1, keepdims=True))
+    redo = lo < hi
     if redo.any():
+        redo &= lo <= hi.min(axis=1, keepdims=True)
         lo = lo.copy()
         lo[redo] = exact(redo)
     j = np.argmin(lo, axis=1)
@@ -986,8 +991,11 @@ def _first_best(
         s = slice(i, i + step)
         est, rad = f.screen(a[:, s], d[:, s])
         v = sign * np.broadcast_to(est, (groups, est.shape[-1]))
-        with np.errstate(over="ignore"):
-            lo, hi = (np.concatenate((val[:, None], v + x * rad), axis=1) for x in (-1.0, 1.0))
+        # values of radius 0, as the per-path G's are, are their own brackets
+        lo = hi = np.concatenate((val[:, None], v), axis=1)
+        if rad.any():
+            with np.errstate(over="ignore"):
+                lo, hi = (np.concatenate((val[:, None], v + x * rad), axis=1) for x in (-1.0, 1.0))
 
         def exact(redo: np.ndarray) -> np.ndarray:
             at = (group[:, None], a[:, s], d[:, s])
@@ -1020,11 +1028,11 @@ def _optimize_ad(
     the group's best point of a coarse screen.  ``_first_best`` screens
     the other candidates, one row per group or one shared row if all
     rectangles are equal; every group's searches run in one lockstep
-    `minimize`, which settles its decisions from f's estimates when f has
-    them and the batch holds at least _BRACKET_PROBLEMS searches.  The
-    first best of a group's candidates is then ``_least``'s, as in the
-    screen, so only contenders are evaluated exactly.  Returns, per group,
-    the first best as (value, a, d), the value f gave at that point.
+    ``_minimize``, which settles its decisions from f's estimates when f
+    has them and a is pinned.  The first best of a group's candidates is
+    then ``_least``'s, as in the screen, so only contenders are evaluated
+    exactly.  Returns, per group, the first best as (value, a, d), the
+    value f gave at that point.
     """
     sign = -1.0 if maximize else 1.0
     # per group, axis (a, d) and end (lo, hi)
@@ -1106,17 +1114,18 @@ def _optimize_ad(
             g = rows // per_group
             return sign * f.values(g, *to_point(z, g))
 
-        # brackets pay where a call evaluates many points: for a few, an
-        # estimate costs nearly what an exact price does, and settling the
-        # brackets costs more than the estimates save
-        lazy = f.estimates is not None and groups * per_group >= _BRACKET_PROBLEMS
+        # brackets pay where a is pinned, as on each step of an a-sweep:
+        # there a group's estimates form its load once.  With a free, the
+        # price's flat ridge in a leaves brackets open near convergence,
+        # and settling them cost single searches more than they saved
+        lazy = f.estimates is not None and free == [1]
 
         def bracket(rows: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             g = rows // per_group
             est, rad = f.estimates(g, *to_point(z, g))
             return sign * est, rad
 
-        res = minimize(
+        res, res_hi = _minimize(
             fun,
             x0.reshape(-1, len(free)),
             # scipy counts the initial simplex as iteration 1
@@ -1128,7 +1137,7 @@ def _optimize_ad(
         polished = to_point(res.x, np.repeat(every_group, per_group))
         candidates.append(np.stack(polished, axis=1).reshape(groups, per_group, 2))
         lows.append(res.fun.reshape(groups, per_group))
-        highs.append(res.fun_hi.reshape(groups, per_group))
+        highs.append(res_hi.reshape(groups, per_group))
         failed = ~res.converged.reshape(groups, per_group).any(axis=1)
 
     cand = np.concatenate(candidates, axis=1)

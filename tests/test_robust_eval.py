@@ -32,6 +32,7 @@ from rifa.robust_eval import (
     _by_group,
     _first_best,
     _fsum_rows,
+    _minimize,
     _optimize_ad,
     _path_objective,
     _price_objective,
@@ -903,9 +904,10 @@ def _without_brackets(kernel):
 def test_searches_are_the_same_with_and_without_estimates(spec, method, T, benefit_paper):
     """The classical band, and evaluate, keep their bits without estimates.
 
-    With the estimates on, the sweep's simplex settles its decisions from
-    brackets and sums prices exactly only where one stays open, and so
-    does every single search with _BRACKET_PROBLEMS at 1; with
+    With the estimates on, under independence the simplex of a search
+    with a pinned (the sweep's, and one inf_classical) settles its
+    decisions from brackets and sums prices exactly only where one stays
+    open, and every screen ranks by estimates; with
     price_estimates returning None every bracket is an exact price, and
     without brackets minimize compares exact values alone.
     """
@@ -916,15 +918,13 @@ def test_searches_are_the_same_with_and_without_estimates(spec, method, T, benef
 
     def run():
         band = sup_classical_batch(boxes, [benefit_paper] * 7, spec, market, cfg)
-        low = inf_classical(box, spec, benefit_paper, market, cfg)
+        low = [inf_classical(b, spec, benefit_paper, market, cfg) for b in (box, boxes[3])]
         report = evaluate(box, spec, benefit_paper, market, cfg)
-        values = [v for v, _ in band] + [low[0], report.sup_classical, report.robust_price]
-        thetas = [t for _, t in band] + [low[1], report.argmax_outer]
+        values = [v for v, _ in band + low] + [report.sup_classical, report.robust_price]
+        thetas = [t for _, t in band + low] + [report.argmax_outer]
         return _hexes(values), [float.hex(x) for t in thetas for x in (t.a, t.d)]
 
     default = run()
-    with mock.patch.object(robust_eval, "_BRACKET_PROBLEMS", 1):
-        assert run() == default
     with mock.patch.object(_Kernel, "price_estimates", return_value=None):
         assert run() == default
     with mock.patch.object(robust_eval, "_price_objective", _without_brackets):
@@ -963,10 +963,10 @@ def test_minimize_with_brackets_takes_the_exact_steps(ndim, xatol, fatol):
     x0 = rng.uniform(0.0, 1.0, (28, ndim))
     exact = minimize(fun, x0, 500, xatol, fatol)
     calls.clear()
-    lazy = minimize(fun, x0, 500, xatol, fatol, bracket)
+    lazy, lazy_hi = _minimize(fun, x0, 500, xatol, fatol, bracket)
     assert lazy.x.tolist() == exact.x.tolist()
     assert (lazy.converged.tolist(), lazy.nfev) == (exact.converged.tolist(), exact.nfev)
-    assert ((lazy.fun <= exact.fun) & (exact.fun <= lazy.fun_hi)).all()
+    assert ((lazy.fun <= exact.fun) & (exact.fun <= lazy_hi)).all()
     assert 0 < sum(calls) < lazy.nfev
 
 
@@ -991,12 +991,12 @@ def test_bitwise_equal_points_compare_equal_without_an_exact_value():
     x0 = np.zeros((1, 1))
     exact = minimize(fun, x0, 500, 1e-8, 1e-8)
     calls.clear()
-    lazy = minimize(fun, x0, 500, 1e-8, 1e-8, bracket)
+    lazy, lazy_hi = _minimize(fun, x0, 500, 1e-8, 1e-8, bracket)
     assert calls == []
     assert lazy.x.tolist() == exact.x.tolist() == [[0.0]]
     assert (lazy.converged.tolist(), lazy.nfev) == (exact.converged.tolist(), exact.nfev)
-    assert lazy.fun[0] <= exact.fun[0] <= lazy.fun_hi[0]
-    assert lazy.fun[0] < lazy.fun_hi[0]
+    assert lazy.fun[0] <= exact.fun[0] <= lazy_hi[0]
+    assert lazy.fun[0] < lazy_hi[0]
 
 
 def test_a_sweep_sums_few_prices_exactly(market_paper, benefit_paper, independence):
@@ -1339,13 +1339,13 @@ def test_max_iters_allows_that_many_iterations(
     """
     box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
     calls = []
-    real = robust_eval.minimize
+    real = robust_eval._minimize
 
     def spy(fun, x0, maxiter, xatol, fatol, bracket=None):
         calls.append((fun, x0, xatol, fatol))
         return real(fun, x0, maxiter, xatol, fatol, bracket)
 
-    monkeypatch.setattr(robust_eval, "minimize", spy)
+    monkeypatch.setattr(robust_eval, "_minimize", spy)
     sup_classical(box, independence, benefit_paper, market_small, OptimizerConfig())
     [(fun, x0, xatol, fatol)] = calls
     runs = [
