@@ -129,7 +129,8 @@ class EvaluationReport:
 
 
 # (point, path) pairs per block of the paired route: each (T+1, pairs)
-# temporary takes 8*(T+1) kB
+# temporary takes 8*(T+1) kB, and a block gathers three of them, its chains'
+# sums and payouts, from the tree's node columns
 _BLOCK_PAIRS = 1 << 10
 # (point, path) pairs per block of the prefix-tree route, and (point, group)
 # pairs per tile of _first_best: each temporary takes 128 kB, 64 points at
@@ -233,23 +234,22 @@ def _refuse_negative(slices: np.ndarray) -> None:
 class _Kernel:
     """Conditional values G(path, theta) over the paths of one price array.
 
-    Built once per price array (one row per path, as from ``path_arrays``)
-    and death-parameter pair (b, c): the death leg is computed here, once.
-    The price prefix sums make the surrender hazard an O(1) quadratic in a
+    Built once per price array, of one path or all 2**T in ``path_arrays``
+    order, and death-parameter pair (b, c): the death leg is computed here,
+    once.  The lattice is kept in one layout, ``_tree_arrays``' node columns,
+    whose price prefix sums make the surrender hazard an O(1) quadratic in a
     per date, so a value costs O(T) exponentials.
 
     One node routine, ``_nodes``, forms the load and exponentials (by
     ``_levels``), copula masses, slice check and clip for two routes, which
     so give the same values bit for bit: ``values`` at paired (path, a, d)
-    points, each pair a chain of its dates, and ``every_path``, every path
-    at each (a, d) point, on the lattice's prefix tree, which needs the
-    price array to hold all 2**T paths in path-index order.  On the same
-    tree, ``price_estimates`` bounds the q-weighted price from the node
-    values or, under independence, from ``_levels`` alone.  Each route
-    builds its arrays on first use and keeps only those.
+    points, each pair its path's chain of nodes, and ``every_path``, every
+    path at each (a, d) point on the whole tree, which needs all 2**T paths.
+    On the same tree, ``price_estimates`` bounds the q-weighted price from
+    the node values or, under independence, from ``_levels`` alone.
     """
 
-    __slots__ = ("T", "spec", "surr_on", "f1", "q", "tt", "source", "rows", "tree", "weights")
+    __slots__ = ("T", "spec", "surr_on", "f1", "q", "tt", "tree", "weights")
 
     def __init__(
         self,
@@ -262,6 +262,8 @@ class _Kernel:
         market: MarketParams,
     ):
         T = self.T = market.T
+        if prices.shape[0] not in (1, 1 << T):
+            raise ContractError(f"a kernel takes 1 or {1 << T} paths, got {prices.shape[0]}")
         self.spec = spec
         self.surr_on = benefit.surrender
         self.q = q
@@ -271,59 +273,56 @@ class _Kernel:
             loads = b * np.exp(c * np.arange(T, dtype=float))
         self.f1 = np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
         self.tt = np.arange(T + 1, dtype=float)[:, None]
-        self.source = (prices, benefit, market)
-        self.rows = self.tree = self.weights = None
+        self.tree = self._tree_arrays(prices, benefit, market)
+        self.weights = None
 
-    def _row_arrays(self) -> tuple[np.ndarray, ...]:
-        """Payouts and price prefix sums, one column per path.
+    def _tree_arrays(
+        self, prices: np.ndarray, benefit: BenefitSpec, market: MarketParams
+    ) -> tuple:
+        """The lattice as prefix-tree node columns, C-contiguous, one node per row.
 
-        Returns (v_surv, v_pay, cum1, cum2): the survival payout of each
-        path, the surrender payouts at interior dates 1..T-1 (under
-        independence times death survival, the only way they enter), and
-        the prefix sums of prices and squared prices over dates 0..T, one
-        row per date.
+        Node 0 is date 0, and date t >= 1 fills w_t = min(2**(t-1), R) nodes
+        from s_t = 1 + w_1 + .. + w_(t-1), R the price rows: path p's date-t
+        node is s_t + p mod w_t, 2**(t-1) + p mod 2**(t-1) for all 2**T paths
+        (as in ``_by_date``) and t for one.  Bit k of a path row is step k+1,
+        so the node takes row p's sums of prices and squared prices over dates
+        0..t-1 and payout of date t-1.  Its parent is s_(t-1) + p mod w_(t-1).
+
+        Returns ``_nodes``' columns (date, cum1, cum2, f1, next_f1, up), the
+        parents of nodes 2.. as slice rows, those nodes' payouts (under
+        independence times death survival, the only way they enter), each
+        path's survival payout, and ``values``' gather source: the stack
+        (cum1, cum2, payout) with each date's s_t and w_t - 1.
         """
-        prices, benefit, market = self.source
         T, f1 = self.T, self.f1
-        v_surv, v_pay = payoff_table(benefit, market, prices)
-        v_pay = np.ascontiguousarray(v_pay[:, 1:T].T)
+        width = np.array([1] + [min(1 << (t - 1), prices.shape[0]) for t in range(1, T + 1)])
+        start, mask = np.cumsum(width) - width, width - 1
+        date = np.repeat(np.arange(T + 1), width)
+        # nodes 1.. take row p's sums and payout of the date before their own
+        prev, p = date[1:] - 1, np.arange(1, date.shape[0]) - start[date[1:]]
+        v_surv, surrender = payoff_table(benefit, market, prices)
+        head = prices[: width[T], :T]
+        stack = np.zeros((3, date.shape[0]))
+        stack[:2, 1:] = np.cumsum((head, head**2), axis=2)[:, p, prev]
+        stack[2, 1:] = surrender[p, prev]
         if self.spec.is_independence:
-            v_pay = v_pay * f1[1:T, None]
-        prices = prices[:, :-1].T
-        zero = np.zeros((1, prices.shape[1]))
-        cum1 = np.concatenate((zero, np.cumsum(prices, axis=0)))
-        cum2 = np.concatenate((zero, np.cumsum(prices**2, axis=0)))
-        return v_surv, v_pay, cum1, cum2
-
-    def _tree_arrays(self) -> tuple:
-        """The arrays of ``every_path``, one node per row of the column vectors.
-
-        The prefix tree is laid out as in ``_by_date``.  Bit k of a path
-        column is step k+1, so row t of cum1 and cum2, and row t-1 of the
-        payouts, depend only on the path mod 2**(t-1) and mod 2**t: node
-        2**(t-1) + p takes path p's values of date t, and the payout of
-        date t-1.  Its parent is 2**(t-2) + p mod 2**(t-2), or node 0.
-        """
-        T, f1 = self.T, self.f1
-        v_surv, v_pay, cum1, cum2 = self.rows or self._row_arrays()
-        if v_surv.shape[0] != 1 << T:
-            raise ValueError("every_path needs the price array of all 2**T paths")
-        date = np.repeat(np.arange(T + 1), [1] + [1 << (t - 1) for t in range(1, T + 1)])
-        row = np.arange(1 << T) - ((1 << date) >> 1)
-        half = (1 << date) >> 2
-        parent = half + row % np.maximum(half, 1)
+            stack[2, 1:] *= f1[prev]
+        # the parents of nodes 1..: those of dates 1..T-1, then of later nodes
+        parent = start[prev] + (p & mask[prev])
         return (
             date.astype(float)[:, None],
-            cum1[date, row][:, None],
-            cum2[date, row][:, None],
+            stack[0, :, None],
+            stack[1, :, None],
             f1[date[1:]][:, None],
             # f1 of the next date on the nodes of dates 0..T-2
-            f1[date[: (1 << T) >> 2] + 1][:, None],
-            # the parents of dates 1..T-1, and of later nodes as rows of those
-            parent[1 : (1 << T) >> 1],
-            parent[2:] - 1,
-            v_pay[date[2:] - 2, row[2:]][:, None],
-            np.ascontiguousarray(v_surv).reshape((2,) * T + (1,)),
+            f1[date[: start[T - 1]] + 1][:, None],
+            parent[: start[T] - 1],
+            parent[1:] - 1,
+            stack[2, 2:],
+            v_surv,
+            stack,
+            start[:, None],
+            mask[:, None],
         )
 
     @staticmethod
@@ -394,23 +393,22 @@ class _Kernel:
     def values(self, rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         """G at paired points: entry i is G on path rows[i] at (a[i], d[i]).
 
-        rows, a and d are paired 1-D arrays.  Each pair is a chain of the
-        dates 0..T through ``_nodes``, in blocks of at most _BLOCK_PAIRS
-        pairs, so memory stays flat; every operation is elementwise per
-        pair, so a value does not depend on the other pairs of the call.
+        rows, a and d are paired 1-D arrays.  Each pair is its path's chain
+        of tree nodes, dates 0..T, gathered by one take per block of at most
+        _BLOCK_PAIRS pairs, so memory stays flat, and evaluated by ``_nodes``
+        elementwise per pair: a value does not depend on the other pairs.
         """
         T, f1 = self.T, self.f1
-        if self.rows is None:
-            self.rows = self._row_arrays()
-        v_surv, v_pay, cum1, cum2 = self.rows
+        v_surv, stack, start, mask = self.tree[8:]
         if not self.surr_on:
             return v_surv[rows] * f1[T]
         out = np.empty(a.shape[0])
         for i in range(0, a.shape[0], _BLOCK_PAIRS):
             s, r = slice(i, i + _BLOCK_PAIRS), rows[i : i + _BLOCK_PAIRS]
-            nodes = (self.tt, cum1.take(r, axis=1), cum2.take(r, axis=1), f1[1:, None])
-            m = self._nodes((*nodes, f1[1:T, None], slice(0, T - 1)), T, a[s], d[s])
-            out[s] = v_surv[r] * m[0] + _row_sum(list(m[1:] * v_pay.take(r, axis=1)))
+            cum1, cum2, pay = stack.take(start + (r & mask), axis=1)
+            nodes = (self.tt, cum1, cum2, f1[1:, None], f1[1:T, None], slice(0, T - 1))
+            m = self._nodes(nodes, T, a[s], d[s])
+            out[s] = v_surv[r] * m[0] + _row_sum(list(m[1:] * pay[2:]))
         return out
 
     def _price_weights(self) -> np.ndarray:
@@ -438,8 +436,7 @@ class _Kernel:
         [2**-400, 2**400].
         """
         T, q = self.T, self.q
-        gather, pay, v_surv = self.tree[6:]
-        v, pay = v_surv.reshape(-1), pay.reshape(-1)
+        gather, pay, v = self.tree[6:9]
         payouts = np.abs(np.concatenate((v, pay)))
         payouts = payouts[payouts != 0.0]
         if not (
@@ -521,8 +518,6 @@ class _Kernel:
         """
         if not self.surr_on:
             return None
-        if self.tree is None:
-            self.tree = self._tree_arrays()
         if self.weights is None:
             self.weights = self._price_weights()
         if not self.weights.size:
@@ -558,20 +553,21 @@ class _Kernel:
         finer levels (``_by_date``) in numpy's order (``_row_sum``).
         """
         T, f1 = self.T, self.f1
-        if self.tree is None:
-            self.tree = self._tree_arrays()
-        gather, pay, v_surv = self.tree[6:]
+        if self.q.shape[0] != 1 << T:
+            raise ContractError("every_path needs the prices of all 2**T paths")
+        gather, pay, v_surv = self.tree[6:9]
         if not self.surr_on:
-            return np.broadcast_to(v_surv.reshape(-1) * f1[T], (a.shape[0], 1 << T))
+            return np.broadcast_to(v_surv * f1[T], (a.shape[0], 1 << T))
         half = (1 << T) >> 1
         nodes = self._nodes(self.tree[:6], half, a, d)
         # each slice times its payout on the next date's nodes (in-range
         # indices: take needs no bounds copy)
         paid = np.empty((1 << T, a.shape[0]))
         np.take(nodes[half:], gather, axis=0, out=paid[2:], mode="clip")
-        paid[2:] *= pay
+        paid[2:] *= pay[:, None]
         paid = _row_sum(_by_date(paid)[2:])
         survival = nodes[:half].reshape((2,) * (T - 1) + (-1,))
+        v_surv = v_surv.reshape((2,) * T + (1,))
         return (v_surv * survival + paid).reshape(-1, a.shape[0]).T
 
 
@@ -1170,7 +1166,7 @@ def conditional_values(
     benefit: BenefitSpec,
     market: MarketParams,
 ) -> np.ndarray:
-    """G(path, theta) on every row of a price array, as from ``path_arrays``."""
+    """G(path, theta) on every row of the prices of one path or all 2**T (``_Kernel``)."""
     kernel = _Kernel(prices, q, theta.b, theta.c, spec, benefit, market)
     rows = np.arange(q.shape[0])
     a, d = np.full(rows.shape, theta.a), np.full(rows.shape, theta.d)

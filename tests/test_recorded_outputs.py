@@ -18,10 +18,11 @@ along a (paper.cfg's 31 steps over 50..350, the same without surrender,
 share one a, sweeps along d, b and K (shared rectangles, one kernel or one
 per step), ``price`` on a T=6 Clayton(2) config with the grid and the
 hybrid method, ``price`` with Gumbel(1.8) under the hybrid method, and
-``price`` on paper.cfg at T=10, ``simulate`` with Clayton(2) at T=14 and
-T=15, either side of the one-byte exit cell, and ``simulate`` at T=8 with
-each other family: paper.cfg's independence, Frank(-2) and Gumbel(1.8).  Each test runs one of them
-in-process and compares the bytes.
+``price`` on paper.cfg at T=10 and T=12, ``check`` with Clayton(2) at
+T=12, ``simulate`` with Clayton(2) at T=14 and T=15, either side of the
+one-byte exit cell, and ``simulate`` at T=8 with each other family:
+paper.cfg's independence, Frank(-2) and Gumbel(1.8).  Each test runs one
+of them in-process and compares the bytes.
 """
 
 import contextlib
@@ -109,6 +110,9 @@ RUNS = {
     "price_clayton_t6_hybrid": (_clayton_t6("hybrid"), ["price"]),
     # T=10: date sums of 8 or more terms take numpy's 8-accumulator order
     "price_t10": (_horizon(10), ["price"]),
+    # T=12: blocks of pairs gathered from 4,096 paths, and the Clayton band
+    "price_t12": (_horizon(12), ["price"]),
+    "check_clayton_t12": (_horizon(12, CLAYTON_2), ["check"]),
     "price_gumbel_hybrid": (_gumbel_hybrid(), ["price"]),
     # the largest horizon whose exit cells fit one byte, and the first past it
     "simulate_clayton_t14": (_horizon(14, CLAYTON_2), _SIMULATE),

@@ -513,15 +513,22 @@ def test_price_estimates_bound_the_exact_price(spec, T):
     assert huge.price_estimates(np.array([100.0]), np.array([1e4])) is None
 
 
+_ROUTE_CASES = [(spec, T) for spec in COPULAS for T in (1, 2, 3, 8, 9, 10, 12)]
+
+
 @pytest.mark.parametrize("surrender", [True, False], ids=["surrender", "no_surrender"])
-@pytest.mark.parametrize("T", [1, 2, 3, 8, 9, 10, 12])
-@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+@pytest.mark.parametrize(
+    "spec, T",
+    _ROUTE_CASES + [(COPULAS[0], 14)],
+    ids=[f"{spec.family}-{T}" for spec, T in _ROUTE_CASES] + ["independence-14"],
+)
 def test_tree_route_equals_paired_route(spec, T, surrender):
     """every_path walks the prefix tree yet gives values() bit for bit.
 
     T = 1 has no surrender date and T = 2, 3 the first nodes whose parent
     is not the root.  T = 9, 10 and 12 put 8 or more terms in the date
     sum, where numpy's pairwise order differs from a sequential sum.
+    T = 14 gathers each block of pairs from 16,384 paths.
     """
     market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
     benefit = BenefitSpec(K=100.0, r_G=0.01, l=0.1, surrender=surrender)
@@ -537,6 +544,65 @@ def test_tree_route_equals_paired_route(spec, T, surrender):
     tree = kernel.every_path(a, d)
     assert tree.shape == (a.shape[0], paths)
     assert _hexes(tree) == _hexes(paired)
+
+
+def test_paired_route_gathers_from_contiguous_node_columns():
+    """A block of values copies its pairs' chains, not the lattice.
+
+    At T = 16 one (T+1) x 2**T float array takes 8.9 MB.  A 1,024-pair call
+    gathers (3, T+1, 1,024) floats from the tree's node columns; a gather
+    source that is not C-contiguous would first be copied whole.
+    """
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=16)
+    prices, q = path_arrays(market)
+    kernel = _Kernel(
+        prices, q, 0.02, 0.01, CopulaSpec("independence"), BenefitSpec(100.0, 0.01, 0.1), market
+    )
+    rng = np.random.default_rng(16)
+    rows = rng.integers(len(q), size=1024)
+    a, d = rng.uniform(50.0, 340.0, 1024), rng.uniform(1e4, 1e5, 1024)
+    kernel.values(rows[:1], a[:1], d[:1])
+    tracemalloc.start()
+    try:
+        kernel.values(rows, a, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 2**16 * 8
+    assert all(x.flags.c_contiguous for x in kernel.tree if isinstance(x, np.ndarray))
+
+
+@pytest.mark.parametrize("T", [2, 3, 8])
+def test_kernel_takes_one_path_or_all(T, benefit_paper, independence):
+    """Price arrays of 2 or 2**T - 1 rows are refused when the kernel is built."""
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
+    prices, q = path_arrays(market)
+    for n in (2, (1 << T) - 1):
+        with pytest.raises(ValueError, match="takes 1 or"):
+            _Kernel(prices[:n], q[:n], 0.02, 0.01, independence, benefit_paper, market)
+    one = _Kernel(prices[:1], q[:1], 0.02, 0.01, independence, benefit_paper, market)
+    with pytest.raises(ValueError, match="all 2\\*\\*T paths"):
+        one.every_path(np.array([100.0]), np.array([1e4]))
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 8])
+@pytest.mark.parametrize("spec", COPULAS, ids=[c.family for c in COPULAS])
+def test_one_path_chain_equals_its_tree_column(spec, T, benefit_paper):
+    """conditional_value, a chain of one path's nodes, is its every_path column.
+
+    The chain numbers date t's node t, the tree 2**(t-1) + p mod 2**(t-1).
+    """
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
+    prices, q = path_arrays(market)
+    kernel = _Kernel(prices, q, 0.02, 0.01, spec, benefit_paper, market)
+    for theta in THETAS:
+        theta = dataclasses.replace(theta, b=0.02, c=0.01)
+        tree = kernel.every_path(np.array([theta.a]), np.array([theta.d]))[0]
+        chains = [
+            conditional_value(path, theta, spec, benefit_paper, market)
+            for path in enumerate_paths(market)
+        ]
+        assert _hexes(chains) == _hexes(tree)
 
 
 def _tiled(a, d, rows):
