@@ -158,9 +158,7 @@ class PortfolioSample:
     table.  The cells take the smallest unsigned type that holds
     (T+1)(T+3): one byte per client through T = 14, two beyond.
     portfolio_values[i] is the average of (premium - benefit) over the
-    first n_schedule[i] clients; payout_std is the per-client benefit
-    standard deviation over the full pool, feeding the verification error
-    budget.
+    first n_schedule[i] clients.
     """
 
     trial: int
@@ -170,7 +168,6 @@ class PortfolioSample:
     portfolio_values: tuple[float, ...]
     premium: float
     conditional_value: float
-    payout_std: float
 
     def __post_init__(self):
         if len(self.portfolio_values) != len(self.n_schedule):
@@ -400,11 +397,6 @@ def portfolio_trials(
         # u is spent: it takes the payouts, then their running sums.  take's
         # mode="clip" writes to u directly; the cells are all in range.
         x = _payout_table(survival[i], surrender[i]).take(cells, out=u, mode="clip")
-        # np.std's operations in its order (numpy 2.x _var), with the
-        # deviations in v, which is spent too
-        np.subtract(x, np.add.reduce(x) / n_max, out=v)
-        np.square(v, out=v)
-        payout_std = float(np.sqrt(np.add.reduce(v) / n_max))
         cum = np.cumsum(x, out=x)
         return PortfolioSample(
             trial=k,
@@ -414,7 +406,6 @@ def portfolio_trials(
             portfolio_values=tuple(premium - cum[n - 1] / n for n in sched),
             premium=premium,
             conditional_value=float(g[i]),
-            payout_std=payout_std,
         )
 
     return map(trial, range(trials))
@@ -441,6 +432,15 @@ def lln_rms(samples: Iterable[PortfolioSample]) -> tuple[np.ndarray, np.ndarray]
     vals = np.array(vals)
     errs = vals - np.array(limits)[:, None]
     return np.sqrt(np.mean(errs * errs, axis=0)), vals.mean(axis=0)
+
+
+def _spread(x: np.ndarray) -> float:
+    """np.std of the payouts x, by its operations in its order (numpy 2.x _var).
+
+    The deviations overwrite x.
+    """
+    dev = np.subtract(x, np.add.reduce(x) / x.shape[0], out=x)
+    return float(np.sqrt(np.add.reduce(np.square(dev, out=dev)) / x.shape[0]))
 
 
 def verify_arbitrage(
@@ -471,6 +471,7 @@ def verify_arbitrage(
     sched, trials, seed = _check_run([n_clients], trials, seed)
     n_clients = sched[0]
     prices, q = path_arrays(market)
+    survival, surrender = payoff_table(benefit, market, prices)
     holdings = list(pair.holdings)
     means: list[float] = []
     min_payoff = math.inf
@@ -486,9 +487,12 @@ def verify_arbitrage(
             payoff = s.portfolio_values[-1] + strategy_gain(market, holdings, path)
             payoffs[s.trial] = payoff
             min_payoff = min(min_payoff, payoff)
-            budget = 5.0 * s.payout_std / math.sqrt(n_clients)
-            if payoff < -budget:
-                worst_violation = min(worst_violation, payoff + budget)
+            # the budget is >= 0: only a negative payoff can break it
+            if payoff < 0.0:
+                payouts = _payout_table(survival[s.path_index], surrender[s.path_index])
+                budget = 5.0 * _spread(payouts.take(s.exit_cells)) / math.sqrt(n_clients)
+                if payoff < -budget:
+                    worst_violation = min(worst_violation, payoff + budget)
         means.append(float(np.mean(payoffs)))
     report = VerificationReport(
         n_clients=n_clients,

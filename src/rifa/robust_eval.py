@@ -328,15 +328,16 @@ class _Kernel:
     @staticmethod
     def _levels(
         nodes: tuple, a: np.ndarray, d: np.ndarray, runs: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The surrender load on every node, and the survival exp(-load/d).
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The surrender load on every node, the survival exp(-load/d), the runs.
 
         nodes begins (date, cum1, cum2), as in ``_nodes``, with node 0 at
         date 0, and points lie along the last axis.  The load depends on a
         alone, so a block whose points all share a forms it once, a column.
         With runs it is formed once per run of points that share a (the
         screens list a group's points together, and each step of an a-sweep
-        pins a), a column per run, gathered onto the points.
+        pins a), a column per run, gathered onto the points by the returned
+        index (None where each point, or every point, has one column).
         """
         node_t, node_cum1, node_cum2 = nodes[:3]
         run = None
@@ -356,7 +357,7 @@ class _Kernel:
             load[np.isnan(load)] = np.inf
             spread = load if run is None else load.take(run, axis=1)
             rate = np.divide(spread, -d, out=None if run is None else spread)
-        return load, np.exp(rate, out=rate)
+        return load, np.exp(rate, out=rate), run
 
     def _nodes(self, nodes: tuple, split: int, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Survival to T on the date-T nodes, then the slices of the inner nodes.
@@ -426,11 +427,13 @@ class _Kernel:
         Under independence a node value is linear in the survival levels
         f2 (``_levels``) of all 2**T nodes: date-T node r is f1[T] * f2_r
         and the slice of inner node m is f2_parent(m) - f2_m.  The rows are
-        then (c, c+, rho) over f2: c_k = f1[T] * w_k at date T, and
-        otherwise the weights of k's inner children less k's own (two
-        roundings more, so c is within g_5 of its value relative to c+);
-        c+ puts each magnitude at both ends of its slice, and rho =
-        kappa1 * c+ + kappa2 * |c| is the radius row (``price_estimates``).
+        then (c, c+, rho, max(c, 0), max(-c, 0)) over f2: c_k = f1[T] * w_k
+        at date T, and otherwise the weights of k's inner children less k's
+        own (two roundings more, so c is within g_5 of its value relative
+        to c+); c+ puts each magnitude at both ends of its slice, rho =
+        kappa1 * c+ + kappa2 * |c| is the radius row (``price_estimates``),
+        and the last two split c exactly into its positive and negative
+        parts, for the run bound of ``_run_bounds``.
         Empty, shape (0, 0), when q or a payout lies outside the range where
         that bound holds: q in [2**-450, 1], payouts 0 or of magnitude in
         [2**-400, 2**400].
@@ -467,11 +470,12 @@ class _Kernel:
             row[half:] = x[:half] * f1T
         terms = min(1 << T, _DOT_TERMS)
         kappa1, kappa2 = _sum_margin(T + 12), _sum_margin(terms + (1 << T) // terms - 1)
-        return np.stack((c, cplus, kappa1 * cplus + kappa2 * np.abs(c)))
+        rho = kappa1 * cplus + kappa2 * np.abs(c)
+        return np.stack((c, cplus, rho, np.maximum(c, 0.0), np.maximum(-c, 0.0)))
 
     def price_estimates(
-        self, a: np.ndarray, d: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+        self, a: np.ndarray, d: np.ndarray, parts: bool = False
+    ) -> tuple[np.ndarray, ...] | None:
         """Estimates of the price sum_i fl(q_i * G_i) at each point, with radii.
 
         A product of ``_price_weights``' rows and the nodes replaces the
@@ -515,6 +519,14 @@ class _Kernel:
         surrender, where the kernel has no weights or where a point's
         magnitude leaves [2**-900, 2**500]: the caller then takes the exact
         price.
+
+        With parts, under independence only, three more rows follow: the
+        partial sums s+ = max(c, 0) @ f2 and s- = max(-c, 0) @ f2, and the
+        run slack sigma = tau * (s+ + s- + rad) + alpha, tau = 4 *
+        ``_sum_margin(k)`` + 2**-43 and alpha = 2**(2T - 650), from which
+        ``_run_bounds`` bounds the price between two points of a run.  The
+        sums are nan where the point's a gives a negative load, or an inner
+        load below its parent's, whose slices every point must check.
         """
         if not self.surr_on:
             return None
@@ -525,14 +537,17 @@ class _Kernel:
         half = (1 << self.T) >> 1
         with np.errstate(over="ignore", invalid="ignore"):
             if self.spec.is_independence:
-                load, f2 = self._levels(self.tree, a, d, runs=True)
+                load, f2, run = self._levels(self.tree, a, d, runs=True)
                 up = self.tree[5]
-                if not (load[1:half] >= load[up]).all():
+                # per column of loads, whether an inner load lies below its parent's
+                below = ~(load[1:half] >= load[up]).all(axis=0)
+                if below.any():
                     _refuse_negative(np.subtract(f2[up], f2[1:half]))
-                out = self.weights[:, :_DOT_TERMS] @ f2[:_DOT_TERMS]
+                w = self.weights if parts else self.weights[:3]
+                out = w[:, :_DOT_TERMS] @ f2[:_DOT_TERMS]
                 for i in range(_DOT_TERMS, f2.shape[0], _DOT_TERMS):
-                    out += self.weights[:, i : i + _DOT_TERMS] @ f2[i : i + _DOT_TERMS]
-                est, mag, rad = out
+                    out += w[:, i : i + _DOT_TERMS] @ f2[i : i + _DOT_TERMS]
+                est, mag, rad = out[:3]
             else:
                 nodes = self._nodes(self.tree[:6], half, a, d)
                 est = self.weights[0] @ nodes
@@ -540,7 +555,19 @@ class _Kernel:
                 rad = _sum_margin((1 << self.T) + self.T + 4) * mag
         if not (2.0**-900 <= mag.min() and mag.max() <= 2.0**500):
             return None
-        return est, rad
+        if not parts:
+            return est, rad
+        plus, minus = out[3:]
+        # levels that fall as d rises, under a negative load, bound nothing;
+        # nor do the loads of a column with slices to check, as every point
+        # of its run is then checked, as on the exact route
+        falls = below | (load < 0.0).any(axis=0)
+        falls = np.broadcast_to(falls if run is None else falls[run], plus.shape)
+        plus[falls] = minus[falls] = np.nan
+        T = self.T
+        terms = min(1 << T, _DOT_TERMS)
+        tau = 4.0 * _sum_margin(terms + (1 << T) // terms - 1) + 2.0**-43
+        return est, rad, plus, minus, tau * (plus + minus + rad) + 2.0 ** (2 * T - 650)
 
     def every_path(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         """G on every path at each point: entry [i, r] is G on row r at (a[i], d[i]).
@@ -580,12 +607,16 @@ class _Objective(NamedTuple):
     radii) those of paired points, for ``_minimize``.  Each value lies
     within its radius of its estimate.  estimates is None where every
     radius would be 0 or an estimate costs about what a value does: the
-    search then takes values.
+    search then takes values.  runs(rows, a, d), where not None, adds to
+    the paired estimates and radii the rows s+, s- and sigma of
+    ``_Kernel.price_estimates``, from which ``_run_bounds`` bounds the
+    values between two points that share a.
     """
 
     values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     screen: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     estimates: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    runs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def _sum_margin(n: int) -> float:
@@ -629,8 +660,9 @@ def _price_objective(kernel: _Kernel) -> _Objective:
     gives the certified estimates of ``_Kernel.price_estimates``, else
     values, radius 0, in blocks of as many pairs or, for the one-dot
     estimate of independence, of _LEVEL_PAIRS.  Only that estimate goes
-    to ``_minimize``: at a search's few points per call the node form of
-    the other families costs about what a value does.
+    to ``_minimize``, and with its run rows to ``_run_bounds``: at a
+    search's few points per call the node form of the other families
+    costs about what a value does.
     """
     q = kernel.q
     step = max(1, _TREE_PAIRS // q.shape[0])
@@ -646,20 +678,31 @@ def _price_objective(kernel: _Kernel) -> _Objective:
     def values(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         return exact(a, d)
 
-    def screen(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-        shape = a.shape
-        a, d = a.ravel(), d.ravel()
-        out = np.zeros((2, a.shape[0]))
+    def priced(a: np.ndarray, d: np.ndarray, parts: bool = False) -> np.ndarray:
+        # rows estimate and radius, then, with parts, the run rows (nan
+        # where a block takes exact values)
+        out = np.full((5 if parts else 2, a.shape[0]), np.nan)
         for i in range(0, a.shape[0], block):
             s = slice(i, i + block)
-            tree = kernel.price_estimates(a[s], d[s])
-            out[:, s] = (exact(a[s], d[s]), np.zeros(a[s].shape)) if tree is None else tree
-        return out.reshape((2, *shape))
+            tree = kernel.price_estimates(a[s], d[s], parts)
+            if tree is None:
+                out[0, s], out[1, s] = exact(a[s], d[s]), 0.0
+            else:
+                out[:, s] = tree
+        return out
+
+    def screen(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return priced(a.ravel(), d.ravel()).reshape((2, *a.shape))
 
     def estimates(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return screen(a, d)
+        return priced(a, d)
 
-    return _Objective(values, screen, estimates if kernel.spec.is_independence else None)
+    def runs(rows: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return priced(a, d, parts=True)
+
+    if not kernel.spec.is_independence:
+        return _Objective(values, screen)
+    return _Objective(values, screen, estimates, runs)
 
 
 def _by_group(objectives: Sequence[_Objective], which: np.ndarray) -> _Objective:
@@ -687,8 +730,13 @@ def _by_group(objectives: Sequence[_Objective], which: np.ndarray) -> _Objective
             out[:, sel] = objectives[k].screen(a[pick], d[pick])
         return out
 
-    bracketed = objectives[0].estimates is not None
-    return _Objective(paired("values"), screen, paired("estimates", 2) if bracketed else None)
+    bracketed, bounded = (getattr(objectives[0], x) is not None for x in ("estimates", "runs"))
+    return _Objective(
+        paired("values"),
+        screen,
+        paired("estimates", 2) if bracketed else None,
+        paired("runs", 5) if bounded else None,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -968,6 +1016,87 @@ def _least(
     return j, lo[np.arange(lo.shape[0]), j]
 
 
+def _run_bounds(
+    f: _Objective, a: np.ndarray, d: np.ndarray, sign: float, best: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sign * the estimates of the points a run bound cannot rule out, and radii.
+
+    Row g's points (a[g, j], d[g, j]) share one a, and fall into runs of
+    nondecreasing d; best[g] is sign * a value the row has in hand, or inf.
+    By bisection from each run's two ends: f.runs prices the ends, and an
+    interval between two priced points i < j loses its inner points where
+    the bound below of their sign * values exceeds B, the least of best
+    and the row's upper bracket ends sign * est + rad.  Otherwise its
+    midpoint is priced or, where that bound is not finite (a block of
+    exact values, a run with a negative load or with slices to check, as
+    ``price_estimates`` says), every inner point.  The ruled-out points
+    get +inf, radius 0; the rest their brackets.
+
+    The bound.  Let d_i <= d <= d_j in a run whose computed loads L_k on
+    the prefix-tree nodes are all >= 0; P is the price, f_k(d) the level
+    exp(-fl(L_k / d)), and c, rho the weight rows (``_price_weights``).
+
+    1. fl(L_k / d) is nonincreasing in d, and exp is within 2**-46 of
+       e**-x, or 2**-1060 where subnormal: (1 - delta) f_k(d_i) - eta <=
+       f_k(d) <= (1 + delta) f_k(d_j) + eta, delta = 2**-45, eta = 2**-1060.
+    2. |P(d) - c @ f(d)| <= E(d) = rho @ f(d), in exact arithmetic, as
+       ``price_estimates`` shows for its radius: by 1 the magnitude
+       c+ @ f(d) lies within 1 + delta of the range the ends passed.
+    3. c = c+ - c-, both >= 0 and exact, so P(d) <= c+ @ f(d) + E(d) -
+       c- @ f(d) <= (1 + delta) (c+ + rho) @ f(d_j) - (1 - delta)
+       c- @ f(d_i) + eta * sum(|c| + rho).
+    4. The computed s+, rad at d_j and s- at d_i are within mu =
+       ``_sum_margin(k)`` of those products, each underflowed product off
+       by at most 2**-1075.
+    5. Every weight lies below 2**(T + 403), as q <= 1 and payouts are at
+       most 2**400, so the absolute terms of 1 and 4 are below 2**(2T - 650).
+
+    Hence P(d) <= s+_j - s-_i + rad_j + sigma_i + sigma_j, with sigma =
+    tau * (s+ + s- + rad) + 2**(2T - 650) at each end and tau = 4 mu +
+    2**-43 >= 2 mu + delta plus the roundings of sigma and of this sum; for
+    a minimum the ends swap, P(d) >= s+_i - s-_j - rad_j - sigma_i - sigma_j.
+    A ruled-out point's sign * value so lies strictly above B, which
+    brackets a value in hand: it can neither win nor tie, and ``_least``
+    picks the same point and value without it.
+    """
+    rows, m = a.shape
+    at = np.full((5, rows, m), np.nan)
+    priced = np.zeros((rows, m), dtype=bool)
+    # each run's first and last point: a run ends where d falls
+    first = np.ones((rows, m), dtype=bool)
+    first[:, 1:] = d[:, 1:] < d[:, :-1]
+    last = np.roll(first, -1, axis=1)
+    todo = first | last
+    # the intervals (row g, ends i < j) whose inner points are open
+    g, i = np.nonzero(first)
+    j = np.nonzero(last)[1]
+    while todo.any():
+        r, c = np.nonzero(todo)
+        at[:, r, c] = f.runs(r, a[r, c], d[r, c])
+        priced |= todo
+        todo[r, c] = False
+        inner = j - i > 1
+        g, i, j = g[inner], i[inner], j[inner]
+        if not g.size:
+            break
+        est, rad, plus, minus, slack = at
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.fmin(best, np.fmin.reduce(sign * est + rad, axis=1))
+            x, y = (j, i) if sign < 0 else (i, j)
+            low = sign * (plus[g, x] - minus[g, y]) - rad[g, j] - slack[g, i] - slack[g, j]
+        cut = low > bound[g]
+        whole = ~cut & ~np.isfinite(low)
+        for row, start, stop in zip(*(ends[whole].tolist() for ends in (g, i, j))):
+            todo[row, start + 1 : stop] = True
+        split = ~(cut | whole)
+        mid = (i + j) >> 1
+        todo[g[split], mid[split]] = True
+        g, i, mid, j = g[split], i[split], mid[split], j[split]
+        g, i, j = np.tile(g, 2), np.append(i, mid), np.append(mid, j)
+    rad = np.where(priced, at[1], 0.0)
+    return np.where(priced, sign * at[0], np.inf), rad
+
+
 def _first_best(
     f: _Objective, groups: int, a: np.ndarray, d: np.ndarray, sign: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -979,14 +1108,23 @@ def _first_best(
     at most _TREE_PAIRS (point, group) pairs go through f.screen, and a
     running first best carries across tiles, an earlier tile keeping ties:
     ``_least`` picks it from the running best and the tile's brackets.
+    Where f has run bounds and every row pins a (under independence, each
+    step of an a-sweep), ``_run_bounds`` prices only the points of a tile
+    that its bound cannot rule out, one row per group.
     """
     group = np.arange(groups)
     best, val = np.zeros(groups, dtype=np.intp), np.full(groups, np.inf)
+    runs = f.runs is not None and (a == a[:, :1]).all()
+    if runs:
+        a, d = (np.broadcast_to(x, (groups, x.shape[1])) for x in (a, d))
     step = max(1, _TREE_PAIRS // groups)
     for i in range(0, a.shape[1], step):
         s = slice(i, i + step)
-        est, rad = f.screen(a[:, s], d[:, s])
-        v = sign * np.broadcast_to(est, (groups, est.shape[-1]))
+        if runs:
+            v, rad = _run_bounds(f, a[:, s], d[:, s], sign, val)
+        else:
+            est, rad = f.screen(a[:, s], d[:, s])
+            v = sign * np.broadcast_to(est, (groups, est.shape[-1]))
         # values of radius 0, as the per-path G's are, are their own brackets
         lo = hi = np.concatenate((val[:, None], v), axis=1)
         if rad.any():

@@ -16,6 +16,7 @@ from rifa.arbitrage_lab import (
     _check_schedule,
     _count_levels,
     _payout_table,
+    _spread,
     construct_arbitrage,
     lln_rms,
     nrifa_check,
@@ -392,7 +393,6 @@ def _fingerprint(samples):
             s.n_schedule,
             [float(x).hex() for x in s.portfolio_values],
             s.conditional_value.hex(),
-            s.payout_std.hex(),
         )
         for s in samples
     ]
@@ -456,9 +456,23 @@ def _allocating_trials(theta, spec, benefit, market, sched, trials, seed, premiu
         values = [float(premium - cum[n - 1] / n).hex() for n in sched]
         trials_out.append((
             k, i, cells.dtype.str, cells.tobytes(), sched, values,
-            float(g[i]).hex(), float(np.std(x)).hex(),
+            float(g[i]).hex(),
         ))
     return trials_out
+
+
+def test_spread_is_np_std(market_small_mod, benefit_paper_mod, independence_mod):
+    """The verification budget's spread has np.std's bits, on a trial's payouts."""
+    theta = Theta(150.0, 0.025, 0.03, 2e4)
+    prices, _ = path_arrays(market_small_mod)
+    survival, surrender = payoff_table(benefit_paper_mod, market_small_mod, prices)
+    for s in _simulate(
+        theta, independence_mod, benefit_paper_mod, market_small_mod, [7, 300, 4001],
+        trials=4, seed=3,
+    ):
+        i = s.path_index
+        x = _payout_table(survival[i], surrender[i]).take(s.exit_cells)
+        assert _spread(x.copy()).hex() == float(np.std(x)).hex()
 
 
 @pytest.mark.parametrize(
@@ -878,6 +892,8 @@ def test_verify_arbitrage_detects_underfunded_premium(
         )
     assert exc.value.report is not None
     assert not exc.value.report.passed
+    # the budget's payout spread, computed only for a negative payoff
+    assert exc.value.report.worst_violation.hex() == "-0x1.2b4ff525274d8p+0"
 
 
 def test_verify_arbitrage_validation(

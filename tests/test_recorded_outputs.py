@@ -12,11 +12,13 @@ delete its entry first.
 The runs cover what ``test_bench_reference.py`` does not: ``check`` on
 ``paper.cfg`` (the classical sup and inf) at premiums that give each verdict
 status, one of them the robust price as printed (a boundary case), and
-``check`` under Clayton(2) at premium 100, Frank(-2) and Gumbel(1.8), sweeps
-along a (paper.cfg's 31 steps over 50..350, the same without surrender,
-7 steps with Clayton(2) and 7 at T=10), where each step's screen points
-share one a, sweeps along d, b and K (shared rectangles, one kernel or one
-per step), ``price`` on a T=6 Clayton(2) config with the grid and the
+``check`` under Clayton(2) at premium 100, Frank(-2) and Gumbel(1.8),
+``check`` with a pinned at 195 (the classical inf screens one run of d),
+sweeps along a (paper.cfg's 31 steps over 50..350, the same without
+surrender, 7 steps with Clayton(2), 7 at T=10 and 7 under the grid and the
+hybrid method), where each step's screen points share one a, sweeps along
+d, b and K (shared rectangles, one kernel or one per step), ``price`` on
+a T=6 Clayton(2) config with the grid and the
 hybrid method, ``price`` with Gumbel(1.8) under the hybrid method, and
 ``price`` on paper.cfg at T=10 and T=12, ``check`` with Clayton(2) at
 T=12, ``simulate`` with Clayton(2) at T=14 and T=15, either side of the
@@ -71,6 +73,18 @@ def _no_surrender():
     return doc
 
 
+def _pinned_a(a):
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    doc["theta_box"]["a"] = [a, a]
+    return doc
+
+
+def _method(method):
+    doc = json.loads(PAPER_CFG.read_text(encoding="utf-8"))
+    doc["optimizer"]["method"] = method
+    return doc
+
+
 def _gumbel_hybrid():
     doc = _horizon(8, GUMBEL_18)
     doc["optimizer"]["method"] = "hybrid"
@@ -97,12 +111,17 @@ RUNS = {
     "check_clayton_100": (_premium(100.0, CLAYTON_2), ["check"]),
     "check_frank": (_horizon(8, FRANK_M2), ["check"]),
     "check_gumbel": (_horizon(8, GUMBEL_18), ["check"]),
+    # a pinned a: inf_classical screens one run of d, minimizing
+    "check_a_pinned": (_pinned_a(195.0), ["check"]),
     # the benchmark's a-sweep, and a Clayton one: each step pins a
     "sweep_a": (None, _sweep("a", "50", "350", "31")),
     "sweep_a_clayton": (_horizon(8, CLAYTON_2), _sweep("a", "50", "350", "7")),
     # without surrender the price has no node estimate: exact values only
     "sweep_a_no_surrender": (_no_surrender(), _sweep("a", "50", "350", "31")),
     "sweep_a_t10": (_horizon(10), _sweep("a", "50", "350", "7")),
+    # each step's fixed candidates end in a 64-point grid run of d
+    "sweep_a_grid": (_method("grid"), _sweep("a", "50", "350", "7")),
+    "sweep_a_hybrid": (_method("hybrid"), _sweep("a", "50", "350", "7")),
     "sweep_d": (None, _sweep("d", "1e4", "1e5", "7")),
     "sweep_b": (None, _sweep("b", "0.02", "0.03", "5")),
     "sweep_K": (None, _sweep("K", "90", "110", "5")),

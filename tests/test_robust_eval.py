@@ -849,7 +849,7 @@ class _Rows:
     def every_path(self, a, d):
         return self.g[a.astype(np.intp)]
 
-    def price_estimates(self, a, d):
+    def price_estimates(self, a, d, parts=False):
         # numpy's path sums, within _sum_margin of the exact ones in any
         # order of addition, so the screen's ranking is exercised
         x = self.q * self.every_path(a, d)
@@ -957,6 +957,221 @@ def test_screen_contenders_are_few(market_paper, benefit_paper, independence):
     [_, (screened, contenders)] = screens
     assert screened == 31 * 289
     assert contenders < 0.02 * screened
+
+
+def _exact_first_best(f, a, d, sign):
+    """np.argmin of sign * each row's exact values, and the value there."""
+    rows = np.broadcast_to(np.arange(a.shape[0])[:, None], a.shape)
+    v = f.values(rows.ravel(), a.ravel(), d.ravel()).reshape(a.shape)
+    j = np.argmin(sign * v, axis=1)
+    return j.tolist(), _hexes(v[np.arange(a.shape[0]), j])
+
+
+def _counting_runs(f):
+    """f, and the list of how many points each call of its run bounds prices."""
+    priced = []
+
+    def runs(rows, a, d):
+        priced.append(a.size)
+        return f.runs(rows, a, d)
+
+    return f._replace(runs=runs), priced
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    T=st.sampled_from([2, 4, 6, 8]),
+    pins=st.lists(st.floats(0.0, 400.0), min_size=1, max_size=3),
+    death=st.sampled_from([(0.02, 0.01), (0.03, 0.05), (0.001, 0.2)]),
+    K=st.floats(50.0, 150.0),
+    decade=st.floats(2.0, 5.5),
+    decades=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    n=st.integers(2, 80),
+    copies=st.lists(st.integers(1, 79), max_size=6),
+    runs=st.integers(1, 3),
+    tile=st.sampled_from([None, 7, 25]),
+)
+def test_run_bounds_pick_the_exact_first_best(
+    T, pins, death, K, decade, decades, n, copies, runs, tile
+):
+    """Pinned-a screens pick np.argmin's point and value with and without run bounds.
+
+    Each row pins its own a; its d rise through runs of n points (all
+    equal at zero decades), some copied from the point before, which tie
+    it.  The screen that prices every point, and the exact values, agree
+    with the bounded one in both directions, in one tile or in tiles of 7
+    or 25 points that cut the runs.
+    """
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
+    prices, q = path_arrays(market)
+    benefit = BenefitSpec(K=K, r_G=0.01, l=0.1)
+    kernel = _Kernel(prices, q, *death, CopulaSpec("independence"), benefit, market)
+    f, priced = _counting_runs(_price_objective(kernel))
+    every = _Objective(f.values, f.screen)
+    d = np.geomspace(10.0**decade, 10.0 ** (decade + decades), n)
+    for k in copies:
+        d[k % n] = d[k % n - 1] if k % n else d[0]
+    a, d = np.repeat(np.array(pins)[:, None], runs * n, axis=1), np.tile(d, (len(pins), runs))
+    pairs = _TREE_PAIRS if tile is None else tile * len(pins)
+    with mock.patch.object(robust_eval, "_TREE_PAIRS", pairs):
+        for sign in (1.0, -1.0):
+            bounded = _first_best(f, len(pins), a, d, sign)
+            screened = _first_best(every, len(pins), a, d, sign)
+            got = (bounded[0].tolist(), _hexes(bounded[1]))
+            assert got == (screened[0].tolist(), _hexes(screened[1]))
+            assert got == _exact_first_best(f, a, d, sign)
+    assert priced
+
+
+@pytest.mark.parametrize("T", [1, 2, 6, 8, 12])
+def test_run_rows_bound_the_prices_between_two_points(T, independence):
+    """Between two points of a run that pins a, the run rows bound every price.
+
+    For each pair i < j of 48 points of rising d, from levels near 1 to
+    ones that underflow, each inner point's exact price lies in
+    [s+_i - s-_j, s+_j - s-_i], widened by rad_j + sigma_i + sigma_j.
+    Points without estimates (magnitudes that underflow) have no run rows.
+    """
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
+    prices, q = path_arrays(market)
+    kernel = _Kernel(prices, q, 0.02, 0.01, independence, BenefitSpec(100.0, 0.01, 0.1), market)
+    f = _price_objective(kernel)
+    d = np.geomspace(10.0, 1e7, 48)
+    for pinned in (0.0, 60.0, 150.0, 400.0):
+        a = np.full(d.shape, pinned)
+        # one point per call: a point without estimates withdraws its block's
+        est, rad, plus, minus, slack = np.concatenate(
+            [f.runs(np.zeros(1, np.intp), a[k : k + 1], d[k : k + 1]) for k in range(d.size)],
+            axis=1,
+        )
+        price = f.values(None, a, d)
+        bounded = np.isfinite(plus)
+        assert bounded.sum() >= 24
+        i, k, j = np.meshgrid(*[np.flatnonzero(bounded)] * 3, indexing="ij")
+        inner = (i < k) & (k < j)
+        i, k, j = i[inner], k[inner], j[inner]
+        wide = rad[j] + slack[i] + slack[j]
+        assert (price[k] <= plus[j] - minus[i] + wide).all()
+        assert (price[k] >= plus[i] - minus[j] - wide).all()
+
+
+def _table_objective(table, plus, minus, slack):
+    """Exact values table[d], radius 0, with run rows s+ = plus(d), s- = minus(d)."""
+
+    def values(rows, a, d):
+        return np.array([table[x] for x in d.tolist()])
+
+    def runs(rows, a, d):
+        v = values(rows, a, d)
+        return np.stack((v, np.zeros_like(v), plus(d), minus(d), np.full_like(v, slack)))
+
+    def screen(a, d):
+        v = values(None, a, d.ravel()).reshape(d.shape)
+        return v, np.zeros_like(v)
+
+    return _Objective(values, screen, runs=runs)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
+def test_run_bounds_keep_a_tie_their_bound_meets(sign):
+    """A point whose bound equals the best bracket is priced: it may tie first.
+
+    Values -sign * d, exact run rows, no slack.  On d = (1, 2, 2) the
+    bound of the inner point meets the priced end's value, and the inner
+    point, a tie, is np.argmin's pick.
+    """
+    d = np.array([[1.0, 2.0, 2.0]])
+    parts = (np.zeros_like, np.copy) if sign > 0 else (np.copy, np.zeros_like)
+    f = _table_objective({1.0: -sign, 2.0: -2.0 * sign}, *parts, 0.0)
+    best, value = _first_best(f, 1, np.zeros_like(d), d, sign)
+    assert best.tolist() == [1]
+    assert value.tolist() == [-sign * 2.0]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
+def test_run_bounds_add_the_slack(sign):
+    """A point that beats its run's ends by less than their slack is priced.
+
+    Run rows s+ = 1, s- = 0 bound the values of the run d = (1, 2, 3) by
+    1 + 2 * slack: its inner value 1 + 1.5 slack beats the second run's
+    1 + slack, so a bound without slack would rule out the winner (for
+    minimization, negated).
+    """
+    eps = 2.0**-40
+    d = np.array([[1.0, 2.0, 3.0, 0.5, 0.6]])
+    price = [1.0, 1.0 + 1.5 * eps, 1.0, 1.0 + eps, 1.0]
+    table = {x: -sign * p for x, p in zip(d[0].tolist(), price)}
+    parts = (np.zeros_like, np.ones_like) if sign > 0 else (np.ones_like, np.zeros_like)
+    f = _table_objective(table, *parts, eps)
+    best, value = _first_best(f, 1, np.zeros_like(d), d, sign)
+    assert best.tolist() == [1]
+    assert value.tolist() == [-sign * (1.0 + 1.5 * eps)]
+
+
+def _negative_load_a(kernel):
+    """The first a above S_0 = 100 at which some computed node load is negative."""
+    a = 100.0
+    for _ in range(64):
+        a = math.nextafter(a, math.inf)
+        if kernel._levels(kernel.tree, np.array([a]), np.array([1e4]))[0].min() < 0.0:
+            return a
+    raise AssertionError("no negative load near S_0")
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["min", "max"])
+def test_runs_without_a_bound_price_every_point(sign, independence):
+    """A run with a negative load, or without estimates, prices all its points.
+
+    Estimates are missing without surrender and for payouts past 2**400.
+    The control, a = 300 with surrender, prices fewer points.
+    """
+    market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=6)
+    prices, q = path_arrays(market)
+    benefit = BenefitSpec(K=100.0, r_G=0.01, l=0.1)
+
+    def kernel(**changes):
+        spec = dataclasses.replace(benefit, **changes)
+        return _Kernel(prices, q, 0.02, 0.01, independence, spec, market)
+
+    with_surrender = kernel()
+    d = np.linspace(1e4, 1e5, 60)[None]
+    cases = [
+        (with_surrender, _negative_load_a(with_surrender), True),
+        (kernel(surrender=False), 150.0, True),
+        (kernel(K=1e306), 150.0, True),
+        (with_surrender, 300.0, False),
+    ]
+    for k, pinned, every in cases:
+        f, priced = _counting_runs(_price_objective(k))
+        a = np.full(d.shape, pinned)
+        best = _first_best(f, 1, a, d, sign)
+        assert (best[0].tolist(), _hexes(best[1])) == _exact_first_best(f, a, d, sign)
+        assert (sum(priced) == d.size) == every
+
+
+def test_run_bounds_price_few_of_the_sweeps_screen(market_paper, benefit_paper, independence):
+    """paper.cfg's 31-step a-sweep prices at most 20% of its screen points.
+
+    A silent fall back to the screen that prices every point fails here.
+    """
+    box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
+    boxes = [dataclasses.replace(box, a=(a, a)) for a in np.linspace(50.0, 350.0, 31)]
+    real, screens = robust_eval._first_best, []
+
+    def spy(f, groups, a, d, sign):
+        f, priced = _counting_runs(f)
+        out = real(f, groups, a, d, sign)
+        screens.append((groups * a.shape[1], sum(priced)))
+        return out
+
+    with mock.patch.object(robust_eval, "_first_best", spy):
+        sup_classical_batch(
+            boxes, [benefit_paper] * 31, independence, market_paper, OptimizerConfig()
+        )
+    # the fixed candidates, then the 17**2-point screen of d
+    [_, (screened, priced)] = screens
+    assert screened == 31 * 289
+    assert 0 < priced <= 0.2 * screened
 
 
 def _without_brackets(kernel):
