@@ -145,6 +145,12 @@ _LEVEL_PAIRS = 1 << 16
 # this many, then adds those: a bound of g_(1024 + 2**T/1024) rather than
 # g_(2**T) keeps its radius within 1e-12 of the price past T = 10
 _DOT_TERMS = 1 << 10
+# the parts each run, and each interval of it whose inner points its bound
+# cannot rule out, splits into: a wider split takes fewer rounds of pricing,
+# each of a fixed cost, but prices more points.  On paper.cfg's a-sweep 4
+# parts price 350 of its 8,959 screen points in 5 rounds, 2 parts 243 in 8
+# and 8 parts 497 in 4; 4 parts were the fastest
+_RUN_SPLIT = 4
 # blocks of fewer terms are summed by math.fsum directly: below about a
 # thousand terms it is faster than the dozen array operations of _fsum_rows
 _FSUM_DIRECT = 1 << 10
@@ -427,13 +433,14 @@ class _Kernel:
         Under independence a node value is linear in the survival levels
         f2 (``_levels``) of all 2**T nodes: date-T node r is f1[T] * f2_r
         and the slice of inner node m is f2_parent(m) - f2_m.  The rows are
-        then (c, c+, rho, max(c, 0), max(-c, 0)) over f2: c_k = f1[T] * w_k
-        at date T, and otherwise the weights of k's inner children less k's
-        own (two roundings more, so c is within g_5 of its value relative
-        to c+); c+ puts each magnitude at both ends of its slice, rho =
-        kappa1 * c+ + kappa2 * |c| is the radius row (``price_estimates``),
-        and the last two split c exactly into its positive and negative
-        parts, for the run bound of ``_run_bounds``.
+        then (c, c+, rho) over f2: c_k = f1[T] * w_k at date T, and
+        otherwise the weights of k's inner children less k's own (two
+        roundings more, so c is within g_5 of its value relative to c+);
+        c+ puts each magnitude at both ends of its slice, and rho =
+        kappa1 * c+ + kappa2 * |c| is the radius row (``price_estimates``).
+        Six more follow for the slope rows of ``_run_bounds``: c's positive
+        and negative parts, exact, times each node's date, then its price
+        sum, then its squared-price sum, the load's coefficients.
         Empty, shape (0, 0), when q or a payout lies outside the range where
         that bound holds: q in [2**-450, 1], payouts 0 or of magnitude in
         [2**-400, 2**400].
@@ -471,7 +478,12 @@ class _Kernel:
         terms = min(1 << T, _DOT_TERMS)
         kappa1, kappa2 = _sum_margin(T + 12), _sum_margin(terms + (1 << T) // terms - 1)
         rho = kappa1 * cplus + kappa2 * np.abs(c)
-        return np.stack((c, cplus, rho, np.maximum(c, 0.0), np.maximum(-c, 0.0)))
+        # c split into its parts, times the load's coefficients of a**2,
+        # -2a and 1 on each node
+        signed = np.stack((np.maximum(c, 0.0), np.maximum(-c, 0.0)))
+        with np.errstate(over="ignore"):
+            slopes = [signed * x[:, 0] for x in self.tree[:3]]
+        return np.concatenate([np.stack((c, cplus, rho))] + slopes)
 
     def price_estimates(
         self, a: np.ndarray, d: np.ndarray, parts: bool = False
@@ -520,13 +532,19 @@ class _Kernel:
         magnitude leaves [2**-900, 2**500]: the caller then takes the exact
         price.
 
-        With parts, under independence only, three more rows follow: the
-        partial sums s+ = max(c, 0) @ f2 and s- = max(-c, 0) @ f2, and the
-        run slack sigma = tau * (s+ + s- + rad) + alpha, tau = 4 *
-        ``_sum_margin(k)`` + 2**-43 and alpha = 2**(2T - 650), from which
-        ``_run_bounds`` bounds the price between two points of a run.  The
-        sums are nan where the point's a gives a negative load, or an inner
-        load below its parent's, whose slices every point must check.
+        With parts, under independence only, four more rows follow, from
+        which ``_run_bounds`` bounds the price between two points of a run.
+        The slope rows D+- = (c+- * L) @ f2, c+- = max(+-c, 0) and L each
+        node's load, expand L = t a**2 - 2a cum1 + cum2 (``_levels``): the
+        one product with f2 also sums c+- t, c+- cum1 and c+- cum2, and each
+        point recombines its three sums with its a, so no load spreads onto
+        the points; a level under an infinite load is 0, as is its term.
+        Then the price's slack sigma = tau * (mag + rad) + 2**(2T - 650)
+        and the slopes' slack omega = tau * (M+ + M-) + 2**(2T - 600) *
+        (1 + d), M+- the magnitudes of the slope rows (|a| for -a) and
+        tau = 4 * ``_sum_margin(k)`` + 2**-41.  The slope rows are nan where
+        the point's a gives a negative load, or an inner load below its
+        parent's, whose slices every point must check.
         """
         if not self.surr_on:
             return None
@@ -557,17 +575,27 @@ class _Kernel:
             return None
         if not parts:
             return est, rad
-        plus, minus = out[3:]
-        # levels that fall as d rises, under a negative load, bound nothing;
-        # nor do the loads of a column with slices to check, as every point
-        # of its run is then checked, as on the exact route
-        falls = below | (load < 0.0).any(axis=0)
-        falls = np.broadcast_to(falls if run is None else falls[run], plus.shape)
-        plus[falls] = minus[falls] = np.nan
         T = self.T
         terms = min(1 << T, _DOT_TERMS)
-        tau = 4.0 * _sum_margin(terms + (1 << T) // terms - 1) + 2.0**-43
-        return est, rad, plus, minus, tau * (plus + minus + rad) + 2.0 ** (2 * T - 650)
+        tau = 4.0 * _sum_margin(terms + (1 << T) // terms - 1) + 2.0**-41
+        # the slope rows from their parts, one per coefficient of the load
+        # t a**2 - 2a cum1 + cum2, and their magnitudes.  Levels that fall
+        # as d rises, under a negative load, bound nothing; nor do the loads
+        # of a column with slices to check, as every point of its run is
+        # then checked, as on the exact route
+        falls = below | (load < 0.0).any(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            square, linear, const = out[3:].reshape(3, 2, -1)
+            square *= a * a
+            square += const
+            linear *= 2.0 * a
+            slope, size = square - linear, square + abs(linear)
+            if falls.any():
+                slope[:, np.broadcast_to(falls if run is None else falls[run], a.shape)] = np.nan
+            plus, minus = slope
+            sigma = tau * (mag + rad) + 2.0 ** (2 * T - 650)
+            omega = tau * (size[0] + size[1]) + 2.0 ** (2 * T - 600) * (1.0 + d)
+        return est, rad, plus, minus, sigma, omega
 
     def every_path(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         """G on every path at each point: entry [i, r] is G on row r at (a[i], d[i]).
@@ -608,7 +636,7 @@ class _Objective(NamedTuple):
     within its radius of its estimate.  estimates is None where every
     radius would be 0 or an estimate costs about what a value does: the
     search then takes values.  runs(rows, a, d), where not None, adds to
-    the paired estimates and radii the rows s+, s- and sigma of
+    the paired estimates and radii the rows D+, D-, sigma and omega of
     ``_Kernel.price_estimates``, from which ``_run_bounds`` bounds the
     values between two points that share a.
     """
@@ -681,7 +709,7 @@ def _price_objective(kernel: _Kernel) -> _Objective:
     def priced(a: np.ndarray, d: np.ndarray, parts: bool = False) -> np.ndarray:
         # rows estimate and radius, then, with parts, the run rows (nan
         # where a block takes exact values)
-        out = np.full((5 if parts else 2, a.shape[0]), np.nan)
+        out = np.full((6 if parts else 2, a.shape[0]), np.nan)
         for i in range(0, a.shape[0], block):
             s = slice(i, i + block)
             tree = kernel.price_estimates(a[s], d[s], parts)
@@ -735,7 +763,7 @@ def _by_group(objectives: Sequence[_Objective], which: np.ndarray) -> _Objective
         paired("values"),
         screen,
         paired("estimates", 2) if bracketed else None,
-        paired("runs", 5) if bounded else None,
+        paired("runs", 6) if bounded else None,
     )
 
 
@@ -1023,78 +1051,149 @@ def _run_bounds(
 
     Row g's points (a[g, j], d[g, j]) share one a, and fall into runs of
     nondecreasing d; best[g] is sign * a value the row has in hand, or inf.
-    By bisection from each run's two ends: f.runs prices the ends, and an
-    interval between two priced points i < j loses its inner points where
-    the bound below of their sign * values exceeds B, the least of best
-    and the row's upper bracket ends sign * est + rad.  Otherwise its
-    midpoint is priced or, where that bound is not finite (a block of
-    exact values, a run with a negative load or with slices to check, as
-    ``price_estimates`` says), every inner point.  The ruled-out points
+    f.runs prices each run's two ends, then, in one call per round, the
+    ends of the _RUN_SPLIT parts that split each interval between two
+    priced points i < j whose inner points are open.  An interval loses
+    its inner points where
+    the bound below of their sign * values exceeds B, the least of best and
+    the row's upper bracket ends sign * est + rad; where that bound is not
+    finite (a block of exact values, a run with a negative load or with
+    slices to check, as ``price_estimates`` says) every inner point is
+    priced, and otherwise the interval splits again.  The ruled-out points
     get +inf, radius 0; the rest their brackets.
 
-    The bound.  Let d_i <= d <= d_j in a run whose computed loads L_k on
-    the prefix-tree nodes are all >= 0; P is the price, f_k(d) the level
-    exp(-fl(L_k / d)), and c, rho the weight rows (``_price_weights``).
+    The bound is centered (Du & Kearfott, J. Global Optim. 5, 1994): it
+    follows the price's slope in x = 1/d, which is near 0 on a flat run
+    even where the price's positive and negative parts are not.  Let
+    d_i <= d_i+1 <= d <= d_j-1 <= d_j in a run whose computed node loads
+    L_k are all >= 0, so x_j <= x <= x_i; c and rho are the weight rows
+    (``_price_weights``), c+- = max(+-c, 0), f_k(d) the computed level
+    exp(-fl(L_k / d)), g_k(x) = e**(-L_k x) (0 where L_k = +inf), P(x) =
+    c @ g(x), u = 2**-53, mu = ``_sum_margin(k)`` for the dot products of
+    ``price_estimates``, and tau = 4 mu + 2**-41.
 
-    1. fl(L_k / d) is nonincreasing in d, and exp is within 2**-46 of
-       e**-x, or 2**-1060 where subnormal: (1 - delta) f_k(d_i) - eta <=
-       f_k(d) <= (1 + delta) f_k(d_j) + eta, delta = 2**-45, eta = 2**-1060.
-    2. |P(d) - c @ f(d)| <= E(d) = rho @ f(d), in exact arithmetic, as
-       ``price_estimates`` shows for its radius: by 1 the magnitude
-       c+ @ f(d) lies within 1 + delta of the range the ends passed.
-    3. c = c+ - c-, both >= 0 and exact, so P(d) <= c+ @ f(d) + E(d) -
-       c- @ f(d) <= (1 + delta) (c+ + rho) @ f(d_j) - (1 - delta)
-       c- @ f(d_i) + eta * sum(|c| + rho).
-    4. The computed s+, rad at d_j and s- at d_i are within mu =
-       ``_sum_margin(k)`` of those products, each underflowed product off
-       by at most 2**-1075.
-    5. Every weight lies below 2**(T + 403), as q <= 1 and payouts are at
-       most 2**400, so the absolute terms of 1 and 4 are below 2**(2T - 650).
+    1. exp and the division by d.  fl(L_k / d) is within u of L_k x, and
+       exp within 2**-46 of its result, or 2**-1075 where that is
+       subnormal.  As e**(708u) - 1 < 2**-43.4, |f_k - g_k| <= delta g_k +
+       eta, delta = 2**-43, eta = 2**-1060; as y e**-y < 2**-1011 for
+       y = L_k x > 708, L_k |f_k - g_k| <= delta L_k g_k + 2**-1010 d.
+    2. The ends.  |P(x_e) - est_e| <= sigma_e = tau (mag_e + rad_e) +
+       2**(2T - 650) at each end e: the dot product rounds c @ f within
+       mu mag (|c| <= c+ entry by entry), and by 1 c @ f is within
+       delta mag (1 + 2**-40) + eta sum|c| of P.  Every weight lies below
+       2**(T + 403), as q <= 1 and payouts are at most 2**400.
+    3. The slope.  P'(x) = D-(x) - D+(x), D+-(x) = (c+- * L) @ g(x), and
+       each g_k falls in x; on [x_j, x_i] the slope so lies in [lo, up],
+       lo = D-(x_i) - D+(x_j), up = D-(x_j) - D+(x_i).  The rows D+- of
+       ``price_estimates`` expand L = t a**2 - 2a cum1 + cum2: the products
+       c+- t, c+- cum1 and c+- cum2 round by u, their dot products over f
+       by mu, the load itself and the recombination with a by 10u, all of
+       the magnitude M+- with |a| for -a; with 1, each row is within
+       omega = tau (M+ + M-) + 2**(2T - 600) (1 + d) of D+-(x), which
+       widens lo and up by omega_i + omega_j.
+    4. The centered form.  The line through (x_j, P_j) of slope up and
+       that through (x_i, P_i) of slope lo lie above P on [x_j, x_i], and
+       so does their mean of weights lam and 1 - lam for any lam in
+       [0, 1].  The mean is linear: its top over the inner points is at
+       x_i+1 or x_j-1.  It is least where the mean is flat, lam = -lo /
+       (up - lo) clipped to [0, 1], or with lam = 0 where the second line
+       is the lower at both inner ends, 1 where the first is; any lam
+       gives a bound, and 1 - lam is exact once lam is 1 less it.  For a
+       minimum -P, with its slopes -up and -lo, takes P's place.
+    5. The inner point.  Its exact price is within rho @ f(d) of c @ f(d)
+       (``price_estimates``' radius), and c @ f(d) within the terms of 2
+       at d of P(x); by 1, as the levels fall in x, both are at most
+       those at d_j: within rad_j + sigma_j together, with 2 delta + 2 mu
+       of rad_j to spare in tau.
 
-    Hence P(d) <= s+_j - s-_i + rad_j + sigma_i + sigma_j, with sigma =
-    tau * (s+ + s- + rad) + 2**(2T - 650) at each end and tau = 4 mu +
-    2**-43 >= 2 mu + delta plus the roundings of sigma and of this sum; for
-    a minimum the ends swap, P(d) >= s+_i - s-_j - rad_j - sigma_i - sigma_j.
-    A ruled-out point's sign * value so lies strictly above B, which
+    Hence sign * price >= -(top + rad_j + sigma_j + err), top the bound of
+    4 on -sign * P from q_e = sigma_e - sign * est_e and the widened
+    slopes.  err = 2**-48 (|q_i| + |q_j| + h (|lo| + |up|) + rad_j +
+    sigma_j) + 2**-1060 (1 + |lo| + |up|), h = x_i - x_j, covers the
+    bound's own roundings, fewer than 16 of u on those terms (a distance
+    in x is (d_b - d_a) / d_b / d_a, within 3u), and its underflows.  A
+    ruled-out point's sign * value so lies strictly above B, which
     brackets a value in hand: it can neither win nor tie, and ``_least``
     picks the same point and value without it.
     """
     rows, m = a.shape
-    at = np.full((5, rows, m), np.nan)
-    priced = np.zeros((rows, m), dtype=bool)
-    # each run's first and last point: a run ends where d falls
+    # the intervals (ends i < j) whose inner points are open, points
+    # indexed row by row: at first the runs, which end where d falls and
+    # at each row's end
     first = np.ones((rows, m), dtype=bool)
     first[:, 1:] = d[:, 1:] < d[:, :-1]
-    last = np.roll(first, -1, axis=1)
-    todo = first | last
-    # the intervals (row g, ends i < j) whose inner points are open
-    g, i = np.nonzero(first)
-    j = np.nonzero(last)[1]
-    while todo.any():
-        r, c = np.nonzero(todo)
-        at[:, r, c] = f.runs(r, a[r, c], d[r, c])
-        priced |= todo
-        todo[r, c] = False
-        inner = j - i > 1
-        g, i, j = g[inner], i[inner], j[inner]
-        if not g.size:
+    i = np.flatnonzero(first)
+    ij = np.array((i, np.append(i[1:], rows * m) - 1))
+    a, d = a.ravel(), d.ravel()
+    # the priced points' rows of f.runs, in the order priced, and each
+    # point's column there
+    table, slot = np.empty((6, 0)), np.empty(rows * m, dtype=np.intp)
+    priced = np.zeros(rows * m, dtype=bool)
+    bound = best.copy()
+    # the points to price, ascending: at first the runs' ends
+    new = ij.T.ravel()
+    while True:
+        new = new[np.append(True, new[1:] != new[:-1]) & ~priced[new]]
+        if not new.size:
             break
-        est, rad, plus, minus, slack = at
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = np.fmin(best, np.fmin.reduce(sign * est + rad, axis=1))
-            x, y = (j, i) if sign < 0 else (i, j)
-            low = sign * (plus[g, x] - minus[g, y]) - rad[g, j] - slack[g, i] - slack[g, j]
-        cut = low > bound[g]
-        whole = ~cut & ~np.isfinite(low)
-        for row, start, stop in zip(*(ends[whole].tolist() for ends in (g, i, j))):
-            todo[row, start + 1 : stop] = True
-        split = ~(cut | whole)
-        mid = (i + j) >> 1
-        todo[g[split], mid[split]] = True
-        g, i, mid, j = g[split], i[split], mid[split], j[split]
-        g, i, j = np.tile(g, 2), np.append(i, mid), np.append(mid, j)
-    rad = np.where(priced, at[1], 0.0)
-    return np.where(priced, sign * at[0], np.inf), rad
+        slot[new] = np.arange(table.shape[1], table.shape[1] + new.size)
+        priced[new] = True
+        r = new // m
+        found = f.runs(r, a[new], d[new])
+        np.fmin.at(bound, r, sign * found[0] + found[1])
+        table = np.concatenate((table, found), axis=1)
+        ij = ij[:, ij[1] - ij[0] > 1]
+        i, j = ij
+        low = _centered_bound(sign, d[np.array((i, i + 1, j - 1, j))], table[:, slot[ij]])
+        cut = low > bound[i // m]
+        open_ = np.isfinite(low)
+        whole = [np.arange(x + 1, y) for x, y in ij[:, ~(cut | open_)].T.tolist()]
+        ij = ij[:, open_ & ~cut]
+        # _RUN_SPLIT parts each, their inner ends priced with the points of
+        # the whole intervals; parts of fewer points have ends at their
+        # starts, and no inner points
+        ends = ij[0, :, None] + (ij[1] - ij[0])[:, None] * np.arange(_RUN_SPLIT + 1) // _RUN_SPLIT
+        ij = np.array((ends[:, :-1].ravel(), ends[:, 1:].ravel()))
+        new = np.sort(np.concatenate([ends[:, 1:-1].ravel()] + whole))
+    v, rad = np.full(rows * m, np.inf), np.zeros(rows * m)
+    est, rad[priced] = table[:2, slot[priced]]
+    v[priced] = sign * est
+    return v.reshape(rows, m), rad.reshape(rows, m)
+
+
+def _centered_bound(sign: float, d: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The bound below of sign * the prices inside an interval of a run.
+
+    d holds, shape (4, n), d_i <= d_i+1 <= d_j-1 <= d_j: the interval's
+    ends and its first and last inner points.  ends holds the ends' rows
+    (est, rad, D+, D-, sigma, omega) of ``_Kernel.price_estimates``, shape
+    (6, 2, n).  ``_run_bounds`` gives the chain of inequalities; the bound
+    is nan or infinite where a row is.
+    """
+    est, rad, plus, minus, sigma, omega = ends
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the slope of -sign * P in x = 1/d lies in [lo, up]
+        wide = omega[0] + omega[1]
+        lo, up = minus[0] - plus[1] - wide, minus[1] - plus[0] + wide
+        if sign > 0:
+            lo, up = -up, -lo
+        q_i, q_j = sigma - sign * est
+        # the lines through x_j and x_i at the inner points x_i+1 >= x_j-1
+        # (rows 0 and 1), by their distances in x from the ends
+        from_j = (d[3] - d[1:3]) / d[3] / d[1:3]
+        to_i = (d[1:3] - d[0]) / d[1:3] / d[0]
+        line_j, line_i = q_j + up * from_j, q_i - lo * to_i
+        # the weight of line_j in the flat mean, or 0 where line_i is the
+        # lower at both points, or 1 where line_j is
+        lam = np.minimum(np.maximum(-lo / (up - lo), 0.0), 1.0)
+        lam = np.where(line_j[1] >= line_i[1], 0.0, np.where(line_j[0] <= line_i[0], 1.0, lam))
+        lam = 1.0 - (1.0 - lam)
+        top = np.maximum(*(lam * line_j + (1.0 - lam) * line_i))
+        # the bound's own roundings, and underflows
+        slack, steep = rad[1] + sigma[1], abs(lo) + abs(up)
+        h = from_j[0] + to_i[0]
+        err = 2.0**-48 * (abs(q_i) + abs(q_j) + h * steep + slack) + 2.0**-1060 * (1.0 + steep)
+        return -(top + slack + err)
 
 
 def _first_best(

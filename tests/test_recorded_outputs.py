@@ -13,10 +13,12 @@ The runs cover what ``test_bench_reference.py`` does not: ``check`` on
 ``paper.cfg`` (the classical sup and inf) at premiums that give each verdict
 status, one of them the robust price as printed (a boundary case), and
 ``check`` under Clayton(2) at premium 100, Frank(-2) and Gumbel(1.8),
-``check`` with a pinned at 195 (the classical inf screens one run of d),
+``check`` with a pinned at 195 (the classical inf screens one run of d)
+and at 150 (a flat run, where RIFA exists),
 sweeps along a (paper.cfg's 31 steps over 50..350, the same without
 surrender, 7 steps with Clayton(2), 7 at T=10 and 7 under the grid and the
-hybrid method), where each step's screen points share one a, sweeps along
+hybrid method, and 21 steps over 140..160, whose runs of d are flat),
+where each step's screen points share one a, sweeps along
 d, b and K (shared rectangles, one kernel or one per step), ``price`` on
 a T=6 Clayton(2) config with the grid and the
 hybrid method, ``price`` with Gumbel(1.8) under the hybrid method, and
@@ -113,6 +115,9 @@ RUNS = {
     "check_gumbel": (_horizon(8, GUMBEL_18), ["check"]),
     # a pinned a: inf_classical screens one run of d, minimizing
     "check_a_pinned": (_pinned_a(195.0), ["check"]),
+    # a = 150 pins a run of d that is flat, where RIFA exists: the
+    # classical inf screens it minimizing, the sup maximizing
+    "check_a_150": (_pinned_a(150.0), ["check"]),
     # the benchmark's a-sweep, and a Clayton one: each step pins a
     "sweep_a": (None, _sweep("a", "50", "350", "31")),
     "sweep_a_clayton": (_horizon(8, CLAYTON_2), _sweep("a", "50", "350", "7")),
@@ -122,6 +127,8 @@ RUNS = {
     # each step's fixed candidates end in a 64-point grid run of d
     "sweep_a_grid": (_method("grid"), _sweep("a", "50", "350", "7")),
     "sweep_a_hybrid": (_method("hybrid"), _sweep("a", "50", "350", "7")),
+    # the steps near a = 150, whose runs of d are flat
+    "sweep_a_flat": (None, _sweep("a", "140", "160", "21")),
     "sweep_d": (None, _sweep("d", "1e4", "1e5", "7")),
     "sweep_b": (None, _sweep("b", "0.02", "0.03", "5")),
     "sweep_K": (None, _sweep("K", "90", "110", "5")),

@@ -30,6 +30,7 @@ from rifa.robust_eval import (
     _Kernel,
     _Objective,
     _by_group,
+    _centered_bound,
     _first_best,
     _fsum_rows,
     _minimize,
@@ -1025,12 +1026,13 @@ def test_run_bounds_pick_the_exact_first_best(
 
 @pytest.mark.parametrize("T", [1, 2, 6, 8, 12])
 def test_run_rows_bound_the_prices_between_two_points(T, independence):
-    """Between two points of a run that pins a, the run rows bound every price.
+    """Between two points of a run that pins a, the centered bound holds every price.
 
     For each pair i < j of 48 points of rising d, from levels near 1 to
-    ones that underflow, each inner point's exact price lies in
-    [s+_i - s-_j, s+_j - s-_i], widened by rad_j + sigma_i + sigma_j.
-    Points without estimates (magnitudes that underflow) have no run rows.
+    ones that underflow, each inner point's exact price lies on the right
+    side of ``_centered_bound`` from the two ends' rows, for maximization
+    and minimization.  Points without estimates (magnitudes that
+    underflow) have no slope rows.
     """
     market = MarketParams(s0=100.0, u=0.1, v=-0.1, r=0.05, T=T)
     prices, q = path_arrays(market)
@@ -1040,30 +1042,37 @@ def test_run_rows_bound_the_prices_between_two_points(T, independence):
     for pinned in (0.0, 60.0, 150.0, 400.0):
         a = np.full(d.shape, pinned)
         # one point per call: a point without estimates withdraws its block's
-        est, rad, plus, minus, slack = np.concatenate(
+        rows = np.concatenate(
             [f.runs(np.zeros(1, np.intp), a[k : k + 1], d[k : k + 1]) for k in range(d.size)],
             axis=1,
         )
         price = f.values(None, a, d)
-        bounded = np.isfinite(plus)
+        bounded = np.isfinite(rows[2])
         assert bounded.sum() >= 24
-        i, k, j = np.meshgrid(*[np.flatnonzero(bounded)] * 3, indexing="ij")
-        inner = (i < k) & (k < j)
-        i, k, j = i[inner], k[inner], j[inner]
-        wide = rad[j] + slack[i] + slack[j]
-        assert (price[k] <= plus[j] - minus[i] + wide).all()
-        assert (price[k] >= plus[i] - minus[j] - wide).all()
+        i, j = np.meshgrid(*[np.flatnonzero(bounded)] * 2, indexing="ij")
+        i, j = i[j - i > 1], j[j - i > 1]
+        span = d[np.stack((i, i + 1, j - 1, j))]
+        k = np.arange(d.size)
+        inner = bounded & (i[:, None] < k) & (k < j[:, None])
+        for sign in (1.0, -1.0):
+            low = _centered_bound(sign, span, rows[:, np.stack((i, j))])
+            assert np.isfinite(low).all()
+            assert (sign * price >= low[:, None])[inner].all()
 
 
 def _table_objective(table, plus, minus, slack):
-    """Exact values table[d], radius 0, with run rows s+ = plus(d), s- = minus(d)."""
+    """Exact values table[d], radius 0, slope rows D+ = plus(d), D- = minus(d).
+
+    The price's slack is slack, the slopes' 0.
+    """
 
     def values(rows, a, d):
         return np.array([table[x] for x in d.tolist()])
 
     def runs(rows, a, d):
         v = values(rows, a, d)
-        return np.stack((v, np.zeros_like(v), plus(d), minus(d), np.full_like(v, slack)))
+        zero = np.zeros_like(v)
+        return np.stack((v, zero, plus(d), minus(d), np.full_like(v, slack), zero))
 
     def screen(a, d):
         v = values(None, a, d.ravel()).reshape(d.shape)
@@ -1076,9 +1085,10 @@ def _table_objective(table, plus, minus, slack):
 def test_run_bounds_keep_a_tie_their_bound_meets(sign):
     """A point whose bound equals the best bracket is priced: it may tie first.
 
-    Values -sign * d, exact run rows, no slack.  On d = (1, 2, 2) the
-    bound of the inner point meets the priced end's value, and the inner
-    point, a tie, is np.argmin's pick.
+    Values -sign * d, slope rows D+ and D- (one of them d, the other 0) of
+    the right sign, no slack.  On d = (1, 2, 2) the bound of the inner
+    point meets the priced end's value, and the inner point, a tie, is
+    np.argmin's pick.
     """
     d = np.array([[1.0, 2.0, 2.0]])
     parts = (np.zeros_like, np.copy) if sign > 0 else (np.copy, np.zeros_like)
@@ -1092,17 +1102,16 @@ def test_run_bounds_keep_a_tie_their_bound_meets(sign):
 def test_run_bounds_add_the_slack(sign):
     """A point that beats its run's ends by less than their slack is priced.
 
-    Run rows s+ = 1, s- = 0 bound the values of the run d = (1, 2, 3) by
-    1 + 2 * slack: its inner value 1 + 1.5 slack beats the second run's
-    1 + slack, so a bound without slack would rule out the winner (for
-    minimization, negated).
+    Slope rows D+ = D- = 0, a flat run, bound the values of the run
+    d = (1, 2, 3) by 1 + 2 * slack: its inner value 1 + 1.5 slack beats
+    the second run's 1 + slack, so a bound without slack would rule out
+    the winner (for minimization, negated).
     """
     eps = 2.0**-40
     d = np.array([[1.0, 2.0, 3.0, 0.5, 0.6]])
     price = [1.0, 1.0 + 1.5 * eps, 1.0, 1.0 + eps, 1.0]
     table = {x: -sign * p for x, p in zip(d[0].tolist(), price)}
-    parts = (np.zeros_like, np.ones_like) if sign > 0 else (np.ones_like, np.zeros_like)
-    f = _table_objective(table, *parts, eps)
+    f = _table_objective(table, np.zeros_like, np.zeros_like, eps)
     best, value = _first_best(f, 1, np.zeros_like(d), d, sign)
     assert best.tolist() == [1]
     assert value.tolist() == [-sign * (1.0 + 1.5 * eps)]
@@ -1150,9 +1159,11 @@ def test_runs_without_a_bound_price_every_point(sign, independence):
 
 
 def test_run_bounds_price_few_of_the_sweeps_screen(market_paper, benefit_paper, independence):
-    """paper.cfg's 31-step a-sweep prices at most 20% of its screen points.
+    """paper.cfg's 31-step a-sweep prices at most 6% of its screen points.
 
-    A silent fall back to the screen that prices every point fails here.
+    In at most 5 calls of the run rows: a silent fall back to the screen
+    that prices every point, or a bound that rules out fewer points, fails
+    here.
     """
     box = ParamBox(a=(50.0, 340.0), b=(0.02, 0.03), c=(0.01, 0.05), d=(1e4, 1e5))
     boxes = [dataclasses.replace(box, a=(a, a)) for a in np.linspace(50.0, 350.0, 31)]
@@ -1161,7 +1172,7 @@ def test_run_bounds_price_few_of_the_sweeps_screen(market_paper, benefit_paper, 
     def spy(f, groups, a, d, sign):
         f, priced = _counting_runs(f)
         out = real(f, groups, a, d, sign)
-        screens.append((groups * a.shape[1], sum(priced)))
+        screens.append((groups * a.shape[1], priced))
         return out
 
     with mock.patch.object(robust_eval, "_first_best", spy):
@@ -1171,7 +1182,8 @@ def test_run_bounds_price_few_of_the_sweeps_screen(market_paper, benefit_paper, 
     # the fixed candidates, then the 17**2-point screen of d
     [_, (screened, priced)] = screens
     assert screened == 31 * 289
-    assert 0 < priced <= 0.2 * screened
+    assert 0 < sum(priced) <= 0.06 * screened
+    assert len(priced) <= 5
 
 
 def _without_brackets(kernel):
