@@ -632,7 +632,7 @@ class _Objective(NamedTuple):
     values(rows, a, d) gives problem rows[i]'s objective at (a[i], d[i]);
     screen(a, d) -> (estimates, radii) bounds the values of
     ``_first_best``'s candidates, and estimates(rows, a, d) -> (estimates,
-    radii) those of paired points, for ``_minimize``.  Each value lies
+    radii) those of paired points, for ``minimize``.  Each value lies
     within its radius of its estimate.  estimates is None where every
     radius would be 0 or an estimate costs about what a value does: the
     search then takes values.  runs(rows, a, d), where not None, adds to
@@ -688,7 +688,7 @@ def _price_objective(kernel: _Kernel) -> _Objective:
     gives the certified estimates of ``_Kernel.price_estimates``, else
     values, radius 0, in blocks of as many pairs or, for the one-dot
     estimate of independence, of _LEVEL_PAIRS.  Only that estimate goes
-    to ``_minimize``, and with its run rows to ``_run_bounds``: at a
+    to ``minimize``, and with its run rows to ``_run_bounds``: at a
     search's few points per call the node form of the other families
     costs about what a value does.
     """
@@ -772,15 +772,18 @@ class NelderMeadResult:
     """Outcome of one lockstep Nelder-Mead batch.
 
     x:         best vertex of each problem, shape (problems, N)
-    fun:       objective at x, the value stored there (scipy's is nan if any vertex is)
+    fun:       objective at x, the value stored there (scipy's is nan if any vertex is),
+               or the lower end of its bracket
     converged: per problem, whether the tolerances were met in time
     nfev:      objective evaluations over the whole batch
+    fun_hi:    the upper end of the bracket stored at x; fun itself without one
     """
 
     x: np.ndarray
     fun: np.ndarray
     converged: np.ndarray
     nfev: int
+    fun_hi: np.ndarray
 
     @property
     def success(self) -> bool:
@@ -791,7 +794,7 @@ class NelderMeadResult:
 def _sort_simplex(
     P: np.ndarray,
     pairs: Sequence[tuple[int, int]],
-    le: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda x, y: x[-1] <= y[-1],
+    le: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> None:
     """Sort each problem's vertices in place by a network of vertex pairs.
 
@@ -811,6 +814,7 @@ def minimize(
     maxiter: int,
     xatol: float,
     fatol: float,
+    bracket: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> NelderMeadResult:
     """Nelder-Mead over the unit cube on many problems in lockstep.
 
@@ -825,22 +829,9 @@ def minimize(
     result does not depend on the rest of the batch.  An iteration makes
     one call for every reflection, one for every expansion or contraction
     and, only when some problem shrinks, one for the shrunken vertices.
-    """
-    return _minimize(fun, x0, maxiter, xatol, fatol)[0]
 
-
-def _minimize(
-    fun: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    maxiter: int,
-    xatol: float,
-    fatol: float,
-    bracket: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
-) -> tuple[NelderMeadResult, np.ndarray]:
-    """``minimize``, whose decisions settle on brackets of the values if given.
-
-    `bracket(rows, z)` returns estimates and radii with each value of fun
-    within its radius of its estimate; ``minimize``'s calls then go to
+    Given `bracket(rows, z)`, which returns estimates and radii with each
+    value of fun within its radius of its estimate, those calls go to
     bracket, and a point stores the bracket's ends [lo, hi], rounded
     outward for free: rounding is monotone and fun's value is a float, so
     it lies in [fl(est - rad), fl(est + rad)], and is that float where the
@@ -851,14 +842,11 @@ def _minimize(
     overlap.  Where one is still open, one call to fun makes its operands
     exact, and two bitwise-equal points of one problem compare equal
     without one.  So every decision, and every point, is the one the exact
-    values give; only the values stored at x may stay brackets.  A
-    problem that needed exact values has values tied within its brackets,
-    as a rule until it stops, so its later points go to fun directly.
-
-    Returns ``minimize``'s result and the upper ends of the brackets stored
-    at x.  The result's fun holds their lower ends, the values themselves
-    where the two ends meet (always, without a bracket), and its nfev
-    counts the points visited, not the exact values that settle brackets.
+    values give; only the values stored at x may stay brackets, whose
+    ends the result's fun and fun_hi hold, and nfev counts the points
+    visited, not the exact values that settle brackets.  A problem that
+    needed exact values has values tied within its brackets, as a rule
+    until it stops, so its later points go to fun directly.
     """
     x0 = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     m, n = x0.shape
@@ -1011,7 +999,7 @@ def _minimize(
         _sort_simplex(P, pairs if shrink.size else pairs[-n:], le)
         iterations += 1
 
-    return NelderMeadResult(x=x, fun=fmin, converged=converged, nfev=nfev), fmax
+    return NelderMeadResult(x=x, fun=fmin, converged=converged, nfev=nfev, fun_hi=fmax)
 
 
 def _latin_starts(k: int, ndim: int) -> list[tuple[float, ...]]:
@@ -1261,7 +1249,7 @@ def _optimize_ad(
     the group's best point of a coarse screen.  ``_first_best`` screens
     the other candidates, one row per group or one shared row if all
     rectangles are equal; every group's searches run in one lockstep
-    ``_minimize``, which settles its decisions from f's estimates when f
+    ``minimize``, which settles its decisions from f's estimates when f
     has them and a is pinned.  The first best of a group's candidates is
     then ``_least``'s, as in the screen, so only contenders are evaluated
     exactly.  Returns, per group, the first best as (value, a, d), the
@@ -1299,11 +1287,12 @@ def _optimize_ad(
         )
         return a, d
 
-    # each row's fixed points, axis (a, d) by point: the corners (lo, lo),
-    # (lo, hi), (hi, lo) and (hi, hi), the midpoint, then the extras
-    # clipped to the rectangle
+    # each row's fixed points, axis (a, d) by point: the corners of the
+    # free axes, of (lo, lo), (lo, hi), (hi, lo) and (hi, hi), the
+    # midpoint, then the extras clipped to the rectangle
     low, high = lo[owners, :, None], hi[owners, :, None]
-    corners = np.where([[0, 0, 1, 1], [0, 1, 0, 1]], high, low)
+    at_hi = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
+    corners = np.where(at_hi[:, (at_hi <= spans[0, :, None]).all(axis=0)], high, low)
     extras = np.minimum(np.maximum(np.reshape(extra_points, (-1, 2)).T, low), high)
     a, d = np.moveaxis(np.concatenate((corners, 0.5 * (low + high), extras), axis=2), 1, 0)
     if free and cfg.method in ("grid", "hybrid"):
@@ -1358,7 +1347,7 @@ def _optimize_ad(
             est, rad = f.estimates(g, *to_point(z, g))
             return sign * est, rad
 
-        res, res_hi = _minimize(
+        res = minimize(
             fun,
             x0.reshape(-1, len(free)),
             # scipy counts the initial simplex as iteration 1
@@ -1370,16 +1359,23 @@ def _optimize_ad(
         polished = to_point(res.x, np.repeat(every_group, per_group))
         candidates.append(np.stack(polished, axis=1).reshape(groups, per_group, 2))
         lows.append(res.fun.reshape(groups, per_group))
-        highs.append(res_hi.reshape(groups, per_group))
+        highs.append(res.fun_hi.reshape(groups, per_group))
         failed = ~res.converged.reshape(groups, per_group).any(axis=1)
 
     cand = np.concatenate(candidates, axis=1)
+    lows, highs = np.concatenate(lows, axis=1), np.concatenate(highs, axis=1)
+    # a candidate equal, bit for bit, to an earlier one of its group loses
+    # their tie, so it is dropped unpriced
+    a_bits, d_bits = cand.view(np.uint64).transpose(2, 0, 1)
+    same = (a_bits[:, :, None] == a_bits[:, None]) & (d_bits[:, :, None] == d_bits[:, None])
+    repeat = (same & np.tri(cand.shape[1], k=-1, dtype=bool)).any(axis=2)
+    lows[repeat] = highs[repeat] = np.inf
 
     def exact(redo: np.ndarray) -> np.ndarray:
         return sign * f.values(np.nonzero(redo)[0], *cand[redo].T)
 
     # only contenders and the winner are evaluated exactly
-    best, best_val = _least(np.concatenate(lows, axis=1), np.concatenate(highs, axis=1), exact)
+    best, best_val = _least(lows, highs, exact)
     best_val = sign * best_val
     bad = np.flatnonzero(failed | ~np.isfinite(best_val))
     if bad.size:

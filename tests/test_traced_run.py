@@ -6,8 +6,9 @@ function's result.  A lazy trial stream returned under a name whose result a
 span reads would be drained by the tracer before its caller saw a trial.
 The tracer is installed in a fresh interpreter, so that its wrappers do not
 outlive the test, and a small ``rifa simulate`` and ``verify_arbitrage`` are
-compared with the same calls made there before it was installed.  The
-benchmark's files are only read.
+compared with the same calls made there before it was installed.  A traced
+``rifa price`` then shows that the tracer counts the Nelder-Mead runs of the
+per-path search.  The benchmark's files are only read.
 """
 
 import json
@@ -48,7 +49,10 @@ tracer = spans.Tracer()
 spans.install(tracer)
 traced = [simulate(), verify()]
 names = sorted({s.name for s in tracer.spans})
-print(json.dumps({"plain": plain, "traced": traced, "spans": names}))
+with contextlib.redirect_stdout(io.StringIO()):
+    price = cli.main(["price", "--config", sys.argv[3]])
+nfev = sum(n for (_, key), n in tracer.counts.items() if key == "nm_nfev")
+print(json.dumps({"plain": plain, "traced": traced, "spans": names, "price": price, "nfev": nfev}))
 """
 
 
@@ -68,3 +72,6 @@ def test_traced_simulate_and_verify_match_untraced(write_config, base_config_doc
     assert {"arbitrage_lab.portfolio_trials", "arbitrage_lab.verify_arbitrage"} <= set(
         run["spans"]
     )
+    # the tracer sees the Nelder-Mead that the pipeline runs
+    assert run["price"] == 0
+    assert run["nfev"] > 0
