@@ -181,10 +181,13 @@ def _row_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
     accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
     the tail past the last multiple of 8 in sequence.  Longer rows, split
     in halves by numpy, are not reproduced; a date sum has T-1 <= 23
-    terms.  The terms broadcast together.
+    terms.  The terms broadcast together, or stack along the first axis
+    of one array, whose fewer than 8 terms one reduction adds in sequence.
     """
     n = len(terms)
     if n < 8:
+        if isinstance(terms, np.ndarray):
+            return np.add.reduce(terms, axis=0, initial=0.0)
         return functools.reduce(np.add, terms, 0.0)
     r = list(terms[:8])
     k = 8
@@ -214,13 +217,13 @@ def _fsum_rows(x: np.ndarray) -> np.ndarray:
         return np.array(list(map(math.fsum, x.tolist())))
     n = x.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        mx = np.abs(x).max(axis=1, initial=0.0)
+        mx = np.maximum.reduce(np.abs(x), axis=1, initial=0.0)
         sigma = np.ldexp(1.0, np.frexp(mx)[1] + (n + 1).bit_length())[:, None]
         hi = (sigma + x) - sigma
         lo = x - hi
-        tau = hi.sum(axis=1)
-        rho = lo.sum(axis=1)
-        bound = (2.0 * n * 2.0**-53) * np.abs(lo).sum(axis=1)
+        tau = np.add.reduce(hi, axis=1)
+        rho = np.add.reduce(lo, axis=1)
+        bound = (2.0 * n * 2.0**-53) * np.add.reduce(np.abs(lo), axis=1)
         c = tau + rho
         z = c - tau
         t = (tau - (c - z)) + (rho - z)
@@ -233,7 +236,7 @@ def _fsum_rows(x: np.ndarray) -> np.ndarray:
 
 def _refuse_negative(slices: np.ndarray) -> None:
     """Raise if a surrender slice mass lies below -SLICE_TOL: not rounding noise."""
-    if float(slices.min(initial=0.0)) < -SLICE_TOL:
+    if np.minimum.reduce(slices, axis=None, initial=0.0) < -SLICE_TOL:
         raise NumericalError("negative surrender slice mass beyond tolerance")
 
 
@@ -255,7 +258,7 @@ class _Kernel:
     the node values or, under independence, from ``_levels`` alone.
     """
 
-    __slots__ = ("T", "spec", "surr_on", "f1", "q", "tt", "tree", "weights")
+    __slots__ = ("T", "spec", "surr_on", "f1", "q", "tt", "chain", "tree", "weights")
 
     def __init__(
         self,
@@ -279,6 +282,8 @@ class _Kernel:
             loads = b * np.exp(c * np.arange(T, dtype=float))
         self.f1 = np.exp(-np.concatenate(([0.0], np.cumsum(loads))))
         self.tt = np.arange(T + 1, dtype=float)[:, None]
+        # ``_nodes``' death columns and parents on a chain of dates 0..T
+        self.chain = (np.concatenate((self.f1[1:], self.f1[1:T]))[:, None], slice(0, T - 1))
         self.tree = self._tree_arrays(prices, benefit, market)
         self.weights = None
 
@@ -294,7 +299,7 @@ class _Kernel:
         so the node takes row p's sums of prices and squared prices over dates
         0..t-1 and payout of date t-1.  Its parent is s_(t-1) + p mod w_(t-1).
 
-        Returns ``_nodes``' columns (date, cum1, cum2, f1, next_f1, up), the
+        Returns ``_nodes``' columns (date, cum1, cum2, f1, up), the
         parents of nodes 2.. as slice rows, those nodes' payouts (under
         independence times death survival, the only way they enter), each
         path's survival payout, and ``values``' gather source: the stack
@@ -319,9 +324,9 @@ class _Kernel:
             date.astype(float)[:, None],
             stack[0, :, None],
             stack[1, :, None],
-            f1[date[1:]][:, None],
-            # f1 of the next date on the nodes of dates 0..T-2
-            f1[date[: start[T - 1]] + 1][:, None],
+            # f1 on nodes 1.., then that of the next date on the nodes of
+            # dates 0..T-2
+            np.concatenate((f1[date[1:]], f1[date[: start[T - 1]] + 1]))[:, None],
             parent[: start[T] - 1],
             parent[1:] - 1,
             stack[2, 2:],
@@ -356,11 +361,12 @@ class _Kernel:
                 a = a[np.flatnonzero(np.append(True, change))]
         # float_power squares through libm pow, as Python floats do; the
         # classical band's Nelder-Mead path depends on that last bit.  A load
-        # past the float range is +inf, its limit (f2 = 0); date 0's, row 0, is 0
+        # past the float range is +inf, its limit (f2 = 0), as is a nan one
+        # (fmin drops nan); date 0's, row 0, is 0
         with np.errstate(over="ignore", invalid="ignore"):
             load = node_t * np.float_power(a, 2.0) - 2.0 * a * node_cum1 + node_cum2
             load[0] = 0.0
-            load[np.isnan(load)] = np.inf
+            np.fmin(load, np.inf, out=load)
             spread = load if run is None else load.take(run, axis=1)
             rate = np.divide(spread, -d, out=None if run is None else spread)
         return load, np.exp(rate, out=rate), run
@@ -368,17 +374,16 @@ class _Kernel:
     def _nodes(self, nodes: tuple, split: int, a: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Survival to T on the date-T nodes, then the slices of the inner nodes.
 
-        nodes = (date, cum1, cum2, f1, next_f1, up), nodes along the first
-        axis and points along the last: node 0 is date 0, nodes 1..split-1
-        are inner (dates 1..T-1), nodes split.. are date T.  f1 is death
-        survival on nodes 1.., next_f1 that of the next date on the first
-        nodes, those that parent inner nodes, and up[m] the parent of inner
-        node m+1.  The prefix tree passes its nodes, ``values`` each pair's
-        chain of dates 0..T.  Row r is date-T node split + r; the inner
-        nodes' slices, the mass of surrendering at their date while alive,
-        follow.
+        nodes = (date, cum1, cum2, f1, up), nodes along the first axis and
+        points along the last: node 0 is date 0, nodes 1..split-1 are inner
+        (dates 1..T-1), nodes split.. are date T.  f1 is death survival on
+        nodes 1.., then that of the next date on the first nodes, those that
+        parent inner nodes, and up[m] the parent of inner node m+1.  The
+        prefix tree passes its nodes, ``values`` each pair's chain of dates
+        0..T.  Row r is date-T node split + r; the inner nodes' slices, the
+        mass of surrendering at their date while alive, follow.
         """
-        node_f1, next_f1, up = nodes[3:]
+        f1, up = nodes[3:]
         f2 = self._levels(nodes, a, d)[1]
         count = f2.shape[0]
         out = np.empty((count - 1, d.shape[0]))
@@ -387,11 +392,12 @@ class _Kernel:
             np.multiply(self.f1[self.T], f2[split:], out=survival)
             np.subtract(f2[up], f2[1:split], out=slices)
         else:
-            # joint survival P(death > t, surrender > t) on nodes 1..
-            joint = _survival_array(self.spec, node_f1, f2[1:])
-            upper = _survival_array(self.spec, next_f1, f2[: next_f1.shape[0]])
-            survival[...] = joint[split - 1 :]
-            np.subtract(upper[up], joint[: split - 1], out=slices)
+            # joint survival P(death > t, surrender > t) on nodes 1.., then
+            # at the next date on the first nodes, in one copula call
+            upper = f2[: f1.shape[0] - count + 1]
+            joint = _survival_array(self.spec, f1, np.concatenate((f2[1:], upper)))
+            survival[...] = joint[split - 1 : count - 1]
+            np.subtract(joint[count - 1 :][up], joint[: split - 1], out=slices)
         _refuse_negative(slices)
         if not self.spec.is_independence:
             np.clip(slices, 0.0, None, out=slices)
@@ -405,17 +411,16 @@ class _Kernel:
         _BLOCK_PAIRS pairs, so memory stays flat, and evaluated by ``_nodes``
         elementwise per pair: a value does not depend on the other pairs.
         """
-        T, f1 = self.T, self.f1
-        v_surv, stack, start, mask = self.tree[8:]
+        T = self.T
+        v_surv, stack, start, mask = self.tree[7:]
         if not self.surr_on:
-            return v_surv[rows] * f1[T]
+            return v_surv[rows] * self.f1[T]
         out = np.empty(a.shape[0])
         for i in range(0, a.shape[0], _BLOCK_PAIRS):
             s, r = slice(i, i + _BLOCK_PAIRS), rows[i : i + _BLOCK_PAIRS]
             cum1, cum2, pay = stack.take(start + (r & mask), axis=1)
-            nodes = (self.tt, cum1, cum2, f1[1:, None], f1[1:T, None], slice(0, T - 1))
-            m = self._nodes(nodes, T, a[s], d[s])
-            out[s] = v_surv[r] * m[0] + _row_sum(list(m[1:] * pay[2:]))
+            m = self._nodes((self.tt, cum1, cum2, *self.chain), T, a[s], d[s])
+            out[s] = v_surv[r] * m[0] + _row_sum(m[1:] * pay[2:])
         return out
 
     def _price_weights(self) -> np.ndarray:
@@ -446,7 +451,7 @@ class _Kernel:
         [2**-400, 2**400].
         """
         T, q = self.T, self.q
-        gather, pay, v = self.tree[6:9]
+        gather, pay, v = self.tree[5:8]
         payouts = np.abs(np.concatenate((v, pay)))
         payouts = payouts[payouts != 0.0]
         if not (
@@ -469,7 +474,7 @@ class _Kernel:
             return np.stack((w, mw))
         # f2 rows: node 0, the inner nodes 1..half-1, the date-T nodes; the
         # slice weights add at their node's parent, up, and subtract at it
-        up, f1T = self.tree[5], self.f1[T]
+        up, f1T = self.tree[4], self.f1[T]
         c, cplus = np.zeros((2, 1 << T))
         for row, x, sign in ((c, w, -1.0), (cplus, mw, 1.0)):
             row[1:half] = sign * x[half:]
@@ -556,7 +561,7 @@ class _Kernel:
         with np.errstate(over="ignore", invalid="ignore"):
             if self.spec.is_independence:
                 load, f2, run = self._levels(self.tree, a, d, runs=True)
-                up = self.tree[5]
+                up = self.tree[4]
                 # per column of loads, whether an inner load lies below its parent's
                 below = ~(load[1:half] >= load[up]).all(axis=0)
                 if below.any():
@@ -567,7 +572,7 @@ class _Kernel:
                     out += w[:, i : i + _DOT_TERMS] @ f2[i : i + _DOT_TERMS]
                 est, mag, rad = out[:3]
             else:
-                nodes = self._nodes(self.tree[:6], half, a, d)
+                nodes = self._nodes(self.tree[:5], half, a, d)
                 est = self.weights[0] @ nodes
                 mag = self.weights[1] @ np.abs(nodes, out=nodes)
                 rad = _sum_margin((1 << self.T) + self.T + 4) * mag
@@ -610,11 +615,11 @@ class _Kernel:
         T, f1 = self.T, self.f1
         if self.q.shape[0] != 1 << T:
             raise ContractError("every_path needs the prices of all 2**T paths")
-        gather, pay, v_surv = self.tree[6:9]
+        gather, pay, v_surv = self.tree[5:8]
         if not self.surr_on:
             return np.broadcast_to(v_surv * f1[T], (a.shape[0], 1 << T))
         half = (1 << T) >> 1
-        nodes = self._nodes(self.tree[:6], half, a, d)
+        nodes = self._nodes(self.tree[:5], half, a, d)
         # each slice times its payout on the next date's nodes (in-range
         # indices: take needs no bounds copy)
         paid = np.empty((1 << T, a.shape[0]))
@@ -791,21 +796,27 @@ class NelderMeadResult:
         return bool(self.converged.all())
 
 
-def _sort_simplex(
-    P: np.ndarray,
-    pairs: Sequence[tuple[int, int]],
-    le: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> None:
-    """Sort each problem's vertices in place by a network of vertex pairs.
+def _clip(x: np.ndarray) -> np.ndarray:
+    """np.clip(x, 0, 1) in place, bit for bit (-0.0 and nan pass), by two ufuncs."""
+    return np.minimum(1.0, np.maximum(0.0, x, out=x), out=x)
 
-    P[vertex, coordinates then value, problem]: pair (i, j) swaps where
-    le(P[i], P[j]), whether the value at i is at most that at j, fails and
-    the value at j is not nan, giving argsort's stable order.
+
+def _sort_simplex(
+    P: np.ndarray, le: Callable[[np.ndarray, np.ndarray], np.ndarray], first: int = 1
+) -> None:
+    """Sort each problem's vertices in place, whose first `first` are sorted.
+
+    P[vertex, coordinates then value, problem].  An insertion-sort network:
+    for each later vertex j, the pairs (j-1, j), .., (0, 1) swap in turn
+    where le(P[i], P[i+1]), whether the value at i is at most that at i+1,
+    fails and the value at i+1 is not nan, giving argsort's stable order.
     """
-    for i, j in pairs:
-        swap = ~le(P[i], P[j]) & (P[j, -1] == P[j, -1])
-        if swap.any():
-            P[i], P[j] = np.where(swap, P[j], P[i]), np.where(swap, P[i], P[j])
+    for j in range(first, P.shape[0]):
+        for i in range(j - 1, -1, -1):
+            swap = np.greater(P[i + 1, -1] == P[i + 1, -1], le(P[i], P[i + 1]))
+            if np.count_nonzero(swap):
+                pair = P[i : i + 2]
+                pair[...] = np.where(swap, pair[::-1], pair)
 
 
 def minimize(
@@ -824,7 +835,7 @@ def minimize(
     method="Nelder-Mead", bounds [0, 1]^N and these maxiter, xatol and
     fatol) operation for operation.  The live problems are packed in one
     array P[vertex, coordinates then value, problem], compacted when some
-    retire, and an insertion-sort network keeps each simplex in argsort's
+    retire, and an insertion sort keeps each simplex in argsort's
     order.  Every operation acts per problem, in scipy's order, so a
     result does not depend on the rest of the batch.  An iteration makes
     one call for every reflection, one for every expansion or contraction
@@ -865,10 +876,10 @@ def minimize(
     def evaluate(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The rows hi (and lo) of the points z of problems rows."""
         if bracket is None:
-            return fun(rows, z)[None]
+            return fun(rows, z)
         out = np.empty((2, rows.size))
         known = sure[rows]
-        if known.any():
+        if np.count_nonzero(known):
             out[:, known] = fun(rows[known], z[known])
         if not known.all():
             est, rad = bracket(rows[~known], z[~known])
@@ -899,7 +910,7 @@ def minimize(
             return yes
         no = X[lo] >= Y[hi] if strict else X[lo] > Y[hi]
         open_ = where & ~(yes | no)
-        if open_.any():
+        if np.count_nonzero(open_):
             open_ &= (X[lo] < X[hi]) | (Y[lo] < Y[hi])
             equal = open_ & same(X, Y)
             refine((X, open_ & ~equal), (Y, open_ & ~equal))
@@ -919,7 +930,7 @@ def minimize(
         yes = np.maximum(np.abs(least), np.abs(most)) <= fatol
         no = (least > fatol) | (most < -fatol)
         open_ = where & ~no.any(axis=0) & ~(yes | no)
-        if open_.any():
+        if np.count_nonzero(open_):
             open_ &= (X[:, lo] < X[:, hi]) | (Y[lo] < Y[hi])
             equal = open_ & same(X, Y)
             redo = open_ & ~equal
@@ -932,14 +943,11 @@ def minimize(
         return below(X, Y, strict=False)
 
     z = P[:, :n].transpose(0, 2, 1).reshape(-1, n)
-    values = evaluate(np.tile(live, n + 1), z)
+    values = evaluate(np.concatenate((live,) * (n + 1)), z)
     P[:, n:] = values.reshape(-1, n + 1, m).transpose(1, 0, 2)
     nfev = m * (n + 1)
-    # an insertion-sort network: after a step without shrink only the new
-    # last vertex can be out of order, and the last n pairs insert it
-    pairs = [(i, i + 1) for j in range(n) for i in range(j, -1, -1)]
     # scipy sorts the initial simplex twice; the sort is stable, so once is the same
-    _sort_simplex(P, pairs, le)
+    _sort_simplex(P, le)
     # the value rows' test is the fatol test, or with brackets none (but
     # for nan): ``near`` settles that
     tol = np.array([xatol] * n + [fatol if hi == lo else np.inf] * (lo + 1 - n))[:, None]
@@ -947,56 +955,67 @@ def minimize(
     x, fmin, fmax = np.empty((m, n)), np.empty(m), np.empty(m)
     converged = np.zeros(m, dtype=bool)
     iterations = 1
+    # the reflection and trial points, reallocated only when problems retire
+    r, t = np.empty((2, lo + 1, m))
     while live.size:
         ok = np.logical_and.reduce(np.abs(P[1:] - P[0]) <= tol, axis=(0, 1))
         if hi != lo:
             ok &= near(ok & (iterations < maxiter))
-        out = ok | (iterations >= maxiter)
-        if out.any():
-            gone, done = live[out], P.compress(out, axis=2)
+        out = ok if iterations < maxiter else np.ones_like(ok)
+        if np.count_nonzero(out):
+            gone, best = live[out], P[0].compress(out, axis=1)
             converged[gone] = ok[out] & (iterations < maxiter)
-            x[gone], fmin[gone], fmax[gone] = done[0, :n].T, done[0, lo], done[0, hi]
+            x[gone], fmin[gone], fmax[gone] = best[:n].T, best[lo], best[hi]
             live, P = live[~out], P.compress(~out, axis=2)
             if not live.size:
                 break
+            r, t = np.empty((2, lo + 1, live.size))
         worst = P[n, :n]
         xbar = np.add.reduce(P[:n, :n], 0) / n
         # scipy's trial points are c * xbar + (1 - c) * worst: reflection
         # c = 2, expansion 3, outside contraction 1.5, inside 0.5
-        r, t = np.empty((2, lo + 1, live.size))
-        np.clip(2.0 * xbar - worst, 0.0, 1.0, out=r[:n])
+        _clip(np.subtract(2.0 * xbar, worst, out=r[:n]))
         r[n:] = evaluate(live, r[:n].T)
-        expand = below(r, P[0], strict=True)
-        other = ~expand
-        reflect = other & below(r, P[n - 1], True, other)
-        contract = other & ~reflect
-        outside = contract & below(r, P[n], True, contract)
-        inside = contract ^ outside
-        c = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))
-        np.clip(c * xbar + (1.0 - c) * worst, 0.0, 1.0, out=t[:n])
-        t[n:] = r[n:]  # where no trial is made, so that t's values are defined
-        trial = np.flatnonzero(~reflect)
-        t[n:, trial] = evaluate(live[trial], t[:n].take(trial, axis=1).T)
+        # whether the reflection lies below vertex 0 (expand), below vertex
+        # n-1 (keep it, c = 2: no trial) or below vertex n (contract
+        # outside, else inside); the first that holds decides
+        if hi == lo:
+            below_i = r[hi] < P[:, lo]
+            expand, keep, outside = below_i[0], below_i[n - 1], below_i[n]
+        else:
+            expand = below(r, P[0], True)
+            keep = below(r, P[n - 1], True, ~expand)
+            outside = below(r, P[n], True, ~(expand | keep))
+        c = np.where(expand, 3.0, np.where(keep, 2.0, np.where(outside, 1.5, 0.5)))
+        _clip(np.add(c * xbar, (1.0 - c) * worst, out=t[:n]))
+        trial = (c != 2.0).nonzero()[0]
+        if trial.size == live.size:
+            t[n:] = evaluate(live, t[:n].T)
+        else:
+            t[n:] = r[n:]  # where no trial is made, so that t's values are defined
+            t[n:, trial] = evaluate(live[trial], t[:n].take(trial, axis=1).T)
         nfev += live.size + trial.size
         # expansion is taken below the reflection, an outside contraction at
         # or below it, an inside one below the worst vertex
+        expand, outside, inside = (c == k for k in (3.0, 1.5, 0.5))
         take_t = (
             (expand & below(t, r, True, expand))
             | (outside & below(t, r, False, outside))
             | (inside & below(t, P[n], True, inside))
         )
-        shrink = np.flatnonzero(contract & ~take_t)
+        shrink = np.greater(c < 2.0, take_t).nonzero()[0]
         if shrink.size:
             S = P.take(shrink, axis=2)
-            S[1:, :n] = np.clip(S[0, :n] + _SIGMA * (S[1:, :n] - S[0, :n]), 0.0, 1.0)
+            S[1:, :n] = _clip(S[0, :n] + _SIGMA * (S[1:, :n] - S[0, :n]))
             z = S[1:, :n].transpose(0, 2, 1).reshape(-1, n)
-            values = evaluate(np.tile(live[shrink], n), z)
+            values = evaluate(np.concatenate((live[shrink],) * n), z)
             S[1:, n:] = values.reshape(-1, n, shrink.size).transpose(1, 0, 2)
             nfev += z.shape[0]
         P[n] = np.where(take_t, t, r)
         if shrink.size:
             P[..., shrink] = S
-        _sort_simplex(P, pairs if shrink.size else pairs[-n:], le)
+        # after a step without shrink only the new last vertex is out of order
+        _sort_simplex(P, le, 1 if shrink.size else n)
         iterations += 1
 
     return NelderMeadResult(x=x, fun=fmin, converged=converged, nfev=nfev, fun_hi=fmax)
@@ -1197,7 +1216,8 @@ def _first_best(
     ``_least`` picks it from the running best and the tile's brackets.
     Where f has run bounds and every row pins a (under independence, each
     step of an a-sweep), ``_run_bounds`` prices only the points of a tile
-    that its bound cannot rule out, one row per group.
+    that its bound cannot rule out, one row per group, in the tiles where
+    some run has inner points to rule out: three or more.
     """
     group = np.arange(groups)
     best, val = np.zeros(groups, dtype=np.intp), np.full(groups, np.inf)
@@ -1207,7 +1227,9 @@ def _first_best(
     step = max(1, _TREE_PAIRS // groups)
     for i in range(0, a.shape[1], step):
         s = slice(i, i + step)
-        if runs:
+        # only a run of three or more points has inner points to rule out
+        rise = d[:, s][:, 1:] >= d[:, s][:, :-1] if runs else None
+        if runs and np.count_nonzero(rise[:, 1:] & rise[:, :-1]):
             v, rad = _run_bounds(f, a[:, s], d[:, s], sign, val)
         else:
             est, rad = f.screen(a[:, s], d[:, s])
@@ -1271,19 +1293,18 @@ def _optimize_ad(
     # group shares when all rectangles are equal
     owners = np.arange(1 if (ends == ends[0]).all() else groups)
     every_group = np.arange(groups)
+    # a rectangle that every group shares maps with its own floats, not
+    # gathered per point
+    shared = (lo[0].tolist(), width[0].tolist()) if owners.size == 1 else None
+    columns = [(i, free.index(i) if i in free else None) for i in (0, 1)]
 
     def to_point(z: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # unit-cube coordinates z of groups g to (a, d); every z given here
-        # (screen grid, clipped simplex vertices, minimize's x) is in the
-        # cube.  A rectangle that every group shares maps with its own
-        # floats, not gathered per point
-        if owners.size == 1:
-            base, scale = lo[0].tolist(), width[0].tolist()
-        else:
-            base, scale = lo[g].T, width[g].T
+        # (screen grid, clipped simplex vertices, minimize's x) is in the cube
+        base, scale = shared or (lo[g].T, width[g].T)
         a, d = (
-            base[i] + z[:, free.index(i)] * scale[i] if i in free else np.full(z.shape[0], base[i])
-            for i in (0, 1)
+            np.full(z.shape[0], base[i]) if j is None else base[i] + z[:, j] * scale[i]
+            for i, j in columns
         )
         return a, d
 
