@@ -979,21 +979,14 @@ def minimize(
         # whether the reflection lies below vertex 0 (expand), below vertex
         # n-1 (keep it, c = 2: no trial) or below vertex n (contract
         # outside, else inside); the first that holds decides
-        if hi == lo:
-            below_i = r[hi] < P[:, lo]
-            expand, keep, outside = below_i[0], below_i[n - 1], below_i[n]
-        else:
-            expand = below(r, P[0], True)
-            keep = below(r, P[n - 1], True, ~expand)
-            outside = below(r, P[n], True, ~(expand | keep))
+        expand = below(r, P[0], True)
+        keep = below(r, P[n - 1], True, ~expand)
+        outside = below(r, P[n], True, ~(expand | keep))
         c = np.where(expand, 3.0, np.where(keep, 2.0, np.where(outside, 1.5, 0.5)))
         _clip(np.add(c * xbar, (1.0 - c) * worst, out=t[:n]))
         trial = (c != 2.0).nonzero()[0]
-        if trial.size == live.size:
-            t[n:] = evaluate(live, t[:n].T)
-        else:
-            t[n:] = r[n:]  # where no trial is made, so that t's values are defined
-            t[n:, trial] = evaluate(live[trial], t[:n].take(trial, axis=1).T)
+        t[n:] = r[n:]  # where no trial is made, so that t's values are defined
+        t[n:, trial] = evaluate(live[trial], t[:n].take(trial, axis=1).T)
         nfev += live.size + trial.size
         # expansion is taken below the reflection, an outside contraction at
         # or below it, an inside one below the worst vertex
@@ -1227,7 +1220,6 @@ def _first_best(
     step = max(1, _TREE_PAIRS // groups)
     for i in range(0, a.shape[1], step):
         s = slice(i, i + step)
-        # only a run of three or more points has inner points to rule out
         rise = d[:, s][:, 1:] >= d[:, s][:, :-1] if runs else None
         if runs and np.count_nonzero(rise[:, 1:] & rise[:, :-1]):
             v, rad = _run_bounds(f, a[:, s], d[:, s], sign, val)

@@ -31,6 +31,7 @@ from rifa.robust_eval import (
     _Objective,
     _by_group,
     _centered_bound,
+    _clip,
     _first_best,
     _fsum_rows,
     _optimize_ad,
@@ -1497,6 +1498,20 @@ def test_sort_inserts_the_last_vertex_in_argsort_order(k):
     assert np.array_equal(_sorted_order(rows, k - 1), np.argsort(rows, axis=1, kind="stable"))
 
 
+def test_clip_gives_np_clip_bits():
+    """minimize's in-place clip to [0, 1] gives np.clip's bits, signed zeros
+    and nan signs included, at lengths that fill whole SIMD lanes and leave
+    scalar tails, on contiguous and strided arrays."""
+    pool = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -1.5, 1.5, 0.25, 1.0, -5e-324, 5e-324]
+    rng = np.random.default_rng(5)
+    for size in [*range(1, 70), 255, 256, 257, 1537]:
+        x = rng.choice(pool, 2 * size)
+        assert _clip(x[:size].copy()).tobytes() == np.clip(x[:size], 0.0, 1.0).tobytes()
+        y = x.copy()
+        _clip(y[::2])
+        assert y[::2].tobytes() == np.clip(x[::2], 0.0, 1.0).tobytes()
+
+
 @pytest.mark.parametrize("maxiter", [500, 6, "median"])
 @pytest.mark.parametrize("free", [[0, 1], [0], [1]], ids=["a-d", "a", "d"])
 def test_lockstep_nelder_mead_matches_scipy(free, maxiter, market_small, benefit_paper):
@@ -1508,7 +1523,7 @@ def test_lockstep_nelder_mead_matches_scipy(free, maxiter, market_small, benefit
     the median of scipy's iteration counts, so it stops some problems after
     others have converged and left the batch; the same problems in a
     shuffled order must give the same results.  x and fun match bit for
-    bit, so a clip that turns -0.0 into +0.0 shows.  fun is called once
+    bit.  fun is called once
     for the initial simplex, then at least once and at most three times
     per step: the reflections, the trial points and the shrunken vertices.
     """
